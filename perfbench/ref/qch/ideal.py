@@ -1,0 +1,471 @@
+"""Membership in the two-sided ideal generated by the defining relations.
+
+The relations are homogeneous of degree 2, so the ideal is graded and
+the degree-d component is spanned by {w1 * r * w2} over relations r and
+word pairs with |w1| + |w2| = d - 2.  Membership is decided by sparse
+elimination inside (degree, row-weight, column-weight) blocks, exactly
+over the rational function field for small cases and at >= 3 admissible
+prime points otherwise, with the failure probability of the modular
+route reported.  An echelon-oriented rewriting system provides a sound
+fast path (a zero normal form proves membership; a nonzero one decides
+nothing).
+"""
+
+from __future__ import annotations
+
+import heapq
+import os
+
+from .domains import FpDomain
+from .linalg import Echelon
+from .ncpoly import NCPoly
+from .scalar import InadmissiblePointError, sample_points
+
+FAILURE_TARGET = 1e-12
+# conservative Laurent degree span assumed for candidate coefficients
+# when the candidate is only available modulo a prime
+DEFAULT_CANDIDATE_SPAN = lambda d: 80 * (d + 1)
+
+
+class IdealError(RuntimeError):
+    pass
+
+
+class BudgetError(IdealError):
+    pass
+
+
+class MixedVerdictError(IdealError):
+    pass
+
+
+def generator_order(dim):
+    """Column rank of each generator label (a, b), 0-based.
+
+    dim 4 uses the block order D < C < B < A (quadrant blocks of the
+    generator matrix, row-major inside each block); other dims are plain
+    row-major.
+    """
+    if dim == 4:
+        ranks = {}
+        for a in range(4):
+            for b in range(4):
+                block = (1 - a // 2) * 2 + (1 - b // 2)
+                ranks[(a, b)] = block * 4 + (a % 2) * 2 + (b % 2)
+        return ranks
+    return {(a, b): a * dim + b for a in range(dim) for b in range(dim)}
+
+
+def default_weights(dim):
+    """Basis weights (k..1, -1..-k) for even dim = 2k, else None."""
+    if dim % 2:
+        return None
+    k = dim // 2
+    return [k - i for i in range(k)] + [-(i + 1) for i in range(k)]
+
+
+class MembershipCertificate:
+    __slots__ = ("status", "kind", "points", "witness", "residual", "bound",
+                 "detail")
+
+    def __init__(self, status, kind, points=None, witness=None,
+                 residual=None, bound=None, detail=""):
+        self.status = status
+        self.kind = kind
+        self.points = points
+        self.witness = witness
+        self.residual = residual
+        self.bound = bound
+        self.detail = detail
+
+    @property
+    def is_member(self):
+        return self.status in ("member", "probable-member")
+
+    def __repr__(self):
+        extra = f", bound={self.bound:.3g}" if self.bound is not None else ""
+        return f"MembershipCertificate({self.status}, {self.kind}{extra})"
+
+
+class QuadraticIdeal:
+    """The graded ideal of a fixed list of quadratic relations."""
+
+    def __init__(self, dom, dim, relations, label="", order=None,
+                 weights=None):
+        self.dom = dom
+        self.dim = dim
+        self.label = label
+        self.relations = []
+        for rid, p in relations:
+            if p.is_zero():
+                continue
+            if any(len(w) != 2 for w in p.terms):
+                raise ValueError(f"relation {rid} is not quadratic")
+            self.relations.append((rid, p))
+        self.order = order if order is not None else generator_order(dim)
+        self._rank_to_gen = {r: g for g, r in self.order.items()}
+        self.weights = (default_weights(dim) if weights is None else weights)
+        if self.weights is not None and not self._relations_weighted():
+            self.weights = None
+        self._rel_span = [self._poly_span(p) for _, p in self.relations]
+        self._ruleset = None
+        self._components = {}
+        self._span_index = {}
+        self._points = {}
+
+    # -- orders, blocks, spans ------------------------------------------------
+    def word_key(self, w):
+        return tuple(self.order[g] for g in w)
+
+    def word_from_key(self, key):
+        return tuple(self._rank_to_gen[r] for r in key)
+
+    def block_key(self, w):
+        if self.weights is None:
+            return (len(w),)
+        rw = sum(self.weights[a] for a, _ in w)
+        cw = sum(self.weights[b] for _, b in w)
+        return (len(w), rw, cw)
+
+    def _relations_weighted(self):
+        for _, p in self.relations:
+            blocks = {self.block_key(w) for w in p.terms}
+            if len(blocks) > 1:
+                return False
+        return True
+
+    def _poly_span(self, p):
+        span = 0
+        for c in p.terms.values():
+            ds = getattr(c, "degree_span", None)
+            if ds is not None:
+                span = max(span, ds())
+        return span
+
+    # -- rewriting fast path -----------------------------------------------------
+    def ruleset(self):
+        """Echelonized relations oriented as rewrite rules: the leading
+        2-letter word (largest under the column order) maps to minus the
+        tail.  Every rule application stays inside the ideal's coset."""
+        if self._ruleset is None:
+            ech = Echelon(self.dom)
+            for _, p in self.relations:
+                ech.add_row({self.word_key(w): c for w, c in p.terms.items()})
+            rules = {}
+            for lead, row in ech.pivots.items():
+                repl = {self.word_from_key(col): self.dom.neg(c)
+                        for col, c in row.items() if col != lead}
+                rules[self.word_from_key(lead)] = repl
+            self._ruleset = rules
+        return self._ruleset
+
+    def normal_order(self, p, budget=2_000_000):
+        """Fixed point of the oriented rules, processed largest word
+        first so duplicate intermediates merge.  p - normal_order(p) is
+        an ideal member by construction."""
+        rules = self.ruleset()
+        dom = self.dom
+        terms = dict(p.terms)
+        heap = [(tuple(-r for r in self.word_key(w)), w) for w in terms]
+        heapq.heapify(heap)
+        out = {}
+        steps = 0
+        while heap:
+            _, w = heapq.heappop(heap)
+            c = terms.pop(w, None)
+            if c is None:
+                continue
+            hit = None
+            for pos in range(len(w) - 1):
+                if (w[pos], w[pos + 1]) in rules:
+                    hit = pos
+                    break
+            if hit is None:
+                out[w] = c
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetError(f"normal_order budget exceeded ({budget})")
+            for w2, c2 in rules[(w[hit], w[hit + 1])].items():
+                nw = w[:hit] + w2 + w[hit + 2:]
+                v = dom.mul(c, c2)
+                cur = terms.get(nw)
+                if cur is None:
+                    terms[nw] = v
+                    heapq.heappush(heap,
+                                   (tuple(-r for r in self.word_key(nw)), nw))
+                else:
+                    s = dom.add(cur, v)
+                    if dom.is_zero(s):
+                        terms.pop(nw, None)
+                    else:
+                        terms[nw] = s
+        return NCPoly(dom, out)
+
+    # -- graded spanning components ------------------------------------------------
+    def _all_words(self, length):
+        if length == 0:
+            return [((), 0, 0)]
+        shorter = self._all_words(length - 1)
+        out = []
+        for a in range(self.dim):
+            for b in range(self.dim):
+                wa = self.weights[a] if self.weights else 0
+                wb = self.weights[b] if self.weights else 0
+                for w, rw, cw in shorter:
+                    out.append((w + ((a, b),), rw + wa, cw + wb))
+        return out
+
+    def _span_index_for(self, degree):
+        """{block: [(relation index, w1, w2)]} for |w1|+|w2| = degree-2."""
+        if degree not in self._span_index:
+            idx = {}
+            words = {l: self._all_words(l) for l in range(degree - 1)}
+            for rel_i, (_, rel) in enumerate(self.relations):
+                d2, rw0, cw0 = (self.block_key(next(iter(rel.terms)))
+                                if self.weights else (2, 0, 0))
+                for l1 in range(degree - 1):
+                    for w1, rw1, cw1 in words[l1]:
+                        for w2, rw2, cw2 in words[degree - 2 - l1]:
+                            if self.weights:
+                                block = (degree, rw1 + rw0 + rw2,
+                                         cw1 + cw0 + cw2)
+                            else:
+                                block = (degree,)
+                            idx.setdefault(block, []).append((rel_i, w1, w2))
+            self._span_index[degree] = idx
+        return self._span_index[degree]
+
+    def component(self, degree, block, track=False):
+        """Echelon basis of the ideal's (degree, block) slice plus the
+        insertion metadata (relation id, w1, w2) aligned with combo
+        indices."""
+        key = (degree, block, track)
+        if key not in self._components:
+            ech = Echelon(self.dom, track_combos=track)
+            metas = []
+            span = 0
+            for rel_i, w1, w2 in self._span_index_for(degree).get(block, []):
+                rid, rel = self.relations[rel_i]
+                row = {self.word_key(w1 + w + w2): c
+                       for w, c in rel.terms.items()}
+                ech.add_row(row)
+                metas.append((rid, w1, w2))
+                span += self._rel_span[rel_i]
+            self._components[key] = (ech, metas, span)
+        return self._components[key]
+
+    def rank_of_degree(self, degree):
+        """Total rank of the degree-d component plus block statistics."""
+        blocks = sorted(self._span_index_for(degree))
+        rank = 0
+        spanning = 0
+        for block in blocks:
+            ech, metas, _ = self.component(degree, block)
+            rank += ech.rank
+            spanning += len(metas)
+        return {"degree": degree, "rank": rank, "blocks": len(blocks),
+                "spanning": spanning}
+
+    # -- reduction at prime points ----------------------------------------------
+    def at_point(self, pt):
+        key = (pt.p, pt.qhat)
+        if key not in self._points:
+            fp = FpDomain(pt)
+            rels = [(rid, p.map_coefficients(fp, fp.from_scalar))
+                    for rid, p in self.relations]
+            self._points[key] = QuadraticIdeal(
+                fp, self.dim, rels, label=f"{self.label} @ {pt!r}",
+                order=self.order, weights=self.weights)
+        return self._points[key]
+
+    # -- membership ----------------------------------------------------------------
+    def membership(self, p, mode="auto", seed=0, witness=False,
+                   min_points=None, candidate_span=None, use_rewrite=True):
+        """Decide p ∈ ideal.  Inhomogeneous p splits into graded parts.
+
+        mode: exact | modular | auto (exact for degree <= 2 or dim <= 2
+        over an exact domain, else modular).
+        """
+        if p.is_zero():
+            return MembershipCertificate("member", "exact", witness=[])
+        parts = p.graded_parts()
+        low = [d for d in parts if d < 2]
+        if low:
+            return MembershipCertificate(
+                "non-member", "exact", residual=parts[min(low)],
+                detail="nonzero part of degree < 2")
+        if mode == "auto":
+            exact_ok = self.dom.exact and (max(parts) <= 2 or self.dim <= 2)
+            mode = "exact" if exact_ok else "modular"
+        if mode == "exact":
+            if not self.dom.exact:
+                raise IdealError("exact membership needs an exact domain")
+            return self._membership_exact(parts, witness, use_rewrite)
+        try:
+            return self._membership_modular(
+                lambda pt: p.reduce_at(pt), max(parts), seed=seed,
+                min_points=min_points,
+                candidate_span=candidate_span or self._poly_span(p),
+                use_rewrite=use_rewrite)
+        except MixedVerdictError:
+            if not self.dom.exact:
+                raise
+            return self._membership_exact(parts, witness, use_rewrite)
+
+    def membership_family(self, candidate_at, degree, seed=0,
+                          min_points=None, candidate_span=None,
+                          use_rewrite=True):
+        """Modular membership for a candidate only constructible at a
+        point; candidate_at(pt) must be the reduction of one fixed
+        exact polynomial of the stated maximal degree."""
+        return self._membership_modular(
+            candidate_at, degree, seed=seed, min_points=min_points,
+            candidate_span=candidate_span or DEFAULT_CANDIDATE_SPAN(degree),
+            use_rewrite=use_rewrite)
+
+    def _split_blocks(self, part):
+        blocks = {}
+        for w, c in part.terms.items():
+            blocks.setdefault(self.block_key(w), {})[w] = c
+        return blocks
+
+    def _membership_exact(self, parts, witness, use_rewrite):
+        items = []
+        for d in sorted(parts):
+            part = parts[d]
+            if use_rewrite and not witness:
+                try:
+                    part = self.normal_order(part)
+                except BudgetError:
+                    part = parts[d]
+                if part.is_zero():
+                    continue
+            for block, terms in sorted(self._split_blocks(part).items()):
+                ech, metas, _ = self.component(d, block, track=witness)
+                row = {self.word_key(w): c for w, c in terms.items()}
+                if witness:
+                    res, combo = ech.reduce_with_combo(row)
+                else:
+                    res, combo = ech.reduce(row), None
+                if res:
+                    resid = NCPoly(self.dom,
+                                   {self.word_from_key(k): c
+                                    for k, c in res.items()})
+                    return MembershipCertificate(
+                        "non-member", "exact", residual=resid,
+                        detail=f"residual in block {block}")
+                if witness:
+                    for k, v in combo.items():
+                        rid, w1, w2 = metas[k]
+                        items.append((self.dom.neg(v), w1, rid, w2))
+        return MembershipCertificate("member", "exact",
+                                     witness=items if witness else None)
+
+    def _point_bound(self):
+        return 8 * self.dim + 8
+
+    def _vanishes_at(self, pt, candidate_at, use_rewrite):
+        ideal_p = self.at_point(pt)
+        p_p = candidate_at(pt)
+        residual_blocks = 0
+        for d, part in p_p.graded_parts().items():
+            if use_rewrite:
+                try:
+                    part = ideal_p.normal_order(part)
+                except BudgetError:
+                    pass
+                if part.is_zero():
+                    continue
+            for block, terms in sorted(ideal_p._split_blocks(part).items()):
+                ech, _, _ = ideal_p.component(d, block)
+                row = {ideal_p.word_key(w): c for w, c in terms.items()}
+                if ech.reduce(row):
+                    residual_blocks += 1
+        return residual_blocks == 0
+
+    def _degree_dmax(self, degree, candidate_span):
+        """Largest per-block sum of relation coefficient spans, plus the
+        candidate span: a degree bound for the minor whose vanishing
+        could make one modular verdict wrong."""
+        worst = 0
+        for block, rows in self._span_index_for(degree).items():
+            worst = max(worst,
+                        sum(max(self._rel_span[i], 1) for i, _, _ in rows))
+        return worst + max(candidate_span, 1)
+
+    def _collect_verdicts(self, candidate_at, use_rewrite, want, seed, used):
+        pts, verdicts = [], []
+        for attempt in range(40):
+            fresh = sample_points(seed + attempt, count=want + attempt,
+                                  bound=self._point_bound())
+            for pt in fresh:
+                if len(pts) == want:
+                    return pts, verdicts
+                key = (pt.p, pt.qhat)
+                if key in used:
+                    continue
+                used.add(key)
+                try:
+                    verdicts.append(self._vanishes_at(pt, candidate_at,
+                                                      use_rewrite))
+                    pts.append(pt)
+                except InadmissiblePointError:
+                    continue
+            if len(pts) == want:
+                return pts, verdicts
+        raise IdealError("could not collect enough admissible points")
+
+    def _membership_modular(self, candidate_at, degree, seed, min_points,
+                            candidate_span, use_rewrite):
+        if min_points is None:
+            min_points = int(os.environ.get("QCH_PRIME_COUNT", "3"))
+        want = max(min_points, 3)
+        d_max = self._degree_dmax(degree, candidate_span)
+        for batch in range(4):
+            used = set()
+            pts, verdicts = self._collect_verdicts(
+                candidate_at, use_rewrite, want, seed + 104729 * batch, used)
+            bound = 1.0
+            for pt in pts:
+                bound *= d_max / pt.p
+            while bound > FAILURE_TARGET and len(pts) < 12:
+                more_p, more_v = self._collect_verdicts(
+                    candidate_at, use_rewrite, 1,
+                    seed + 104729 * batch + 31 * len(pts), used)
+                pts += more_p
+                verdicts += more_v
+                bound *= d_max / more_p[0].p
+            if all(verdicts):
+                return MembershipCertificate("probable-member", "modular",
+                                             points=pts, bound=bound)
+            if not any(verdicts):
+                return MembershipCertificate(
+                    "non-member", "modular", points=pts, bound=bound,
+                    detail="nonzero residual at every sampled point")
+        raise MixedVerdictError("membership undecided: mixed modular verdicts")
+
+    def membership_matrix(self, qmat, **kw):
+        """Entrywise membership; returns the first failing certificate or
+        the last success."""
+        cert = MembershipCertificate("member", "exact", witness=[])
+        for row in qmat.rows:
+            for p in row:
+                cert = self.membership(p, **kw)
+                if not cert.is_member:
+                    return cert
+        return cert
+
+    def __repr__(self):
+        return (f"QuadraticIdeal({self.label or 'unnamed'}, dim={self.dim}, "
+                f"{len(self.relations)} relations)")
+
+
+def witness_to_json(witness):
+    """Witness entries as JSON-ready lists: [coeff, w1, relation id, w2]
+    with 1-based generator labels."""
+    out = []
+    for coeff, w1, rid, w2 in witness:
+        enc = lambda w: [[a + 1, b + 1] for a, b in w]
+        out.append([str(coeff), enc(w1), rid, enc(w2)])
+    return out

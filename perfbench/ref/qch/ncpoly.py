@@ -1,0 +1,342 @@
+"""Noncommutative polynomials in the N^2 matrix generators.
+
+A generator is labelled by a 0-based pair (a, b), standing for the entry
+in row a, column b of the generating matrix.  A word is a tuple of
+labels; words are never reordered here (all reduction is delegated to
+the ideal machinery).  Coefficients live in a scalar domain and commute
+with the generators.
+"""
+
+from __future__ import annotations
+
+from .scalar import scalar_from_text
+
+
+class NCPoly:
+    __slots__ = ("dom", "terms")
+
+    def __init__(self, dom, terms=None):
+        self.dom = dom
+        self.terms = terms if terms is not None else {}
+
+    # -- constructors --------------------------------------------------------
+    @staticmethod
+    def zero(dom):
+        return NCPoly(dom)
+
+    @staticmethod
+    def one(dom):
+        return NCPoly(dom, {(): dom.one()})
+
+    @staticmethod
+    def constant(dom, c):
+        if dom.is_zero(c):
+            return NCPoly(dom)
+        return NCPoly(dom, {(): c})
+
+    @staticmethod
+    def generator(dom, a, b):
+        return NCPoly(dom, {((a, b),): dom.one()})
+
+    def copy(self):
+        return NCPoly(self.dom, dict(self.terms))
+
+    # -- predicates ----------------------------------------------------------
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        return all(not w for w in self.terms)
+
+    def constant_part(self):
+        return self.terms.get((), self.dom.zero())
+
+    def __eq__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # -- arithmetic ----------------------------------------------------------
+    def __add__(self, other):
+        dom = self.dom
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            cur = terms.get(w)
+            s = c if cur is None else dom.add(cur, c)
+            if dom.is_zero(s):
+                terms.pop(w, None)
+            else:
+                terms[w] = s
+        return NCPoly(dom, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        dom = self.dom
+        return NCPoly(dom, {w: dom.neg(c) for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        dom = self.dom
+        terms = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                v = dom.mul(c1, c2)
+                cur = terms.get(w)
+                s = v if cur is None else dom.add(cur, v)
+                if dom.is_zero(s):
+                    terms.pop(w, None)
+                else:
+                    terms[w] = s
+        return NCPoly(dom, terms)
+
+    def scale(self, c):
+        dom = self.dom
+        if dom.is_zero(c):
+            return NCPoly(dom)
+        return NCPoly(dom, {w: dom.mul(c, v) for w, v in self.terms.items()})
+
+    def __pow__(self, n):
+        out = NCPoly.one(self.dom)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    # -- structure ------------------------------------------------------------
+    def degree(self):
+        return max((len(w) for w in self.terms), default=0)
+
+    def graded_parts(self):
+        parts = {}
+        for w, c in self.terms.items():
+            parts.setdefault(len(w), {})[w] = c
+        return {d: NCPoly(self.dom, t) for d, t in sorted(parts.items())}
+
+    def map_coefficients(self, dom, fn):
+        terms = {}
+        for w, c in self.terms.items():
+            v = fn(c)
+            if not dom.is_zero(v):
+                terms[w] = v
+        return NCPoly(dom, terms)
+
+    def reduce_at(self, point):
+        from .domains import FpDomain
+        fp = FpDomain(point)
+        return self.map_coefficients(fp, fp.from_scalar)
+
+    # -- text ------------------------------------------------------------------
+    def to_text(self, name="M"):
+        if not self.terms:
+            return "0"
+        bits = []
+        for w in sorted(self.terms, key=lambda w: (len(w), w)):
+            c = self.dom.to_text(self.terms[w])
+            gens = " ".join(f"{name}[{a + 1},{b + 1}]" for a, b in w)
+            bits.append(f"({c}) * {gens}" if gens else f"({c})")
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"NCPoly({len(self.terms)} terms, deg {self.degree()})"
+
+
+def _split_terms(text):
+    """Split on top-level ' + ' only (coefficients may contain sums)."""
+    parts, cur, depth, i = [], [], 0, 0
+    while i < len(text):
+        ch = text[i]
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and text.startswith(" + ", i):
+            parts.append("".join(cur))
+            cur = []
+            i += 3
+            continue
+        cur.append(ch)
+        i += 1
+    parts.append("".join(cur))
+    return parts
+
+
+def poly_from_text(dom, text, name="M"):
+    """Parse the `(coeff) * M[a,b] M[c,d]` textual form (1-based)."""
+    text = text.strip()
+    if text == "0":
+        return NCPoly.zero(dom)
+    out = NCPoly.zero(dom)
+    for chunk in _split_terms(text):
+        chunk = chunk.strip()
+        if chunk.startswith("("):
+            depth, pos = 0, 0
+            for pos, ch in enumerate(chunk):
+                depth += (ch == "(") - (ch == ")")
+                if depth == 0:
+                    break
+            coeff_text, rest = chunk[1:pos], chunk[pos + 1:]
+        else:
+            coeff_text, rest = "1", chunk
+        coeff = dom.from_scalar(scalar_from_text(coeff_text))
+        word = []
+        for gen in rest.replace("*", " ").split():
+            if not gen.startswith(f"{name}["):
+                raise ValueError(f"unexpected generator token {gen!r}")
+            a, b = gen[len(name) + 1:-1].split(",")
+            word.append((int(a) - 1, int(b) - 1))
+        out = out + NCPoly(dom, {tuple(word): coeff})
+    return out
+
+
+class NCDomain:
+    """NCPoly viewed as a coefficient domain for tensor operators."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"NC({base.name})"
+        self.exact = base.exact
+        self.point = getattr(base, "point", None)
+
+    def zero(self):
+        return NCPoly.zero(self.base)
+
+    def one(self):
+        return NCPoly.one(self.base)
+
+    def is_zero(self, p):
+        return p.is_zero()
+
+    def is_one(self, p):
+        return p.terms == {(): self.base.one()}
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if not a.is_constant():
+            raise ArithmeticError("only constant polynomials are invertible")
+        return NCPoly.constant(self.base, self.base.inv(a.constant_part()))
+
+    def from_scalar(self, s):
+        return NCPoly.constant(self.base, self.base.from_scalar(s))
+
+    def from_int(self, n):
+        return NCPoly.constant(self.base, self.base.from_int(n))
+
+    def to_text(self, p):
+        return p.to_text()
+
+
+class QMatrix:
+    """A square matrix of noncommutative polynomials."""
+
+    __slots__ = ("dom", "size", "rows")
+
+    def __init__(self, dom, rows):
+        self.dom = dom
+        self.size = len(rows)
+        self.rows = rows
+
+    @staticmethod
+    def zero(dom, n):
+        return QMatrix(dom, [[NCPoly.zero(dom) for _ in range(n)]
+                             for _ in range(n)])
+
+    @staticmethod
+    def identity(dom, n):
+        m = QMatrix.zero(dom, n)
+        for i in range(n):
+            m.rows[i][i] = NCPoly.one(dom)
+        return m
+
+    @staticmethod
+    def generators(dom, n):
+        """The matrix of generators: entry (a, b) is the generator M^a_b."""
+        return QMatrix(dom, [[NCPoly.generator(dom, a, b) for b in range(n)]
+                             for a in range(n)])
+
+    @staticmethod
+    def scalar(dom, n, c):
+        m = QMatrix.zero(dom, n)
+        for i in range(n):
+            m.rows[i][i] = NCPoly.constant(dom, c)
+        return m
+
+    def __getitem__(self, ab):
+        a, b = ab
+        return self.rows[a][b]
+
+    def __add__(self, other):
+        return QMatrix(self.dom, [[x + y for x, y in zip(r1, r2)]
+                                  for r1, r2 in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return QMatrix(self.dom, [[x - y for x, y in zip(r1, r2)]
+                                  for r1, r2 in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return QMatrix(self.dom, [[-x for x in row] for row in self.rows])
+
+    def __matmul__(self, other):
+        n = self.size
+        out = QMatrix.zero(self.dom, n)
+        for a in range(n):
+            for b in range(n):
+                acc = NCPoly.zero(self.dom)
+                for c in range(n):
+                    if self.rows[a][c] and other.rows[c][b]:
+                        acc = acc + self.rows[a][c] * other.rows[c][b]
+                out.rows[a][b] = acc
+        return out
+
+    def scale(self, c):
+        return QMatrix(self.dom, [[x.scale(c) for x in row]
+                                  for row in self.rows])
+
+    def mul_poly_right(self, p):
+        """Entrywise right multiplication by an algebra element."""
+        return QMatrix(self.dom, [[x * p for x in row] for row in self.rows])
+
+    def mul_poly_left(self, p):
+        return QMatrix(self.dom, [[p * x for x in row] for row in self.rows])
+
+    def is_zero(self):
+        return all(x.is_zero() for row in self.rows for x in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    __hash__ = None
+
+    def map_entries(self, fn):
+        return QMatrix(self.dom, [[fn(x) for x in row] for row in self.rows])
+
+    def entries(self):
+        return [x for row in self.rows for x in row]
+
+    def trace(self):
+        acc = NCPoly.zero(self.dom)
+        for i in range(self.size):
+            acc = acc + self.rows[i][i]
+        return acc
+
+    def to_text(self, name="M"):
+        return "\n".join("[" + ", ".join(x.to_text(name) for x in row) + "]"
+                         for row in self.rows)
+
+    def __repr__(self):
+        return f"QMatrix({self.size}x{self.size})"

@@ -1,0 +1,616 @@
+"""Quantum matrix algebras over a compatible R-matrix pair.
+
+The algebra is generated by the entries of an N x N matrix M subject to
+R1 M_1b M_2b = M_1b M_2b R1, where the matrix copies are built with the
+second operator F of the pair.  This module constructs the generators,
+the characteristic elements, the rotation maps phi / xi / pi, the
+star-products and descendants, and the two matrix identities (the
+Cayley-Hamilton identity and its lower-degree parent).  No reduction
+modulo the defining ideal happens here; identity residuals are handed
+to the ideal module for membership testing.
+"""
+
+from __future__ import annotations
+
+from . import tensor
+from .ncpoly import NCDomain, NCPoly, QMatrix
+from .rmatrix import (GuardError, antisymmetrizer_tower, check_compatible,
+                      compute_g_operator, twist)
+from .scalar import LAMBDA, Q, QINV, QScalar, q_int
+from .tensor import TensorOperator
+
+
+class AlgebraContext:
+    """A certified pair (R, F) with all derived algebra machinery.
+
+    Immutable after construction; every derived object is cached.  The
+    pair tag is `rtt` when F is the flip, `re` when F = R, else
+    `custom`.
+    """
+
+    def __init__(self, r_ctx, f_ctx, label="", certify=True):
+        if f_ctx.dim != r_ctx.dim:
+            raise ValueError("pair dimensions differ")
+        self.r_ctx = r_ctx
+        self.f_ctx = f_ctx
+        self.dom = r_ctx.dom
+        self.dim = r_ctx.dim
+        self.ncdom = NCDomain(self.dom)
+        self.label = label or f"qma({r_ctx.label}; {f_ctx.label})"
+        if certify:
+            cert = check_compatible(r_ctx, f_ctx)
+            if not cert.ok:
+                raise GuardError(f"incompatible pair: {cert.failures()}")
+        self.pair = self._pair_tag()
+        self._nc_ops = {}
+        self._mbar = {}
+        self._chain = {}
+        self._maps = {}
+        self._towers = []
+        self._wedges = {}
+        self._a_elems = {}
+        self._p_elems = {}
+        self._m_powers = None
+        self._pi_powers = None
+        self._g_elem = None
+        self._g_pair = None
+        self._d_rf = None
+
+    def _pair_tag(self):
+        if self.f_ctx.r == TensorOperator.flip(self.dom, self.dim):
+            return "rtt"
+        if self.f_ctx.r == self.r_ctx.r:
+            return "re"
+        return "custom"
+
+    # -- lifting scalar operators to polynomial coefficients -------------------
+    def lift(self, op):
+        base = self.dom
+        return op.map_coefficients(self.ncdom,
+                                   lambda c: NCPoly.constant(base, c))
+
+    def _nc(self, name):
+        if name not in self._nc_ops:
+            src = {"r": lambda: self.r_ctx.r,
+                   "r_inv": lambda: self.r_ctx.r_inv,
+                   "f": lambda: self.f_ctx.r,
+                   "f_inv": lambda: self.f_ctx.r_inv,
+                   "k": lambda: self.r_ctx.k_op,
+                   "d_r": lambda: self.r_ctx.d_r}[name]
+            self._nc_ops[name] = self.lift(src())
+        return self._nc_ops[name]
+
+    def const(self, s):
+        return NCPoly.constant(self.dom, self.dom.from_scalar(s))
+
+    # -- generators and matrix copies ------------------------------------------
+    @property
+    def m_matrix(self):
+        return QMatrix.generators(self.dom, self.dim)
+
+    def matrix_to_operator(self, m):
+        data = {}
+        for a in range(self.dim):
+            for b in range(self.dim):
+                p = m.rows[a][b]
+                if not p.is_zero():
+                    data[((b,), (a,))] = p
+        return TensorOperator(self.ncdom, self.dim, 1, data)
+
+    def matrix_from_operator(self, op):
+        m = QMatrix.zero(self.dom, self.dim)
+        for ((b,), (a,)), p in op.data.items():
+            m.rows[a][b] = p
+        return m
+
+    def mbar_ops(self, n):
+        """The matrix copies M_1b .. M_nb as arity-n operators."""
+        if n not in self._mbar:
+            ops = [self.matrix_to_operator(self.m_matrix).embed(1, n)]
+            for i in range(2, n + 1):
+                f = self._nc("f").embed(i - 1, n)
+                fi = self._nc("f_inv").embed(i - 1, n)
+                ops.append(f @ ops[-1] @ fi)
+            self._mbar[n] = ops
+        return self._mbar[n]
+
+    def chain_product(self, n, start=1):
+        """M_{start}b ... M_nb; the empty product is the identity."""
+        key = (n, start)
+        if key not in self._chain:
+            ops = self.mbar_ops(n)[start - 1:]
+            prod = TensorOperator.identity(self.ncdom, self.dim, n)
+            for x in ops:
+                prod = prod @ x
+            self._chain[key] = prod
+        return self._chain[key]
+
+    def tr_r(self, x, positions):
+        return x.r_trace_many(self._nc("d_r"), positions)
+
+    # -- characteristic elements ------------------------------------------------
+    def braid_image(self, word, n):
+        """rho_R of a braid word, letters (i, +-1) acting on (i, i+1)."""
+        out = TensorOperator.identity(self.ncdom, self.dim, n)
+        for i, e in word:
+            if not 1 <= i < n:
+                raise ValueError(f"strand {i} outside 1..{n - 1}")
+            op = self._nc("r") if e > 0 else self._nc("r_inv")
+            out = out @ op.embed(i, n)
+        return out
+
+    def char_element(self, op, n):
+        """ch(alpha) = R-trace over all n factors of the chain times alpha."""
+        prod = self.chain_product(n) @ op
+        return self.tr_r(prod, range(1, n + 1)).scalar_value()
+
+    def char_braid(self, word, n):
+        return self.char_element(self.braid_image(word, n), n)
+
+    def p_elem(self, i):
+        """Power sums: p_0 = Tr_R I, p_i = ch(sigma_{i-1} ... sigma_1)."""
+        if i not in self._p_elems:
+            if i == 0:
+                val = self.r_ctx.d_r.partial_trace(1).scalar_value()
+                self._p_elems[i] = NCPoly.constant(self.dom, val)
+            else:
+                word = [(j, 1) for j in range(i - 1, 0, -1)]
+                self._p_elems[i] = self.char_braid(word, i)
+        return self._p_elems[i]
+
+    def antisymmetrizer(self, i):
+        if len(self._towers) < i:
+            self._towers = antisymmetrizer_tower(self.r_ctx, i)
+        return self._towers[i - 1]
+
+    def wedge_power(self, i):
+        """M^{a^(i)} = Tr_{R(2..i)}(M_1b ... M_ib rho(a^(i)))."""
+        if i not in self._wedges:
+            if i == 0:
+                self._wedges[i] = QMatrix.identity(self.dom, self.dim)
+            else:
+                prod = self.chain_product(i) @ self.lift(self.antisymmetrizer(i))
+                traced = self.tr_r(prod, range(2, i + 1))
+                self._wedges[i] = self.matrix_from_operator(traced)
+        return self._wedges[i]
+
+    def a_elem(self, i):
+        """a_i = ch(a^(i)); a_0 = 1."""
+        if i not in self._a_elems:
+            if i == 0:
+                self._a_elems[i] = NCPoly.one(self.dom)
+            else:
+                op = self.matrix_to_operator(self.wedge_power(i))
+                self._a_elems[i] = self.tr_r(op, (1,)).scalar_value()
+        return self._a_elems[i]
+
+    # -- the 2-contraction -------------------------------------------------------
+    @property
+    def g(self):
+        if self._g_elem is None:
+            mu = self.r_ctx.mu_scalar
+            pref = mu * LAMBDA / ((Q - mu) * (QINV + mu))
+            val = self.tr_r(self.chain_product(2) @ self._nc("k"), (1, 2))
+            self._g_elem = val.scalar_value().scale(self.dom.from_scalar(pref))
+        return self._g_elem
+
+    def two_contraction_residuals(self):
+        """K1 M1b M2b - mu^-2 K1 g and M1b M2b K1 - mu^-2 K1 g."""
+        mu = self.r_ctx.mu_scalar
+        k = self._nc("k")
+        ch2 = self.chain_product(2)
+        target = k.scale(self.g.scale(self.dom.from_scalar((mu * mu).inv())))
+        return (k @ ch2) - target, (ch2 @ k) - target
+
+    # -- rotation maps -----------------------------------------------------------
+    @property
+    def d_rf(self):
+        """R-trace operator of the twisted matrix F^-1 R F."""
+        if self._d_rf is None:
+            self._d_rf = twist(self.r_ctx, self.f_ctx).d_r
+        return self._d_rf
+
+    def d_rf_factorized(self):
+        """The product form D_{F^-1} (D_{R^-1})^-1 D_F of the twisted trace."""
+        tr1_psi = self.r_ctx.psi.partial_trace(1)
+        return self.f_ctx.d_rinv @ tr1_psi @ self.f_ctx.d_r
+
+    def map_tensor(self, kind):
+        """Structure constants of a rotation map: {(c,d): {(a,b): coeff}}
+        with map(E_cd) = sum coeff E_ab."""
+        if kind not in self._maps:
+            self._maps[kind] = self._build_map_tensor(kind)
+        return self._maps[kind]
+
+    def _build_map_tensor(self, kind):
+        dom, dim = self.dom, self.dim
+        r_ctx, f_ctx = self.r_ctx, self.f_ctx
+        mu = r_ctx.mu_scalar
+        if kind == "pi":
+            # F-free form, authoritative: pi(N)_1 = Tr_R(2) R N_1 K.
+            combine = lambda e1: (r_ctx.r @ e1 @ r_ctx.k_op).r_trace(
+                r_ctx.d_r, 2)
+        elif kind == "pi_inv":
+            pref = dom.from_scalar((mu * mu).inv())
+            combine = lambda e1: ((r_ctx.r_inv @ e1 @ r_ctx.k_op).r_trace(
+                r_ctx.d_r, 2)).scale(pref)
+        elif kind in ("phi", "xi"):
+            tail = r_ctx.r if kind == "phi" else r_ctx.k_op
+            combine = lambda e1: (f_ctx.r @ e1 @ f_ctx.r_inv @ tail).r_trace(
+                r_ctx.d_r, 2)
+        elif kind in ("phi_inv", "xi_inv"):
+            tail = r_ctx.r_inv if kind == "phi_inv" else r_ctx.k_op
+            pref = dom.from_scalar((mu * mu).inv())
+            combine = lambda e1: ((f_ctx.r_inv @ e1 @ tail @ f_ctx.r).r_trace(
+                self.d_rf, 2)).scale(pref)
+        else:
+            raise ValueError(f"unknown map {kind!r}")
+        out = {}
+        for c in range(dim):
+            for d in range(dim):
+                img = combine(tensor.matrix_unit(dom, dim, c, d).embed(1, 2))
+                cell = {(a, b): v for ((b,), (a,)), v in img.data.items()}
+                if cell:
+                    out[(c, d)] = cell
+        return out
+
+    def apply_map(self, kind, nmat):
+        out = QMatrix.zero(self.dom, self.dim)
+        for (c, d), cell in self.map_tensor(kind).items():
+            x = nmat.rows[c][d]
+            if x.is_zero():
+                continue
+            for (a, b), t in cell.items():
+                out.rows[a][b] = out.rows[a][b] + x.scale(t)
+        return out
+
+    def phi(self, nmat):
+        return self.apply_map("phi", nmat)
+
+    def xi(self, nmat):
+        return self.apply_map("xi", nmat)
+
+    def phi_inv(self, nmat):
+        return self.apply_map("phi_inv", nmat)
+
+    def xi_inv(self, nmat):
+        return self.apply_map("xi_inv", nmat)
+
+    def pi(self, nmat):
+        return self.apply_map("pi", nmat)
+
+    def pi_composed_tensor(self):
+        """mu phi^-1 after xi, for cross-checking the F-free pi."""
+        mu = self.dom.from_scalar(self.r_ctx.mu_scalar)
+        phi_inv = self.map_tensor("phi_inv")
+        out = {}
+        for (c, d), cell in self.map_tensor("xi").items():
+            acc = {}
+            for (e, f), t in cell.items():
+                for (a, b), s in phi_inv.get((e, f), {}).items():
+                    key = (a, b)
+                    v = self.dom.mul(self.dom.mul(mu, s), t)
+                    cur = acc.get(key)
+                    w = v if cur is None else self.dom.add(cur, v)
+                    if self.dom.is_zero(w):
+                        acc.pop(key, None)
+                    else:
+                        acc[key] = w
+            if acc:
+                out[(c, d)] = acc
+        return out
+
+    # -- star products and descendants --------------------------------------------
+    def star_multiply(self, amat, bmat):
+        """A * B = A phi(B); valid when A lies in the star-closed span."""
+        return amat @ self.phi(bmat)
+
+    def star_power(self, n):
+        """M^{nb}: M^{0b} = I, M^{n+1b} = M phi(M^{nb})."""
+        if self._m_powers is None:
+            self._m_powers = [QMatrix.identity(self.dom, self.dim)]
+        while len(self._m_powers) <= n:
+            self._m_powers.append(self.m_matrix @ self.phi(self._m_powers[-1]))
+        return self._m_powers[n]
+
+    def m_power(self, word, n):
+        """M^{(alpha)}: R-trace over factors 2..n of M_1b..M_nb rho(alpha)."""
+        op = self.chain_product(n) @ self.braid_image(word, n)
+        return self.matrix_from_operator(self.tr_r(op, range(2, n + 1)))
+
+    def t_map(self, nmat):
+        return self.m_matrix @ self.xi(nmat)
+
+    def g_conjugators(self):
+        """G and G^-1 as constant matrices."""
+        if self._g_pair is None:
+            g_op, g_inv_op = compute_g_operator(self.r_ctx, self.f_ctx)
+            base = self.dom
+
+            def to_q(op):
+                rows = [[NCPoly.constant(base, c) for c in row]
+                        for row in tensor.matrix_from_operator(op)]
+                return QMatrix(base, rows)
+
+            self._g_pair = (to_q(g_op), to_q(g_inv_op))
+        return self._g_pair
+
+    def pi_star(self, nmat):
+        """pi(M) * N = mu phi^-1(xi(M) G^-1 N G); the star action with
+        pi(M) on the left."""
+        g_mat, g_inv_mat = self.g_conjugators()
+        inner = self.xi(self.m_matrix) @ (g_inv_mat @ nmat @ g_mat)
+        return self.phi_inv(inner).scale(
+            self.dom.from_scalar(self.r_ctx.mu_scalar))
+
+    def pi_star_power(self, n):
+        """pi(M)^{nb} for n >= 1."""
+        if n < 1:
+            raise ValueError("pi star powers start at 1")
+        if self._pi_powers is None:
+            self._pi_powers = [None, self.pi(self.m_matrix)]
+        while len(self._pi_powers) <= n:
+            self._pi_powers.append(self.pi_star(self._pi_powers[-1]))
+        return self._pi_powers[n]
+
+    def descendant_a(self, m, i):
+        """A^{(m,i)} = i_q M^{mb} * M^{a^(i)}; m = -1 is the boundary case."""
+        if i == 0:
+            return QMatrix.zero(self.dom, self.dim)
+        if m < -1:
+            raise ValueError("descendant index m >= -1")
+        if m == -1:
+            return self.boundary_a(i)
+        out = self.wedge_power(i)
+        for _ in range(m):
+            out = self.m_matrix @ self.phi(out)
+        return out.scale(self.dom.from_scalar(q_int(i)))
+
+    def boundary_a(self, i):
+        """A^{(-1,i)} = i_q phi^-1(Tr_{R(2..i)} M_2b ... M_ib rho(a^(i)))."""
+        if i == 0:
+            return QMatrix.zero(self.dom, self.dim)
+        prod = self.chain_product(i, start=2) @ self.lift(self.antisymmetrizer(i))
+        mat = self.matrix_from_operator(self.tr_r(prod, range(2, i + 1)))
+        return self.phi_inv(mat).scale(self.dom.from_scalar(q_int(i)))
+
+    def descendant_b(self, m, i):
+        """B^{(m,i)}, m >= 0: the t_map companion series of descendant_a."""
+        if i == 0:
+            return QMatrix.zero(self.dom, self.dim)
+        if m < 0:
+            raise ValueError("descendant index m >= 0")
+        if m == 0:
+            out = self.phi_inv(self.xi(self.wedge_power(i)))
+        else:
+            out = self.t_map(self.wedge_power(i))
+            for _ in range(m - 1):
+                out = self.m_matrix @ self.phi(out)
+        return out.scale(self.dom.from_scalar(q_int(i)))
+
+    # -- matrix identities ----------------------------------------------------------
+    def epsilon_elements(self, k):
+        """eps_0..eps_2k: eps_i = sum_j a_{i-2j} g^j, eps_{k+i} = eps_{k-i} g^i."""
+        g_pows = [NCPoly.one(self.dom)]
+        for _ in range(k):
+            g_pows.append(g_pows[-1] * self.g)
+        eps = []
+        for i in range(k + 1):
+            acc = NCPoly.zero(self.dom)
+            for j in range(i // 2 + 1):
+                acc = acc + self.a_elem(i - 2 * j) * g_pows[j]
+            eps.append(acc)
+        for i in range(1, k + 1):
+            eps.append(eps[k - i] * g_pows[i])
+        return eps
+
+    def ch_identity(self, k):
+        """LHS of the degree-2k Cayley-Hamilton identity."""
+        eps = self.epsilon_elements(k)
+        out = QMatrix.zero(self.dom, self.dim)
+        for i in range(2 * k + 1):
+            c = QScalar.q_power(i) if i % 2 == 0 else -QScalar.q_power(i)
+            term = self.star_power(2 * k - i).mul_poly_right(eps[i])
+            out = out + term.scale(self.dom.from_scalar(c))
+        return out
+
+    def parent_identity(self, k):
+        """LHS of the degree-k parent identity mixing M and pi(M) powers."""
+        eps = self.epsilon_elements(k)
+        out = QMatrix.zero(self.dom, self.dim)
+        for i in range(k + 1):
+            c = QScalar.q_power(i) if i % 2 == 0 else -QScalar.q_power(i)
+            term = self.star_power(k - i).mul_poly_right(eps[i])
+            out = out + term.scale(self.dom.from_scalar(c))
+        for i in range(k):
+            c = QScalar.q_power(2 * k - i)
+            if i % 2 == 1:
+                c = -c
+            term = self.pi_star_power(k - i).mul_poly_right(eps[i])
+            out = out + term.scale(self.dom.from_scalar(c))
+        return out
+
+    # -- defining relations ------------------------------------------------------------
+    def defining_relations(self):
+        """Entries of R1 M1b M2b - M1b M2b R1, as (id, polynomial) pairs."""
+        r = self._nc("r")
+        ch2 = self.chain_product(2)
+        rel_op = (r @ ch2) - (ch2 @ r)
+        rels = []
+        for key in sorted(rel_op.data):
+            tin, tout = key
+            rels.append((f"rel[{tout[0] + 1}{tout[1] + 1}|"
+                         f"{tin[0] + 1}{tin[1] + 1}]", rel_op.data[key]))
+        return rels
+
+    def recursion_residuals(self, m, i):
+        """LHS - RHS of the two descendant recursions at (m, i)."""
+        mu = self.r_ctx.mu_scalar
+        den = (QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 1))
+        if den.is_zero():
+            raise GuardError(f"recursion denominator vanishes at i={i}")
+        m_pow_ai = self.star_power(m).mul_poly_right(self.a_elem(i))
+        a_mi = self.descendant_a(m, i)
+        b_mi = self.descendant_b(m, i)
+        c1 = mu * QScalar.q_power(2 * i - 1) * LAMBDA / den
+        res1 = (self.descendant_a(m - 1, i + 1)
+                - m_pow_ai.scale(self.dom.from_scalar(QScalar.q_power(i)))
+                + a_mi
+                + b_mi.scale(self.dom.from_scalar(c1)))
+        bracket = (m_pow_ai.scale(
+            self.dom.from_scalar(mu.inv() * QScalar.q_power(-i)))
+            + a_mi.scale(self.dom.from_scalar(LAMBDA / den))
+            - b_mi)
+        res2 = self.descendant_b(m + 1, i + 1) - bracket.mul_poly_right(self.g)
+        return res1, res2
+
+    def expansion_residual_a(self, m, i):
+        """descendant_a(m, i) minus its alternating-sum expansion; m >= i-2."""
+        if m < i - 2:
+            raise ValueError("expansion requires m >= i-2")
+        mu = self.r_ctx.mu_scalar
+        den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
+        inner_c = (QScalar.from_int(1) - QScalar.q_power(-2)) / den
+        acc = QMatrix.zero(self.dom, self.dim)
+        for j in range(i):
+            term = self.star_power(m + i - j)
+            inner = QMatrix.zero(self.dom, self.dim)
+            q2g = self.g.scale(self.dom.from_scalar(QScalar.q_power(2)))
+            gp = NCPoly.one(self.dom)
+            for r in range(1, i - j):
+                gp = gp * q2g
+                inner = inner + self.star_power(m + i - j - 2 * r).mul_poly_right(gp)
+            term = term + inner.scale(self.dom.from_scalar(inner_c))
+            term = term.mul_poly_right(self.a_elem(j))
+            c = QScalar.q_power(j) if j % 2 == 0 else -QScalar.q_power(j)
+            acc = acc + term.scale(self.dom.from_scalar(c))
+        if (i - 1) % 2 == 1:
+            acc = -acc
+        return self.descendant_a(m, i) - acc
+
+    def expansion_residual_b(self, m, i):
+        """descendant_b(m, i) minus its alternating-sum expansion; m >= i."""
+        if m < i:
+            raise ValueError("expansion requires m >= i")
+        mu = self.r_ctx.mu_scalar
+        den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
+        inner_c = QScalar.q_power(-1) * (
+            QScalar.from_int(1) - QScalar.q_power(-2)) / den
+        g_pows = [NCPoly.one(self.dom)]
+        for _ in range(i):
+            g_pows.append(g_pows[-1] * self.g)
+        acc = QMatrix.zero(self.dom, self.dim)
+        for j in range(i):
+            lead_c = mu.inv() * QScalar.q_power(-2 * j)
+            term = self.star_power(m - i + j).mul_poly_right(
+                g_pows[i - j]).scale(self.dom.from_scalar(lead_c))
+            inner = QMatrix.zero(self.dom, self.dim)
+            q2g = self.g.scale(self.dom.from_scalar(QScalar.q_power(2)))
+            gp = NCPoly.one(self.dom)
+            for r in range(1, i - j):
+                gp = gp * q2g
+                inner = inner + self.star_power(m + i - j - 2 * r).mul_poly_right(gp)
+            term = term - inner.scale(self.dom.from_scalar(inner_c))
+            term = term.mul_poly_right(self.a_elem(j))
+            c = QScalar.q_power(j) if j % 2 == 0 else -QScalar.q_power(j)
+            acc = acc + term.scale(self.dom.from_scalar(c))
+        if (i - 1) % 2 == 1:
+            acc = -acc
+        return self.descendant_b(m, i) - acc
+
+    def cutting_dependency(self, m, k):
+        """B^{(m+1,k+1)} + q A^{(m-1,k+1)} g, which vanishes at Sp(2k)."""
+        a_part = self.descendant_a(m - 1, k + 1).mul_poly_right(self.g)
+        return (self.descendant_b(m + 1, k + 1)
+                + a_part.scale(self.dom.from_scalar(Q)))
+
+    def g_permutation_residual(self, nmat):
+        """N g - g (G^-1 N G); entries are ideal members."""
+        g_mat, g_inv_mat = self.g_conjugators()
+        conj = g_inv_mat @ nmat @ g_mat
+        return nmat.mul_poly_right(self.g) - conj.mul_poly_left(self.g)
+
+    def at_point(self, pt):
+        """The same algebra with every scalar reduced at a prime point."""
+        return AlgebraContext(self.r_ctx.at_point(pt), self.f_ctx.at_point(pt),
+                              label=f"{self.label} @ {pt!r}", certify=False)
+
+    def __repr__(self):
+        return (f"AlgebraContext({self.label}, pair={self.pair}, "
+                f"dim={self.dim})")
+
+
+def star_word(alpha, n_alpha, beta, n_beta):
+    """Braid word for M^{(alpha)} * M^{(beta)} and its strand count.
+
+    The product word is alpha, then beta shifted up by n_alpha strands,
+    then the bridge sigma_n .. sigma_2 sigma_1 sigma_2^-1 .. sigma_n^-1
+    with n = n_alpha.
+    """
+    n = n_alpha
+    word = list(alpha)
+    word += [(i + n, e) for i, e in beta]
+    word += [(j, 1) for j in range(n, 0, -1)]
+    word += [(j, -1) for j in range(2, n + 1)]
+    return tuple(word), n_alpha + n_beta
+
+
+# ---------------------------------------------------------------------------
+# 2x2 block helpers used by the dimension-4 calibration suite.
+
+def block_of(m, corner):
+    """2x2 block of a 4x4 matrix; corner in {'A','B','C','D'} reading
+    [[A, B], [C, D]]."""
+    r0, c0 = {"A": (0, 0), "B": (0, 2), "C": (2, 0), "D": (2, 2)}[corner]
+    return [[m.rows[r0][c0], m.rows[r0][c0 + 1]],
+            [m.rows[r0 + 1][c0], m.rows[r0 + 1][c0 + 1]]]
+
+
+def assemble_blocks(dom, blocks):
+    """4x4 QMatrix from [[A, B], [C, D]] blocks of 2x2 entry grids."""
+    rows = [[None] * 4 for _ in range(4)]
+    for bi in range(2):
+        for bj in range(2):
+            blk = blocks[bi][bj]
+            for i in range(2):
+                for j in range(2):
+                    rows[2 * bi + i][2 * bj + j] = blk[i][j]
+    return QMatrix(dom, rows)
+
+
+def block_scale(x, c):
+    return [[e.scale(c) for e in row] for row in x]
+
+
+def block_add(x, y):
+    return [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x, y)]
+
+
+def block_sigma(x, q_val):
+    """[[X22, q^-1 X12], [q X21, X11]] with the indicated q."""
+    dom = x[0][0].dom
+    return [[x[1][1], x[0][1].scale(dom.from_scalar(q_val.inv()))],
+            [x[1][0].scale(dom.from_scalar(q_val)), x[0][0]]]
+
+
+def block_alpha(x, q_val, sign):
+    """[[q^-2 X11 +- (1-q^-2) X22, q^-3 X12], [q^-1 X21, X22]]."""
+    dom = x[0][0].dom
+    qi = q_val.inv()
+    c = (QScalar.from_int(1) - qi * qi) if sign > 0 else -(
+        QScalar.from_int(1) - qi * qi)
+    top = x[0][0].scale(dom.from_scalar(qi * qi)) + x[1][1].scale(
+        dom.from_scalar(c))
+    return [[top, x[0][1].scale(dom.from_scalar(qi ** 3))],
+            [x[1][0].scale(dom.from_scalar(qi)), x[1][1]]]
+
+
+def block_beta(x, q_val):
+    """(q^-2 X11 + X22) I + q^-4 sigma_q(X)."""
+    dom = x[0][0].dom
+    qi = q_val.inv()
+    diag = x[0][0].scale(dom.from_scalar(qi * qi)) + x[1][1]
+    out = block_scale(block_sigma(x, q_val), dom.from_scalar(qi ** 4))
+    out[0][0] = out[0][0] + diag
+    out[1][1] = out[1][1] + diag
+    return out

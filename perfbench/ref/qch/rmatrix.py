@@ -1,0 +1,426 @@
+"""Standard symplectic R-matrices and their structure theory.
+
+Builds the standard Sp(2k) braid-form R-matrix on (C^2k)^(⊗2), certifies
+the braid relation, the cubic characteristic identity and the tangle
+relations of the rank-1 contractor K, assembles the antisymmetrizer and
+symmetrizer towers, and locates the height (the level at which the
+antisymmetrizer tower degenerates).
+"""
+
+from __future__ import annotations
+
+from . import tensor
+from .domains import QQ, FpDomain
+from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
+from .tensor import TensorOperator
+
+
+class GuardError(ArithmeticError):
+    """A parameter guard (vanishing q-integer or tower denominator) failed."""
+
+
+class Certificate:
+    """Accumulated pass/fail entries for a named verification run."""
+
+    def __init__(self, name):
+        self.name = name
+        self.entries = []
+
+    def record(self, label, ok, detail=""):
+        self.entries.append((label, bool(ok), detail))
+
+    def record_zero(self, label, op):
+        self.record(label, op.is_zero(),
+                    "" if op.is_zero() else f"{len(op.data)} nonzero entries")
+
+    @property
+    def ok(self):
+        return all(ok for _, ok, _ in self.entries)
+
+    def failures(self):
+        return [(label, detail) for label, ok, detail in self.entries
+                if not ok]
+
+    def __repr__(self):
+        state = "ok" if self.ok else f"FAIL {self.failures()}"
+        return f"Certificate({self.name}: {state})"
+
+
+class RMatrixContext:
+    """An R-matrix with its derived structure operators.
+
+    Holds the braid-form operator R, the designated eigenvalue mu of the
+    cubic (q I - R)(q^-1 I + R)(mu I - R) = 0, and lazily computed
+    derived data: R^-1, the contractor K, the skew inverse Psi with its
+    trace operators D_R and D_{R^-1}.  mu is stored explicitly because at
+    k=1 the minimal polynomial degenerates to a quadratic and -q^-3 must
+    still be designated.
+    """
+
+    def __init__(self, r_op, mu_scalar, label="", height_hint=None):
+        self.r = r_op
+        self.dom = r_op.dom
+        self.dim = r_op.dim
+        self.mu_scalar = mu_scalar
+        self.label = label
+        self.height_hint = height_hint
+        self._r_inv = None
+        self._k_op = None
+        self._psi = None
+        self._d_r = None
+        self._d_rinv = None
+
+    def coeff(self, s):
+        return self.dom.from_scalar(s)
+
+    @property
+    def q(self):
+        return self.coeff(Q)
+
+    @property
+    def mu(self):
+        return self.coeff(self.mu_scalar)
+
+    @property
+    def r_inv(self):
+        if self._r_inv is None:
+            self._r_inv = tensor.invert_arity2(self.r)
+        return self._r_inv
+
+    @property
+    def k_op(self):
+        if self._k_op is None:
+            self._k_op = contractor(self)
+        return self._k_op
+
+    @property
+    def psi(self):
+        if self._psi is None:
+            self._psi = tensor.solve_skew_inverse(self.r)
+        return self._psi
+
+    @property
+    def d_r(self):
+        if self._d_r is None:
+            self._d_r = self.psi.partial_trace(2)
+        return self._d_r
+
+    @property
+    def d_rinv(self):
+        if self._d_rinv is None:
+            self._d_rinv = tensor.invert_arity1(self.psi.partial_trace(1))
+        return self._d_rinv
+
+    def identity(self, arity=2):
+        return TensorOperator.identity(self.dom, self.dim, arity)
+
+    def scaled_identity(self, s, arity=2):
+        return TensorOperator.identity(self.dom, self.dim,
+                                       arity).scale(self.coeff(s))
+
+    def tr_r(self, x, *positions):
+        """R-trace over the given 1-based factors of x."""
+        return x.r_trace_many(self.d_r, positions)
+
+    def at_point(self, pt):
+        """The same context with all operators reduced at a prime point."""
+        ctx = RMatrixContext(self.r.reduce_at(pt), self.mu_scalar,
+                             label=f"{self.label} @ {pt!r}",
+                             height_hint=self.height_hint)
+        for attr in ("_r_inv", "_k_op", "_psi", "_d_r", "_d_rinv"):
+            cached = getattr(self, attr)
+            if cached is not None:
+                setattr(ctx, attr, cached.reduce_at(pt))
+        return ctx
+
+    def __repr__(self):
+        return f"RMatrixContext({self.label or 'unnamed'}, dim={self.dim})"
+
+
+def contractor(ctx):
+    """K := mu^-1 (q-q^-1)^-1 (qI - R)(q^-1 I + R)."""
+    f1 = ctx.scaled_identity(Q) - ctx.r
+    f2 = ctx.scaled_identity(QScalar.q_power(-1)) + ctx.r
+    pref = ctx.mu_scalar.inv() * LAMBDA.inv()
+    return (f1 @ f2).scale(ctx.coeff(pref))
+
+
+# ---------------------------------------------------------------------------
+# Standard Sp(2k) family.
+
+def _sp_index_data(k):
+    """1-based tables i', eps_i, rho_i for the Sp(2k) conventions."""
+    dim = 2 * k
+    iprime = {i: dim + 1 - i for i in range(1, dim + 1)}
+    eps = {i: (1 if i <= k else -1) for i in range(1, dim + 1)}
+    rho = {}
+    for i in range(1, k + 1):
+        rho[i] = k + 1 - i
+        rho[dim + 1 - i] = -(k + 1 - i)
+    return dim, iprime, eps, rho
+
+
+def build_standard_sp(k):
+    """The standard Sp(2k)-type R-matrix context (braid form)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dim, iprime, eps, rho = _sp_index_data(k)
+    lam = LAMBDA
+    data = {}
+
+    def put(tin, tout, c):
+        key = (tin, tout)
+        cur = data.get(key)
+        s = c if cur is None else cur + c
+        if s.is_zero():
+            data.pop(key, None)
+        else:
+            data[key] = s
+
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            e = (1 if i == j else 0) - (1 if j == iprime[i] else 0)
+            # E_ij (x) E_ji sends v_j (x) v_i to v_i (x) v_j
+            put((j - 1, i - 1), (i - 1, j - 1), QScalar.q_power(e))
+    for i in range(1, dim + 1):
+        for j in range(1, i):
+            put((j - 1, i - 1), (j - 1, i - 1), lam)
+            c = lam * QScalar.q_power(rho[i] - rho[j]) \
+                * QScalar.from_int(eps[i] * eps[j])
+            # E_{i'j} (x) E_{ij'} sends v_j (x) v_{j'} to v_{i'} (x) v_i
+            put((j - 1, iprime[j] - 1), (iprime[i] - 1, i - 1), -c)
+
+    r_op = TensorOperator(QQ, dim, 2, data)
+    mu = -QScalar.q_power(-1 - 2 * k)
+    return RMatrixContext(r_op, mu, label=f"standard Sp({dim})",
+                          height_hint=k)
+
+
+def standard_sp_contractor(k):
+    """Closed form of K for the standard Sp(2k) R-matrix."""
+    dim, iprime, eps, rho = _sp_index_data(k)
+    data = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            c = QScalar.q_power(-(rho[i] + rho[j])) \
+                * QScalar.from_int(eps[i] * eps[iprime[j]])
+            # E_ij (x) E_{i'j'} sends v_j (x) v_{j'} to v_i (x) v_{i'}
+            data[((j - 1, iprime[j] - 1), (i - 1, iprime[i] - 1))] = c
+    return TensorOperator(QQ, dim, 2, data)
+
+
+def standard_sp_dtrace(k):
+    """Closed form of D_R for the standard Sp(2k) R-matrix."""
+    dim, _, _, rho = _sp_index_data(k)
+    data = {((i - 1,), (i - 1,)): QScalar.q_power(-(2 * k + 2 * rho[i] + 1))
+            for i in range(1, dim + 1)}
+    return TensorOperator(QQ, dim, 1, data)
+
+
+# ---------------------------------------------------------------------------
+# Certification.
+
+def check_ybe(r_op, name="ybe"):
+    cert = Certificate(name)
+    r1 = r_op.embed(1, 3)
+    r2 = r_op.embed(2, 3)
+    cert.record_zero("braid relation R1 R2 R1 = R2 R1 R2",
+                     (r1 @ r2 @ r1) - (r2 @ r1 @ r2))
+    return cert
+
+
+def check_cubic(ctx, name="cubic"):
+    cert = Certificate(name)
+    f1 = ctx.scaled_identity(Q) - ctx.r
+    f2 = ctx.scaled_identity(QScalar.q_power(-1)) + ctx.r
+    f3 = ctx.scaled_identity(ctx.mu_scalar) - ctx.r
+    cert.record_zero("(qI-R)(q^-1 I+R)(mu I-R) = 0", f1 @ f2 @ f3)
+    return cert
+
+
+def check_bmw(ctx, name="bmw", points=None):
+    """Cubic plus the tangle relations of K, rank(K) = 1, trace values."""
+    cert = check_cubic(ctx, name)
+    k1 = ctx.k_op.embed(1, 3)
+    k2 = ctx.k_op.embed(2, 3)
+    r1, r1i = ctx.r.embed(1, 3), ctx.r_inv.embed(1, 3)
+    r2, r2i = ctx.r.embed(2, 3), ctx.r_inv.embed(2, 3)
+    cert.record_zero("K2 K1 = K2 R1 R2", (k2 @ k1) - (k2 @ r1 @ r2))
+    cert.record_zero("K2 K1 = K2 R1^-1 R2^-1", (k2 @ k1) - (k2 @ r1i @ r2i))
+    cert.record_zero("K1 K2 K1 = K1", (k1 @ k2 @ k1) - k1)
+    rank = tensor.exact_rank(ctx.k_op, points)
+    cert.record("rank(K) = 1", rank == 1, f"rank={rank}")
+    mu = ctx.mu_scalar
+    cert.record_zero("Tr_R(2) K1 = mu I",
+                     ctx.tr_r(ctx.k_op, 2) - ctx.scaled_identity(mu, 1))
+    weight = (Q - mu) * (QScalar.q_power(-1) + mu) / LAMBDA
+    tr_id = ctx.tr_r(ctx.identity(1), 1).scalar_value()
+    cert.record("Tr_R I = (q-mu)(q^-1+mu)/(q-q^-1)",
+                ctx.dom.is_zero(ctx.dom.sub(tr_id, ctx.coeff(weight))),
+                f"got {ctx.dom.to_text(tr_id)}")
+    cert.record_zero("Tr_R(2) R1 = I",
+                     ctx.tr_r(ctx.r, 2) - ctx.identity(1))
+    return cert
+
+
+def check_compatible(r_ctx, f_ctx, name="compatible"):
+    """The twist relations R1 F2 F1 = F2 F1 R2 and R2 F1 F2 = F1 F2 R1."""
+    cert = Certificate(name)
+    r1, r2 = r_ctx.r.embed(1, 3), r_ctx.r.embed(2, 3)
+    f1, f2 = f_ctx.r.embed(1, 3), f_ctx.r.embed(2, 3)
+    cert.record_zero("R1 F2 F1 = F2 F1 R2", (r1 @ f2 @ f1) - (f2 @ f1 @ r2))
+    cert.record_zero("R2 F1 F2 = F1 F2 R1", (r2 @ f1 @ f2) - (f1 @ f2 @ r1))
+    return cert
+
+
+def twist(r_ctx, f_ctx):
+    """The twisted R-matrix F^-1 R F of a compatible pair."""
+    r_f = f_ctx.r_inv @ r_ctx.r @ f_ctx.r
+    return RMatrixContext(r_f, r_ctx.mu_scalar,
+                          label=f"twist({r_ctx.label}; {f_ctx.label})",
+                          height_hint=r_ctx.height_hint)
+
+
+def flip_context(dom, dim):
+    """The permutation operator P as a context (mu designated as -q^-1
+    is irrelevant; P is not BMW certified)."""
+    return RMatrixContext(TensorOperator.flip(dom, dim),
+                          -QScalar.q_power(-1), label="flip")
+
+
+def compute_g_operator(r_ctx, f_ctx):
+    """G1 = Tr_(23) K2 F1^-1 F2^-1 and G1^-1 = Tr_(23) F2 F1 K2."""
+    k2 = r_ctx.k_op.embed(2, 3)
+    f1i, f2i = f_ctx.r_inv.embed(1, 3), f_ctx.r_inv.embed(2, 3)
+    f1, f2 = f_ctx.r.embed(1, 3), f_ctx.r.embed(2, 3)
+    g = (k2 @ f1i @ f2i).partial_trace(3).partial_trace(2)
+    g_inv = (f2 @ f1 @ k2).partial_trace(3).partial_trace(2)
+    prod = g @ g_inv
+    if not (prod - TensorOperator.identity(r_ctx.dom, r_ctx.dim, 1)).is_zero():
+        raise GuardError("G G^-1 is not the identity; inconsistent pair")
+    return g, g_inv
+
+
+# ---------------------------------------------------------------------------
+# Projector towers.
+
+def _sigma_op(ctx, i, x, sign, arity):
+    """sigma_i^+-(x) = 1 + (x-1)/(q-q^-1) R_i + mu(x-1)/(mu -+ q^-+1 x) K_i."""
+    den = ctx.mu_scalar - QScalar.from_int(sign) * QScalar.q_power(-sign) * x
+    if den.is_zero():
+        raise GuardError(f"tower denominator mu - q^{-sign} x vanishes "
+                         f"at level {i}")
+    c_r = (x - ONE) / LAMBDA
+    c_k = ctx.mu_scalar * (x - ONE) / den
+    out = ctx.identity(arity)
+    out = out + ctx.r.embed(i, arity).scale(ctx.coeff(c_r))
+    out = out + ctx.k_op.embed(i, arity).scale(ctx.coeff(c_k))
+    return out
+
+
+def sigma_minus(ctx, i, x, arity):
+    return _sigma_op(ctx, i, x, -1, arity)
+
+
+def sigma_plus(ctx, i, x, arity):
+    return _sigma_op(ctx, i, x, +1, arity)
+
+
+def antisymmetrizer_tower(ctx, n):
+    """[a^(1), ..., a^(n)] with a^(i+1) = q^i/(i+1)_q a^(i) sigma_i^-(q^-2i) a^(i)."""
+    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
+    for i in range(1, n):
+        prev = out[-1].embed(1, i + 1)
+        sig = sigma_minus(ctx, i, QScalar.q_power(-2 * i), i + 1)
+        c = QScalar.q_power(i) / q_int(i + 1)
+        out.append((prev @ sig @ prev).scale(ctx.coeff(c)))
+    return out
+
+
+def symmetrizer_tower(ctx, n):
+    """[s^(1), ..., s^(n)] via the mirrored recursion with sigma^+."""
+    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
+    for i in range(1, n):
+        prev = out[-1].embed(1, i + 1)
+        sig = sigma_plus(ctx, i, QScalar.q_power(2 * i), i + 1)
+        c = QScalar.q_power(-i) / q_int(i + 1)
+        out.append((prev @ sig @ prev).scale(ctx.coeff(c)))
+    return out
+
+
+def height_probe(ctx, tower, i):
+    """a^(i) sigma_i^-(q^-2i) a^(i); its vanishing ends the height search."""
+    a_i = tower[i - 1].embed(1, i + 1)
+    sig = sigma_minus(ctx, i, QScalar.q_power(-2 * i), i + 1)
+    return a_i @ sig @ a_i
+
+
+# ---------------------------------------------------------------------------
+# Delta scalars and height.
+
+def delta(mu, i):
+    """The trace eigenvalue: Tr_R(i) a^(i) = delta_i a^(i-1)."""
+    num = -(QScalar.q_power(i - 1) * (mu + QScalar.q_power(1 - 2 * i))
+            * (mu * mu - QScalar.q_power(4 - 2 * i)))
+    den = (mu + QScalar.q_power(3 - 2 * i)) * LAMBDA * q_int(i)
+    if den.is_zero():
+        raise GuardError(f"delta denominator vanishes at level {i}")
+    return num / den
+
+
+def big_delta(mu, i):
+    out = ONE
+    for j in range(1, i + 1):
+        out = out * delta(mu, j)
+    return out
+
+
+def _height_scan(ctx, bound):
+    """Smallest i with the probe vanishing; None if not found below bound.
+
+    Also checks that every lower tower level is a nonzero operator.
+    """
+    tower = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
+    for i in range(1, bound + 1):
+        probe = height_probe(ctx, tower, i)
+        if probe.is_zero():
+            if any(a.is_zero() for a in tower):
+                return None
+            return i
+        c = QScalar.q_power(i) / q_int(i + 1)
+        tower.append(probe.scale(ctx.coeff(c)))
+    return None
+
+
+def height(ctx, bound=None, mode="auto", seed=0, prime_count=3):
+    """Height of the R-matrix, with its type tag.
+
+    mode "exact" runs the tower over the exact field; "modular" runs it
+    at prime_count admissible points and requires agreement; "auto"
+    picks exact for dim <= 4.
+    """
+    if bound is None:
+        bound = (ctx.height_hint or 4) + 2
+    if mode == "auto":
+        mode = "exact" if ctx.dim <= 4 else "modular"
+    if mode == "exact":
+        k = _height_scan(ctx, bound)
+    else:
+        points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
+        ks = [_height_scan(ctx.at_point(pt), bound) for pt in points]
+        if len(set(ks)) != 1:
+            raise GuardError(f"modular height scans disagree: {ks}")
+        k = ks[0]
+    if k is None:
+        raise GuardError(f"height > bound {bound}")
+    return k, _type_tag(ctx, k)
+
+
+def _type_tag(ctx, k):
+    if ctx.mu_scalar == -QScalar.q_power(-1 - 2 * k):
+        return f"Sp({2 * k})"
+    if ctx.mu_scalar == QScalar.q_power(1 - k):
+        tower = antisymmetrizer_tower(ctx, k)
+        if tensor.exact_rank(tower[-1]) == 1:
+            return f"O({k})"
+    return "custom"

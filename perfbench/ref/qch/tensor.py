@@ -1,0 +1,412 @@
+"""Sparse exact linear operators on tensor powers of a base space V.
+
+An operator on V^(⊗n) is a sparse map {(input multi-index, output
+multi-index): coefficient}; multi-indices are tuples of 0-based factor
+indices.  The JSON dump format uses 1-based indices.
+
+The product A @ B is the usual operator product (apply B, then A); for
+noncommutative coefficient domains the entry products keep A's
+coefficients on the left, matching matrix-product component order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+from . import linalg
+from .domains import QQ, FpDomain
+from .scalar import scalar_from_text
+
+
+class TensorOperator:
+    __slots__ = ("dom", "dim", "arity", "data")
+
+    def __init__(self, dom, dim, arity, data=None):
+        self.dom = dom
+        self.dim = dim
+        self.arity = arity
+        self.data = data if data is not None else {}
+
+    # -- constructors --------------------------------------------------------
+    @staticmethod
+    def identity(dom, dim, arity):
+        one = dom.one()
+        data = {(t, t): one
+                for t in itertools.product(range(dim), repeat=arity)}
+        return TensorOperator(dom, dim, arity, data)
+
+    @staticmethod
+    def flip(dom, dim):
+        """The permutation operator P on V tensor V."""
+        one = dom.one()
+        data = {((i, j), (j, i)): one
+                for i in range(dim) for j in range(dim)}
+        return TensorOperator(dom, dim, 2, data)
+
+    @staticmethod
+    def zero(dom, dim, arity):
+        return TensorOperator(dom, dim, arity, {})
+
+    def copy(self):
+        return TensorOperator(self.dom, self.dim, self.arity, dict(self.data))
+
+    # -- basic structure -----------------------------------------------------
+    def set_entry(self, tin, tout, coeff):
+        if self.dom.is_zero(coeff):
+            self.data.pop((tin, tout), None)
+        else:
+            self.data[(tin, tout)] = coeff
+
+    def add_to_entry(self, tin, tout, coeff):
+        key = (tin, tout)
+        cur = self.data.get(key)
+        s = coeff if cur is None else self.dom.add(cur, coeff)
+        if self.dom.is_zero(s):
+            self.data.pop(key, None)
+        else:
+            self.data[key] = s
+
+    def entry(self, tin, tout):
+        return self.data.get((tin, tout), self.dom.zero())
+
+    def is_zero(self):
+        return not self.data
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorOperator):
+            return NotImplemented
+        return (self.dim == other.dim and self.arity == other.arity
+                and self.data == other.data)
+
+    __hash__ = None
+
+    # -- linear operations ---------------------------------------------------
+    def __add__(self, other):
+        assert self.arity == other.arity and self.dim == other.dim
+        dom = self.dom
+        data = dict(self.data)
+        for k, v in other.data.items():
+            cur = data.get(k)
+            s = v if cur is None else dom.add(cur, v)
+            if dom.is_zero(s):
+                data.pop(k, None)
+            else:
+                data[k] = s
+        return TensorOperator(dom, self.dim, self.arity, data)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        dom = self.dom
+        return TensorOperator(dom, self.dim, self.arity,
+                              {k: dom.neg(v) for k, v in self.data.items()})
+
+    def scale(self, c):
+        dom = self.dom
+        if dom.is_zero(c):
+            return TensorOperator(dom, self.dim, self.arity, {})
+        return TensorOperator(dom, self.dim, self.arity,
+                              {k: dom.mul(c, v) for k, v in self.data.items()})
+
+    def scale_right(self, c):
+        dom = self.dom
+        if dom.is_zero(c):
+            return TensorOperator(dom, self.dim, self.arity, {})
+        return TensorOperator(dom, self.dim, self.arity,
+                              {k: dom.mul(v, c) for k, v in self.data.items()})
+
+    # -- composition ---------------------------------------------------------
+    def __matmul__(self, other):
+        """Operator product self . other (apply other first)."""
+        assert self.arity == other.arity and self.dim == other.dim
+        dom = self.dom
+        by_in = {}
+        for (tin, tout), c in self.data.items():
+            by_in.setdefault(tin, []).append((tout, c))
+        data = {}
+        for (bin_, bmid), bc in other.data.items():
+            hits = by_in.get(bmid)
+            if not hits:
+                continue
+            for aout, ac in hits:
+                key = (bin_, aout)
+                v = dom.mul(ac, bc)
+                cur = data.get(key)
+                s = v if cur is None else dom.add(cur, v)
+                if dom.is_zero(s):
+                    data.pop(key, None)
+                else:
+                    data[key] = s
+        return TensorOperator(dom, self.dim, self.arity, data)
+
+    # -- embeddings and traces -----------------------------------------------
+    def embed(self, pos, arity):
+        """Embed at 1-based factor position pos into a larger tensor power."""
+        k = self.arity
+        assert 1 <= pos and pos + k - 1 <= arity
+        rest = arity - k
+        if rest == 0:
+            return self.copy()
+        dom, dim = self.dom, self.dim
+        left = pos - 1
+        right = arity - left - k
+        data = {}
+        for (tin, tout), c in self.data.items():
+            for ext in itertools.product(range(dim), repeat=rest):
+                lext, rext = ext[:left], ext[left:]
+                key = (lext + tin + rext, lext + tout + rext)
+                data[key] = c
+        return TensorOperator(dom, dim, arity, data)
+
+    def partial_trace(self, pos):
+        """Plain trace over 1-based factor pos; arity drops by one."""
+        dom = self.dom
+        i = pos - 1
+        data = {}
+        for (tin, tout), c in self.data.items():
+            if tin[i] != tout[i]:
+                continue
+            key = (tin[:i] + tin[i + 1:], tout[:i] + tout[i + 1:])
+            cur = data.get(key)
+            s = c if cur is None else dom.add(cur, c)
+            if dom.is_zero(s):
+                data.pop(key, None)
+            else:
+                data[key] = s
+        return TensorOperator(dom, self.dim, self.arity - 1, data)
+
+    def r_trace(self, d_op, pos):
+        """Trace over factor pos twisted by the arity-1 operator D."""
+        return (d_op.embed(pos, self.arity) @ self).partial_trace(pos)
+
+    def r_trace_many(self, d_op, positions):
+        out = self
+        for pos in sorted(positions, reverse=True):
+            out = out.r_trace(d_op, pos)
+        return out
+
+    def scalar_value(self):
+        """The coefficient of an arity-0 operator."""
+        assert self.arity == 0
+        return self.data.get(((), ()), self.dom.zero())
+
+    # -- conversions ----------------------------------------------------------
+    def map_coefficients(self, dom, fn):
+        data = {}
+        for k, v in self.data.items():
+            w = fn(v)
+            if not dom.is_zero(w):
+                data[k] = w
+        return TensorOperator(dom, self.dim, self.arity, data)
+
+    def reduce_at(self, point):
+        fp = FpDomain(point)
+        return self.map_coefficients(fp, fp.from_scalar)
+
+    # -- linear algebra views --------------------------------------------------
+    def rows(self):
+        """Matrix rows {input multi-index: coeff} keyed by output index."""
+        rows = {}
+        for (tin, tout), c in self.data.items():
+            rows.setdefault(tout, {})[tin] = c
+        return rows
+
+    def rank_in_domain(self):
+        return linalg.rank_of_rows(list(self.rows().values()), self.dom)
+
+    def __repr__(self):
+        return (f"TensorOperator(dim={self.dim}, arity={self.arity}, "
+                f"nnz={len(self.data)}, dom={self.dom.name})")
+
+
+def matrix_unit(dom, dim, i, j):
+    """E_ij as an arity-1 operator (maps basis vector j to i); 0-based."""
+    return TensorOperator(dom, dim, 1, {((j,), (i,)): dom.one()})
+
+
+def operator_from_matrix(dom, entries):
+    """Arity-1 operator from a dense matrix entries[i][j] (row=out, col=in)."""
+    dim = len(entries)
+    data = {}
+    for i in range(dim):
+        for j in range(dim):
+            c = entries[i][j]
+            if not dom.is_zero(c):
+                data[((j,), (i,))] = c
+    return TensorOperator(dom, dim, 1, data)
+
+
+def matrix_from_operator(x):
+    """Dense entries[out][in] of an arity-1 operator."""
+    dom, dim = x.dom, x.dim
+    m = [[dom.zero()] * dim for _ in range(dim)]
+    for ((j,), (i,)), c in x.data.items():
+        m[i][j] = c
+    return m
+
+
+def invert_arity1(x):
+    dom, dim = x.dom, x.dim
+    rows = [{} for _ in range(dim)]
+    for ((j,), (i,)), c in x.data.items():
+        rows[i][j] = c
+    inv = linalg.invert_matrix(rows, dim, dom)
+    data = {}
+    for i, row in enumerate(inv):
+        for j, c in row.items():
+            data[((j,), (i,))] = c
+    return TensorOperator(dom, dim, 1, data)
+
+
+def invert_arity2(x):
+    """Exact inverse of an arity-2 operator via its dim^2 matrix."""
+    dom, dim = x.dom, x.dim
+    n = dim * dim
+    rows = [{} for _ in range(n)]
+    for (tin, tout), c in x.data.items():
+        rows[tout[0] * dim + tout[1]][tin[0] * dim + tin[1]] = c
+    inv = linalg.invert_matrix(rows, n, dom)
+    data = {}
+    for r, row in enumerate(inv):
+        tout = (r // dim, r % dim)
+        for cidx, c in row.items():
+            tin = (cidx // dim, cidx % dim)
+            data[(tin, tout)] = c
+    return TensorOperator(dom, dim, 2, data)
+
+
+# ---------------------------------------------------------------------------
+# Skew inverse.
+
+def solve_skew_inverse(r_op):
+    """Solve Tr_(2) R_12 Psi_23 = P_13 for Psi.
+
+    In the reshuffled matrix form M(X)[(out1,in1)][(in2,out2)] = X^(out1
+    out2)_(in1 in2) the equation reads M(R) M(Psi) = Id, so Psi is found by
+    one exact matrix inversion.  Raises SingularMatrixError with a kernel
+    witness when R is not skew invertible.
+    """
+    dom, dim = r_op.dom, r_op.dim
+    n = dim * dim
+    rows = [{} for _ in range(n)]
+    for (tin, tout), c in r_op.data.items():
+        i1, i2 = tin
+        j1, j2 = tout
+        rows[j1 * dim + i1][i2 * dim + j2] = c
+    inv = linalg.invert_matrix(rows, n, dom)
+    data = {}
+    for ridx, row in enumerate(inv):
+        r1, r2 = ridx // dim, ridx % dim
+        for cidx, c in row.items():
+            c1, c2 = cidx // dim, cidx % dim
+            # M(Psi)[(r1,r2)][(c1,c2)] = Psi^(r1 c2)_(r2 c1)
+            data[((r2, c1), (r1, c2))] = c
+    return TensorOperator(dom, dim, 2, data)
+
+
+def skew_trace_ops(r_op, psi):
+    """D_R = Tr_(2) Psi and the inverse-side trace (Tr_(1) Psi)^(-1)."""
+    d_r = psi.partial_trace(2)
+    tr1 = psi.partial_trace(1)
+    d_rinv = invert_arity1(tr1)
+    return d_r, d_rinv
+
+
+def verify_skew_inverse(r_op, psi):
+    """Residuals of Tr_(2) R_12 Psi_23 - P_13 and Tr_(2) Psi_12 R_23 - P_13.
+
+    After the trace over the middle factor both sides live on factors
+    (1,3), where P_13 restricts to the plain flip.
+    """
+    dom, dim = r_op.dom, r_op.dim
+    flip = TensorOperator.flip(dom, dim)
+    lhs1 = (r_op.embed(1, 3) @ psi.embed(2, 3)).partial_trace(2)
+    lhs2 = (psi.embed(1, 3) @ r_op.embed(2, 3)).partial_trace(2)
+    return lhs1 - flip, lhs2 - flip
+
+
+# ---------------------------------------------------------------------------
+# Rank certification.
+
+class RankCertificate:
+    def __init__(self, rank, kind, point_ranks=None, points=None):
+        self.rank = rank
+        self.kind = kind              # "exact" | "modular" | "both"
+        self.point_ranks = point_ranks or []
+        self.points = points or []
+
+    def __repr__(self):
+        return f"RankCertificate(rank={self.rank}, kind={self.kind})"
+
+
+def rank_certificate(x, points=None, exact_limit=4096):
+    """Rank over the exact field, certified at modular points.
+
+    For exact-domain operators: modular ranks at the given points must
+    agree; an exact elimination is run as well when the matrix is small
+    enough (or whenever the modular ranks disagree), and wins.
+    """
+    if not x.dom.exact:
+        r = x.rank_in_domain()
+        return RankCertificate(r, "modular", [r], [x.dom.point])
+    if points is None:
+        from .scalar import sample_points
+        points = sample_points(0, 3, 4 * x.dim + 4)
+    pranks = [x.reduce_at(pt).rank_in_domain() for pt in points]
+    ncols = x.dim ** x.arity
+    feasible = ncols <= exact_limit
+    if len(set(pranks)) == 1 and not feasible:
+        return RankCertificate(pranks[0], "modular", pranks, points)
+    er = x.rank_in_domain()
+    kind = "both" if len(set(pranks)) == 1 and er == pranks[0] else "exact"
+    return RankCertificate(er, kind, pranks, points)
+
+
+def exact_rank(x, points=None):
+    return rank_certificate(x, points).rank
+
+
+# ---------------------------------------------------------------------------
+# JSON dump format: array of {in: [...], out: [...], coeff: "..."} with
+# 1-based indices and textual scalars.
+
+def dump_operator(x):
+    entries = []
+    for (tin, tout) in sorted(x.data):
+        entries.append({
+            "in": [i + 1 for i in tin],
+            "out": [i + 1 for i in tout],
+            "coeff": x.dom.to_text(x.data[(tin, tout)]),
+        })
+    return entries
+
+
+def dump_operator_json(x, indent=None):
+    return json.dumps(dump_operator(x), indent=indent)
+
+
+def load_operator(entries, dim=None):
+    """Load an exact-domain operator from parsed dump records."""
+    data = {}
+    arity = None
+    maxidx = 0
+    for rec in entries:
+        tin = tuple(i - 1 for i in rec["in"])
+        tout = tuple(i - 1 for i in rec["out"])
+        if arity is None:
+            arity = len(tin)
+        if len(tin) != arity or len(tout) != arity:
+            raise ValueError("inconsistent arity in operator dump")
+        maxidx = max(maxidx, *tin, *tout)
+        c = scalar_from_text(rec["coeff"])
+        if not c.is_zero():
+            data[(tin, tout)] = c
+    if dim is None:
+        dim = maxidx + 1
+    return TensorOperator(QQ, dim, arity or 0, data)
+
+
+def load_operator_json(text, dim=None):
+    return load_operator(json.loads(text), dim=dim)
