@@ -8,6 +8,8 @@ with A invertible and X' = X, Y' = Y (prime = antidiagonal transpose).
 """
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -45,9 +47,13 @@ class RationalMatrix:
                                for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other):
-        cols = list(zip(*other.rows))
-        return RationalMatrix([[sum(a * b for a, b in zip(row, col))
-                                for col in cols] for row in self.rows])
+        # rows of self and columns of other as integers over one
+        # denominator each; one Fraction per output entry
+        rows = [_cleared(row) for row in self.rows]
+        cols = [_cleared(col) for col in zip(*other.rows)]
+        return RationalMatrix([[Fraction(sum(map(operator.mul, r, c)),
+                                         dr * dc)
+                                for c, dc in cols] for r, dr in rows])
 
     def scale(self, c):
         c = Fraction(c)
@@ -114,6 +120,12 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
+
+
+def _cleared(xs):
+    """(integers, d) with d the lcm of the denominators and xs = ints / d."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def antidiagonal_unit(k):
@@ -268,13 +280,20 @@ def classical_parent_ch(m):
     eps = char_coefficients(m)
     pim = classical_pi(m)
     out = RationalMatrix.zero(m.dim)
-    for i in range(k + 1):
-        sign = 1 if i % 2 == 0 else -1
-        out = out + m.power(k - i).scale(sign * eps[i])
-    for i in range(k):
-        sign = 1 if i % 2 == 0 else -1
-        out = out + pim.power(k - i).scale(sign * eps[i])
+    for base, top in ((m, k), (pim, k - 1)):
+        powers = _powers(base, k)
+        for i in range(top + 1):
+            sign = 1 if i % 2 == 0 else -1
+            out = out + powers[k - i].scale(sign * eps[i])
     return out
+
+
+def _powers(m, n):
+    """[M^0, M^1, .., M^n], each from the one before."""
+    out = [RationalMatrix.identity(m.dim), m]
+    while len(out) <= n:
+        out.append(out[-1] @ m)
+    return out[:n + 1]
 
 
 # Default similitude-factor cycle: includes the degenerate g = 0 and a

@@ -17,13 +17,28 @@ from .rmatrix import build_standard_sp, flip_context
 from .scalar import sample_points
 
 DEFAULT_PRIME_COUNT = 3
+# fewest prime points a modular verdict may rest on
+MIN_PRIME_COUNT = 3
 # chart points are drawn uniformly from [2, 10^6); a nonzero rational
 # identity of cleared degree d survives one draw with probability < d/10^6
 CHART_RANGE = 10 ** 6
 
 
 def prime_count():
-    return int(os.environ.get("QCH_PRIME_COUNT", DEFAULT_PRIME_COUNT))
+    """Prime points per modular check: QCH_PRIME_COUNT, default 3.
+
+    Raises ValueError unless the variable is an integer >= MIN_PRIME_COUNT.
+    """
+    raw = os.environ.get("QCH_PRIME_COUNT", str(DEFAULT_PRIME_COUNT))
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"QCH_PRIME_COUNT must be an integer, got {raw!r}") from None
+    if count < MIN_PRIME_COUNT:
+        raise ValueError(
+            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT}, got {count}")
+    return count
 
 
 class CheckReport:
@@ -396,6 +411,16 @@ def _validate(args, parser):
         parser.error("--k must be >= 1")
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be >= 1")
+    if getattr(args, "degree", 2) < 2:
+        parser.error("--degree must be >= 2")
+    if getattr(args, "primes", None) is not None \
+            and args.primes < MIN_PRIME_COUNT:
+        parser.error(f"--primes must be >= {MIN_PRIME_COUNT}")
+    if args.command in ("rmatrix", "qma", "all"):
+        try:
+            prime_count()
+        except ValueError as exc:
+            parser.error(str(exc))
     if getattr(args, "g", None) is not None:
         try:
             Fraction(args.g)

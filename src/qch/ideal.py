@@ -111,6 +111,7 @@ class QuadraticIdeal:
         self._ruleset = None
         self._components = {}
         self._span_index = {}
+        self._block_span_max = {}
         self._points = {}
 
     # -- orders, blocks, spans ------------------------------------------------
@@ -388,11 +389,12 @@ class QuadraticIdeal:
         """Largest per-block sum of relation coefficient spans, plus the
         candidate span: a degree bound for the minor whose vanishing
         could make one modular verdict wrong."""
-        worst = 0
-        for block, rows in self._span_index_for(degree).items():
-            worst = max(worst,
-                        sum(max(self._rel_span[i], 1) for i, _, _ in rows))
-        return worst + max(candidate_span, 1)
+        if degree not in self._block_span_max:
+            self._block_span_max[degree] = max(
+                (sum(max(self._rel_span[i], 1) for i, _, _ in rows)
+                 for rows in self._span_index_for(degree).values()),
+                default=0)
+        return self._block_span_max[degree] + max(candidate_span, 1)
 
     def _collect_verdicts(self, candidate_at, use_rewrite, want, seed, used):
         pts, verdicts = [], []

@@ -8,12 +8,21 @@ coefficients, kept in a canonical form so that equality is structural:
   * their polynomial gcd and common integer content are removed,
   * the lowest-degree nonzero coefficient of the denominator is positive.
 
+The polynomial gcd is skipped when numerator or denominator is a single
+term c*q^e.  After the q-shift at least one side has a nonzero constant
+term.  If the single term has e > 0, the other side is that one: q does not
+divide it, so it shares no nonconstant factor with c*q^e.  If e = 0, the
+single term is a constant.  Either way the gcd is a constant, and removing
+the integer content below gives the same canonical form as the full
+remainder sequence.
+
 Laurent polynomials are dicts {exponent: coefficient} with no zero entries.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -57,12 +66,6 @@ def lp_mul(a, b):
     return r
 
 
-def lp_scale(a, n):
-    if n == 0:
-        return {}
-    return {e: c * n for e, c in a.items()}
-
-
 def lp_shift(a, s):
     if s == 0:
         return dict(a)
@@ -91,19 +94,7 @@ def _pl_strip(a):
 
 
 def _pl_content(a):
-    g = 0
-    for c in a:
-        g = _gcd_int(g, c)
-        if g == 1:
-            return 1
-    return g if g else 1
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return math.gcd(*a) or 1
 
 
 def _pl_primitive(a):
@@ -206,11 +197,13 @@ class QScalar:
             num = lp_shift(num, -m)
             den = lp_shift(den, -m)
         ln, ld = _lp_to_list(num), _lp_to_list(den)
-        g = _pl_gcd(ln, ld)
-        if len(g) > 1 or g[0] != 1:
-            ln = _pl_div_exact(ln, g)
-            ld = _pl_div_exact(ld, g)
-        cg = _gcd_int(_pl_content(ln), _pl_content(ld))
+        if len(num) > 1 and len(den) > 1:
+            # a single-term side leaves a constant gcd (module docstring)
+            g = _pl_gcd(ln, ld)
+            if len(g) > 1 or g[0] != 1:
+                ln = _pl_div_exact(ln, g)
+                ld = _pl_div_exact(ld, g)
+        cg = math.gcd(*ln, *ld)
         if cg > 1:
             ln = [c // cg for c in ln]
             ld = [c // cg for c in ld]

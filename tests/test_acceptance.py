@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -259,9 +260,13 @@ def test_criterion_8_classical_battery():
 def test_criterion_9_cli_determinism():
     cmd = [sys.executable, "-m", "qch.cli", "all", "--k", "1", "--seed", "7",
            "--json"]
+    # the child imports the same qch as this test, installed or not
+    src = os.path.dirname(os.path.dirname(qma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def snapshot():
-        run = subprocess.run(cmd, capture_output=True, text=True)
+        run = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         reports = [json.loads(line) for line in run.stdout.splitlines()]
         for r in reports:

@@ -131,6 +131,61 @@ def test_similitude_determinant(g):
         assert m.det() == g ** k
 
 
+# -- integer-cleared products and the power chains ---------------------------
+
+def _naive_matmul(a, b):
+    n = a.dim
+    return tuple(tuple(sum((a.rows[i][l] * b.rows[l][j] for l in range(n)),
+                           Fraction(0))
+                       for j in range(n)) for i in range(n))
+
+
+def _rand_matrix(rng, n):
+    kind = rng.randrange(3)
+    if kind == 0:    # integers
+        return cl.RationalMatrix([[rng.randint(-9, 9) for _ in range(n)]
+                                  for _ in range(n)])
+    if kind == 1:    # sparse, mixed denominators
+        return cl.RationalMatrix([[Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 60))
+                                   if rng.random() < 0.4 else 0
+                                   for _ in range(n)] for _ in range(n)])
+    return cl._rand_block(n, rng)
+
+
+def test_matmul_equals_naive_fraction_product():
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a, b = _rand_matrix(rng, n), _rand_matrix(rng, n)
+        assert (a @ b).rows == _naive_matmul(a, b)
+    z = cl.RationalMatrix.zero(3)
+    assert (z @ _rand_matrix(rng, 3)).is_zero()
+
+
+def _parent_ch_by_power(m):
+    """The parent residual summed with RationalMatrix.power per term."""
+    k = m.dim // 2
+    eps = cl.char_coefficients(m)
+    pim = cl.classical_pi(m)
+    out = cl.RationalMatrix.zero(m.dim)
+    for i in range(k + 1):
+        out = out + m.power(k - i).scale((-1) ** i * eps[i])
+    for i in range(k):
+        out = out + pim.power(k - i).scale((-1) ** i * eps[i])
+    return out
+
+
+def test_parent_ch_equals_power_sum():
+    rng = random.Random(67)
+    for k in (1, 2, 3):
+        # a similitude (zero residual) and a generic matrix (nonzero)
+        for m in (cl.sample_similitude(k, Fraction(5, 3), seed=71 + k),
+                  cl._rand_block(2 * k, rng)):
+            assert cl.classical_parent_ch(m) == _parent_ch_by_power(m)
+    assert not cl.classical_parent_ch(cl._rand_block(4, rng)).is_zero()
+
+
 # -- parent identity -----------------------------------------------------------
 
 def test_parent_identity_k1_adjugate():

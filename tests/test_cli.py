@@ -131,6 +131,36 @@ def test_prime_count_env(capsys, monkeypatch):
     assert reports[0]["parameters"]["primes"] == 4
 
 
+def _exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    return err.value.code, capsys.readouterr().err
+
+
+def test_bad_prime_count_env_exit_2(capsys, monkeypatch):
+    for value, message in (("abc", "must be an integer"), ("2", ">= 3")):
+        monkeypatch.setenv("QCH_PRIME_COUNT", value)
+        code, err = _exit_code(["qma", "--k", "1", "--verify", "ch"], capsys)
+        assert code == 2
+        assert "QCH_PRIME_COUNT" in err and message in err
+
+
+def test_primes_flag_below_3_exit_2(capsys):
+    for value in ("-5", "0", "2"):
+        code, err = _exit_code(["qma", "--k", "1", "--primes", value],
+                               capsys)
+        assert code == 2
+        assert "--primes must be >= 3" in err
+
+
+def test_ideal_degree_below_2_exit_2(capsys):
+    for value in ("0", "1", "-3"):
+        code, err = _exit_code(["ideal", "--k", "1", "--degree", value],
+                               capsys)
+        assert code == 2
+        assert "--degree must be >= 2" in err
+
+
 def test_human_table_summary(capsys):
     code = cli.main(["rmatrix", "--k", "1", "--checks", "ybe,cubic"])
     out = capsys.readouterr().out

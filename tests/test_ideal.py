@@ -205,6 +205,21 @@ def test_membership_family(rtt2, ideal2):
     assert cert.bound < 1e-12
 
 
+def test_degree_bound_per_degree(rtt2):
+    ideal = QuadraticIdeal(QQ, 2, rtt2.defining_relations())
+
+    def direct(degree, span):
+        worst = max(sum(max(ideal._rel_span[i], 1) for i, _, _ in rows)
+                    for rows in ideal._span_index_for(degree).values())
+        return worst + max(span, 1)
+
+    got = [ideal._degree_dmax(d, s)
+           for d, s in ((3, 5), (2, 0), (4, 7), (3, 11), (2, 2))]
+    assert got == [direct(d, s)
+                   for d, s in ((3, 5), (2, 0), (4, 7), (3, 11), (2, 2))]
+    assert len(set(got)) == len(got)
+
+
 def test_sp4_parent_entry_exact_member(rtt4, ideal4):
     parent = rtt4.parent_identity(2)
     cert = ideal4.membership(parent.rows[0][0], mode="exact")

@@ -1,5 +1,9 @@
+import math
 import random
 
+import pytest
+
+from qch import scalar as sc
 from qch.scalar import (
     ONE, ZERO, Q, QINV, LAMBDA, QScalar, InadmissiblePointError, PrimePoint,
     bar_involution, q_int, reduce_mod, sample_points, scalar_from_text,
@@ -118,3 +122,62 @@ def test_pow_and_inverse():
     assert a ** -2 == (a * a).inv()
     assert a ** 0 == ONE
     assert a * a.inv() == ONE
+
+
+# -- the single-term shortcut in QScalar.__init__ ------------------------------
+
+def _canonical_via_prs(num, den):
+    """Canonical (num, den) with the primitive-PRS gcd always taken."""
+    low = min(min(num), min(den))
+    ln = sc._lp_to_list({e - low: c for e, c in num.items()})
+    ld = sc._lp_to_list({e - low: c for e, c in den.items()})
+    g = sc._pl_gcd(ln, ld)
+    ln, ld = sc._pl_div_exact(ln, g), sc._pl_div_exact(ld, g)
+    cg = math.gcd(*ln, *ld)
+    sign = -1 if next(c for c in ld if c) < 0 else 1
+    return ({e: sign * c // cg for e, c in enumerate(ln) if c},
+            {e: sign * c // cg for e, c in enumerate(ld) if c})
+
+
+def _rand_laurent(rng, terms):
+    out = {}
+    while len(out) < terms:
+        out[rng.randrange(-6, 7)] = rng.choice((-1, 1)) * rng.randrange(1, 13)
+    return out
+
+
+def _monomial_pairs(count, seed):
+    """(num, den) pairs with at least one single-term side, many with a
+    shared content, q-power or polynomial factor to cancel."""
+    rng = random.Random(seed)
+    for i in range(count):
+        sizes = [1, rng.randrange(1, 5)]
+        rng.shuffle(sizes)
+        num, den = (_rand_laurent(rng, n) for n in sizes)
+        if i % 3 == 0:
+            common = {rng.randrange(-3, 4): rng.choice((2, -3, 6))}
+            num, den = sc.lp_mul(num, common), sc.lp_mul(den, common)
+        yield num, den
+
+
+def test_single_term_shortcut_matches_prs():
+    for num, den in _monomial_pairs(400, seed=19):
+        a = QScalar(num, den)
+        assert (a.num, a.den) == _canonical_via_prs(num, den)
+
+
+def test_single_term_shortcut_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(lp):
+        return sum(c * q ** e for e, c in lp.items())
+
+    for num, den in _monomial_pairs(120, seed=23):
+        a = QScalar(num, den)
+        n, d = expr(a.num), expr(a.den)
+        assert sympy.gcd(n, d) == 1
+        assert sympy.cancel(expr(num) / expr(den) - n / d) == 0
+        assert min(a.num) >= 0 and min(a.den) >= 0
+        assert 0 in a.num or 0 in a.den
+        assert a.den[min(a.den)] > 0
