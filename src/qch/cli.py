@@ -11,34 +11,20 @@ from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ
-from .ideal import QuadraticIdeal
+from .ideal import MIN_PRIME_COUNT, QuadraticIdeal, modular_bound, prime_count
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 from .scalar import sample_points
 
-DEFAULT_PRIME_COUNT = 3
-# fewest prime points a modular verdict may rest on
-MIN_PRIME_COUNT = 3
+# qma verify targets; recursions run by default only at k = 1
+QMA_TARGETS = ("ch", "parent", "cutting", "recursions")
 # chart points are drawn uniformly from [2, 10^6); a nonzero rational
 # identity of cleared degree d survives one draw with probability < d/10^6
 CHART_RANGE = 10 ** 6
 
 
-def prime_count():
-    """Prime points per modular check: QCH_PRIME_COUNT, default 3.
-
-    Raises ValueError unless the variable is an integer >= MIN_PRIME_COUNT.
-    """
-    raw = os.environ.get("QCH_PRIME_COUNT", str(DEFAULT_PRIME_COUNT))
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"QCH_PRIME_COUNT must be an integer, got {raw!r}") from None
-    if count < MIN_PRIME_COUNT:
-        raise ValueError(
-            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT}, got {count}")
-    return count
+def default_verify(k):
+    return QMA_TARGETS if k == 1 else QMA_TARGETS[:3]
 
 
 class CheckReport:
@@ -104,13 +90,6 @@ def _from_certificate(name, parameters, cert_fn):
     return _timed(name, parameters, run)
 
 
-def _modular_bound(points, d_max):
-    bound = 1.0
-    for pt in points:
-        bound *= d_max / pt.p
-    return bound
-
-
 def _sampling_bound(count, degree):
     return float((degree / CHART_RANGE) ** count)
 
@@ -143,7 +122,7 @@ def run_rmatrix(k, checks, seed=0):
             if mode == "exact":
                 return "pass", "0", detail, None
             pts = sample_points(seed, count, 2 * ctx.dim + 4)
-            bound = _modular_bound(pts, 8 * ctx.dim + 8)
+            bound = modular_bound(pts, 8 * ctx.dim + 8)
             return "probable-pass", "0", detail, bound
         reports.append(_timed(
             "rmatrix.height", {"k": k, "seed": seed, "primes": count}, run))
@@ -156,10 +135,10 @@ def _algebra(k, pair):
     return AlgebraContext(r, f, label=f"sp{2 * k}-{pair}")
 
 
-def _membership_report(name, params, ideal, qmat, seed):
+def _membership_report(name, params, ideal, qmat, seed, primes):
     def run():
         cert = ideal.membership_matrix(qmat, seed=seed, witness=True,
-                                       min_points=prime_count())
+                                       min_points=primes)
         if not cert.is_member:
             return "fail", cert.detail or cert.status, None, cert.bound
         if cert.kind in ("exact", "trivial"):
@@ -189,7 +168,7 @@ def run_qma(k, pair, verify, primes, seed):
         reports.append(_timed("qma.parent", params, run_parent))
     if "ch" in verify:
         reports.append(_membership_report(
-            "qma.ch", params, ideal, ctx.ch_identity(k), seed))
+            "qma.ch", params, ideal, ctx.ch_identity(k), seed, primes))
     if "cutting" in verify:
         def run_cutting():
             if not ctx.boundary_a(k + 1).is_zero():
@@ -342,9 +321,7 @@ def appendix_lines():
 def run_all(k, seed):
     reports = []
     reports += run_rmatrix(k, ("ybe", "cubic", "bmw", "height"), seed=seed)
-    verify = ("ch", "parent", "cutting", "recursions") if k == 1 \
-        else ("ch", "parent", "cutting")
-    reports += run_qma(k, "rtt", verify, prime_count(), seed)
+    reports += run_qma(k, "rtt", default_verify(k), prime_count(), seed)
     reports += run_qma(k, "re", ("ch", "parent"), prime_count(), seed)
     reports += run_ideal(k, "rtt", 2, seed=seed)
     reports += run_spectral(k, 4, seed=seed)
@@ -454,12 +431,10 @@ def main(argv=None):
     elif args.command == "qma":
         primes = args.primes if args.primes is not None else prime_count()
         if args.verify is None:
-            verify = ("ch", "parent", "cutting", "recursions") \
-                if args.k == 1 else ("ch", "parent", "cutting")
+            verify = default_verify(args.k)
         else:
             verify = tuple(args.verify.split(","))
-            known = {"ch", "parent", "cutting", "recursions"}
-            bad = [v for v in verify if v not in known]
+            bad = [v for v in verify if v not in QMA_TARGETS]
             if bad:
                 parser.error(f"unknown verify targets: {','.join(bad)}")
         reports = run_qma(args.k, args.pair, verify, primes, args.seed)

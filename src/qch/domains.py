@@ -3,6 +3,8 @@
 Every higher layer (tensor operators, noncommutative polynomials, the
 elimination routines) is generic over this small protocol, so the same
 construction code runs exactly over Q(q) or fast over F_p at a PrimePoint.
+Their sparse sums and products all go through the one kernel in
+`qch.sparse`, which reaches coefficients only through a domain.
 """
 
 from __future__ import annotations

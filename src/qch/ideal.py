@@ -22,9 +22,38 @@ from .ncpoly import NCPoly
 from .scalar import InadmissiblePointError, sample_points
 
 FAILURE_TARGET = 1e-12
+DEFAULT_PRIME_COUNT = 3
+# fewest prime points a modular verdict may rest on
+MIN_PRIME_COUNT = 3
 # conservative Laurent degree span assumed for candidate coefficients
 # when the candidate is only available modulo a prime
 DEFAULT_CANDIDATE_SPAN = lambda d: 80 * (d + 1)
+
+
+def prime_count():
+    """Prime points per modular check: QCH_PRIME_COUNT, default 3.
+
+    Raises ValueError unless the variable is an integer >= MIN_PRIME_COUNT.
+    """
+    raw = os.environ.get("QCH_PRIME_COUNT", str(DEFAULT_PRIME_COUNT))
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"QCH_PRIME_COUNT must be an integer, got {raw!r}") from None
+    if count < MIN_PRIME_COUNT:
+        raise ValueError(
+            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT}, got {count}")
+    return count
+
+
+def modular_bound(points, d_max):
+    """Chance that a nonzero minor of degree <= d_max vanishes at every
+    point: the product of d_max / p, taken left to right."""
+    bound = 1.0
+    for pt in points:
+        bound *= d_max / pt.p
+    return bound
 
 
 class IdealError(RuntimeError):
@@ -187,6 +216,7 @@ class QuadraticIdeal:
             steps += 1
             if steps > budget:
                 raise BudgetError(f"normal_order budget exceeded ({budget})")
+            # not qch.sparse.axpy_into: a new word must also go on the heap
             for w2, c2 in rules[(w[hit], w[hit + 1])].items():
                 nw = w[:hit] + w2 + w[hit + 2:]
                 v = dom.mul(c, c2)
@@ -420,24 +450,23 @@ class QuadraticIdeal:
 
     def _membership_modular(self, candidate_at, degree, seed, min_points,
                             candidate_span, use_rewrite):
-        if min_points is None:
-            min_points = int(os.environ.get("QCH_PRIME_COUNT", "3"))
-        want = max(min_points, 3)
+        want = prime_count() if min_points is None else min_points
+        if want < MIN_PRIME_COUNT:
+            raise ValueError(
+                f"min_points must be >= {MIN_PRIME_COUNT}, got {want}")
         d_max = self._degree_dmax(degree, candidate_span)
         for batch in range(4):
             used = set()
             pts, verdicts = self._collect_verdicts(
                 candidate_at, use_rewrite, want, seed + 104729 * batch, used)
-            bound = 1.0
-            for pt in pts:
-                bound *= d_max / pt.p
-            while bound > FAILURE_TARGET and len(pts) < 12:
+            while (modular_bound(pts, d_max) > FAILURE_TARGET
+                   and len(pts) < 12):
                 more_p, more_v = self._collect_verdicts(
                     candidate_at, use_rewrite, 1,
                     seed + 104729 * batch + 31 * len(pts), used)
                 pts += more_p
                 verdicts += more_v
-                bound *= d_max / more_p[0].p
+            bound = modular_bound(pts, d_max)
             if all(verdicts):
                 return MembershipCertificate("probable-member", "modular",
                                              points=pts, bound=bound)

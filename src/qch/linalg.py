@@ -8,6 +8,8 @@ columns fixes the reduction deterministically.
 
 from __future__ import annotations
 
+from .sparse import axpy_into
+
 
 class SingularMatrixError(ArithmeticError):
     def __init__(self, msg, kernel=None):
@@ -42,21 +44,10 @@ class Echelon:
             piv = self.pivots.get(lead)
             if piv is None:
                 return lead, row, combo
-            c = row[lead]
-            for col, v in piv.items():
-                s = dom.sub(row.get(col, dom.zero()), dom.mul(c, v))
-                if dom.is_zero(s):
-                    row.pop(col, None)
-                else:
-                    row[col] = s
+            c = dom.neg(row[lead])
+            axpy_into(row, piv.items(), c, dom)
             if combo is not None:
-                pc = self.combos[lead]
-                for k, v in pc.items():
-                    s = dom.sub(combo.get(k, dom.zero()), dom.mul(c, v))
-                    if dom.is_zero(s):
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = s
+                axpy_into(combo, self.combos[lead].items(), c, dom)
         return None, {}, combo
 
     def reduce(self, row):
@@ -82,9 +73,6 @@ class Echelon:
         if self.track:
             self.combos[lead] = {k: dom.mul(inv, v) for k, v in combo.items()}
         return True
-
-    def contains(self, row):
-        return not self.reduce(row)
 
 
 def rank_of_rows(rows, dom):
@@ -126,19 +114,9 @@ def invert_matrix(rows, n, dom):
         nxt = []
         for l2, r2 in work:
             if col in l2:
-                c = l2[col]
-                for cc, v in left.items():
-                    s = dom.sub(l2.get(cc, dom.zero()), dom.mul(c, v))
-                    if dom.is_zero(s):
-                        l2.pop(cc, None)
-                    else:
-                        l2[cc] = s
-                for cc, v in right.items():
-                    s = dom.sub(r2.get(cc, dom.zero()), dom.mul(c, v))
-                    if dom.is_zero(s):
-                        r2.pop(cc, None)
-                    else:
-                        r2[cc] = s
+                c = dom.neg(l2[col])
+                axpy_into(l2, left.items(), c, dom)
+                axpy_into(r2, right.items(), c, dom)
             if l2:
                 nxt.append((l2, r2))
         work = nxt
@@ -162,18 +140,8 @@ def invert_matrix(rows, n, dom):
         left, right = piv_rows[col]
         for c in [c for c in left if c > col]:
             pl, pr = piv_rows[c]
-            coef = left[c]
-            for cc, v in pl.items():
-                s = dom.sub(left.get(cc, dom.zero()), dom.mul(coef, v))
-                if dom.is_zero(s):
-                    left.pop(cc, None)
-                else:
-                    left[cc] = s
-            for cc, v in pr.items():
-                s = dom.sub(right.get(cc, dom.zero()), dom.mul(coef, v))
-                if dom.is_zero(s):
-                    right.pop(cc, None)
-                else:
-                    right[cc] = s
+            coef = dom.neg(left[c])
+            axpy_into(left, pl.items(), coef, dom)
+            axpy_into(right, pr.items(), coef, dom)
         piv_rows[col] = (left, right)
     return [piv_rows[i][1] for i in range(n)]

@@ -9,7 +9,10 @@ with the generators.
 
 from __future__ import annotations
 
+import operator
+
 from .scalar import scalar_from_text
+from .sparse import add_into, product
 
 
 class NCPoly:
@@ -63,16 +66,8 @@ class NCPoly:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        dom = self.dom
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            s = c if cur is None else dom.add(cur, c)
-            if dom.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return NCPoly(dom, terms)
+        return NCPoly(self.dom, add_into(dict(self.terms),
+                                         other.terms.items(), self.dom))
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,19 +77,9 @@ class NCPoly:
         return NCPoly(dom, {w: dom.neg(c) for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        dom = self.dom
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                v = dom.mul(c1, c2)
-                cur = terms.get(w)
-                s = v if cur is None else dom.add(cur, v)
-                if dom.is_zero(s):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
-        return NCPoly(dom, terms)
+        # operator.add concatenates the words
+        return NCPoly(self.dom, product(self.terms, other.terms, operator.add,
+                                        self.dom))
 
     def scale(self, c):
         dom = self.dom

@@ -17,6 +17,7 @@ from .ncpoly import NCDomain, NCPoly, QMatrix
 from .rmatrix import (GuardError, antisymmetrizer_tower, check_compatible,
                       compute_g_operator, twist)
 from .scalar import LAMBDA, Q, QINV, QScalar, q_int
+from .sparse import axpy_into
 from .tensor import TensorOperator
 
 
@@ -79,9 +80,6 @@ class AlgebraContext:
                    "d_r": lambda: self.r_ctx.d_r}[name]
             self._nc_ops[name] = self.lift(src())
         return self._nc_ops[name]
-
-    def const(self, s):
-        return NCPoly.constant(self.dom, self.dom.from_scalar(s))
 
     # -- generators and matrix copies ------------------------------------------
     @property
@@ -281,21 +279,15 @@ class AlgebraContext:
 
     def pi_composed_tensor(self):
         """mu phi^-1 after xi, for cross-checking the F-free pi."""
-        mu = self.dom.from_scalar(self.r_ctx.mu_scalar)
-        phi_inv = self.map_tensor("phi_inv")
+        dom = self.dom
+        mu = dom.from_scalar(self.r_ctx.mu_scalar)
+        mu_phi_inv = {ef: {ab: dom.mul(mu, s) for ab, s in cell.items()}
+                      for ef, cell in self.map_tensor("phi_inv").items()}
         out = {}
         for (c, d), cell in self.map_tensor("xi").items():
             acc = {}
-            for (e, f), t in cell.items():
-                for (a, b), s in phi_inv.get((e, f), {}).items():
-                    key = (a, b)
-                    v = self.dom.mul(self.dom.mul(mu, s), t)
-                    cur = acc.get(key)
-                    w = v if cur is None else self.dom.add(cur, v)
-                    if self.dom.is_zero(w):
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = w
+            for ef, t in cell.items():
+                axpy_into(acc, mu_phi_inv.get(ef, {}).items(), t, dom)
             if acc:
                 out[(c, d)] = acc
         return out

@@ -10,7 +10,7 @@ antisymmetrizer tower degenerates).
 from __future__ import annotations
 
 from . import tensor
-from .domains import QQ, FpDomain
+from .domains import QQ
 from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
 from .tensor import TensorOperator
 
@@ -166,17 +166,8 @@ def build_standard_sp(k):
         raise ValueError("k must be >= 1")
     dim, iprime, eps, rho = _sp_index_data(k)
     lam = LAMBDA
-    data = {}
-
-    def put(tin, tout, c):
-        key = (tin, tout)
-        cur = data.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            data.pop(key, None)
-        else:
-            data[key] = s
-
+    r_op = TensorOperator(QQ, dim, 2)
+    put = r_op.add_to_entry
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
             e = (1 if i == j else 0) - (1 if j == iprime[i] else 0)
@@ -190,7 +181,6 @@ def build_standard_sp(k):
             # E_{i'j} (x) E_{ij'} sends v_j (x) v_{j'} to v_{i'} (x) v_i
             put((j - 1, iprime[j] - 1), (iprime[i] - 1, i - 1), -c)
 
-    r_op = TensorOperator(QQ, dim, 2, data)
     mu = -QScalar.q_power(-1 - 2 * k)
     return RMatrixContext(r_op, mu, label=f"standard Sp({dim})",
                           height_hint=k)

@@ -36,7 +36,9 @@ class InadmissiblePointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomial helpers (dict {exp: coeff}).
+# Laurent polynomial helpers (dict {exp: coeff}).  lp_add and lp_mul keep
+# their own integer loops rather than use qch.sparse: they sit under every
+# QScalar construction, the hottest code, and need no domain.
 
 def lp_add(a, b):
     r = dict(a)
@@ -191,11 +193,6 @@ class QScalar:
         if shift:
             num = lp_shift(num, shift)
             den = lp_shift(den, shift)
-        # strip a common q^m factor left after the shift
-        m = min(min(num), min(den))
-        if m:
-            num = lp_shift(num, -m)
-            den = lp_shift(den, -m)
         ln, ld = _lp_to_list(num), _lp_to_list(den)
         if len(num) > 1 and len(den) > 1:
             # a single-term side leaves a constant gcd (module docstring)

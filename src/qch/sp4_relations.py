@@ -15,10 +15,6 @@ _BLOCK_ORIGIN = {"A": (0, 0), "B": (0, 2), "C": (2, 0), "D": (2, 2)}
 TWO_Q = Q + QINV  # [2]_q
 
 
-def qp(e):
-    return QScalar.q_power(e)
-
-
 def _gen(dom, x, i, j):
     r0, c0 = _BLOCK_ORIGIN[x]
     return NCPoly.generator(dom, r0 + i - 1, c0 + j - 1)
@@ -58,7 +54,8 @@ def permutation_relations(dom):
         add(label, [(ONE, xg, yg), (-ONE, yg, xg)] + list(extra))
 
     def qcomm(label, xg, yg, e, extra=()):
-        add(label, [(ONE, xg, yg), (-qp(e), yg, xg)] + list(extra))
+        add(label, [(ONE, xg, yg), (-QScalar.q_power(e), yg, xg)]
+            + list(extra))
 
     # Commuting pairs.
     for i in (1, 2):
@@ -136,34 +133,34 @@ def permutation_relations(dom):
     # q^2-commutators with a q^2 lambda extra term.
     for i in (1, 2):
         qcomm(f"AB:qq-l{i}", ("A", i, 2), ("B", i, 1), 2,
-              [(-LAMBDA * qp(2), ("B", i, 2), ("A", i, 1))])
+              [(-LAMBDA * QScalar.q_power(2), ("B", i, 2), ("A", i, 1))])
         qcomm(f"AC:qq-l{i}", ("A", 2, i), ("C", 1, i), 2,
-              [(-LAMBDA * qp(2), ("C", 2, i), ("A", 1, i))])
+              [(-LAMBDA * QScalar.q_power(2), ("C", 2, i), ("A", 1, i))])
         qcomm(f"BD:qq-l{i}", ("B", 2, i), ("D", 1, i), 2,
-              [(-LAMBDA * qp(2), ("D", 2, i), ("B", 1, i))])
+              [(-LAMBDA * QScalar.q_power(2), ("D", 2, i), ("B", 1, i))])
         qcomm(f"CD:qq-l{i}", ("C", i, 2), ("D", i, 1), 2,
-              [(-LAMBDA * qp(2), ("D", i, 2), ("C", i, 1))])
+              [(-LAMBDA * QScalar.q_power(2), ("D", i, 2), ("C", i, 1))])
 
     # Longer tails.
     lt = LAMBDA * TWO_Q
     for i in (1, 2):
         qcomm(f"AD:long-row{i}", ("A", i, 2), ("D", i, 1), -1,
-              [(-LAMBDA * qp(-3), ("C", i, 1), ("B", i, 2)),
+              [(-LAMBDA * QScalar.q_power(-3), ("C", i, 1), ("B", i, 2)),
                (-lt * QINV, ("C", i, 2), ("B", i, 1))])
         qcomm(f"AD:long-col{i}", ("A", 2, i), ("D", 1, i), -1,
-              [(-LAMBDA * qp(2), ("C", 2, i), ("B", 1, i)),
+              [(-LAMBDA * QScalar.q_power(2), ("C", 2, i), ("B", 1, i)),
                (-lt, ("C", 1, i), ("B", 2, i))])
     qcomm("AB:long", ("A", 1, 2), ("B", 2, 1), -1,
-          [(-LAMBDA * qp(2), ("B", 1, 2), ("A", 2, 1)),
+          [(-LAMBDA * QScalar.q_power(2), ("B", 1, 2), ("A", 2, 1)),
            (-lt, ("B", 1, 1), ("A", 2, 2))])
     qcomm("AC:long", ("A", 2, 1), ("C", 1, 2), -1,
-          [(-LAMBDA * qp(2), ("C", 2, 1), ("A", 1, 2)),
+          [(-LAMBDA * QScalar.q_power(2), ("C", 2, 1), ("A", 1, 2)),
            (-lt, ("C", 1, 1), ("A", 2, 2))])
     qcomm("BD:long", ("B", 2, 1), ("D", 1, 2), -1,
-          [(-LAMBDA * qp(2), ("D", 2, 1), ("B", 1, 2)),
+          [(-LAMBDA * QScalar.q_power(2), ("D", 2, 1), ("B", 1, 2)),
            (-lt, ("D", 1, 1), ("B", 2, 2))])
     qcomm("CD:long", ("C", 1, 2), ("D", 2, 1), -1,
-          [(-LAMBDA * qp(2), ("D", 1, 2), ("C", 2, 1)),
+          [(-LAMBDA * QScalar.q_power(2), ("D", 1, 2), ("C", 2, 1)),
            (-lt, ("D", 1, 1), ("C", 2, 2))])
     # The lambda^2 coefficient sign below is pinned by span membership:
     # the opposite sign is not a relation of the algebra.
@@ -173,19 +170,19 @@ def permutation_relations(dom):
           (LAMBDA * LAMBDA, ("C", 2, 1), ("B", 1, 2))])
     comm("AD:long-11", ("A", 1, 1), ("D", 2, 2),
          [(LAMBDA, ("D", 1, 2), ("A", 2, 1)),
-          (-LAMBDA * qp(-2), ("C", 1, 1), ("B", 2, 2)),
+          (-LAMBDA * QScalar.q_power(-2), ("C", 1, 1), ("B", 2, 2)),
           (-lt, ("C", 2, 1), ("B", 1, 2))])
     comm("AD:long-12", ("A", 1, 2), ("D", 2, 1),
-         [(-LAMBDA * qp(-2), ("C", 2, 1), ("B", 1, 2)),
+         [(-LAMBDA * QScalar.q_power(-2), ("C", 2, 1), ("B", 1, 2)),
           (-lt, ("C", 2, 2), ("B", 1, 1))])
     comm("AD:long-21", ("A", 2, 1), ("D", 1, 2),
-         [(-LAMBDA * qp(2), ("C", 2, 1), ("B", 1, 2)),
+         [(-LAMBDA * QScalar.q_power(2), ("C", 2, 1), ("B", 1, 2)),
           (-lt, ("C", 1, 1), ("B", 2, 2))])
     comm("AD:long-22", ("A", 2, 2), ("D", 1, 1),
          [(-LAMBDA, ("D", 2, 1), ("A", 1, 2)),
-          (-LAMBDA * qp(-2), ("C", 1, 1), ("B", 2, 2)),
+          (-LAMBDA * QScalar.q_power(-2), ("C", 1, 1), ("B", 2, 2)),
           (-lt, ("C", 1, 2), ("B", 2, 1)),
-          (-LAMBDA * LAMBDA * qp(-2), ("C", 2, 1), ("B", 1, 2)),
+          (-LAMBDA * LAMBDA * QScalar.q_power(-2), ("C", 2, 1), ("B", 1, 2)),
           (-LAMBDA * LAMBDA * TWO_Q, ("C", 2, 2), ("B", 1, 1))])
     return rels
 
@@ -198,31 +195,35 @@ def invariance_conditions(dom):
         rels.append((label, _binomial(dom, terms)))
 
     add("inv:BA", [(ONE, ("B", 1, 1), ("A", 2, 2)), (Q, ("B", 1, 2), ("A", 2, 1)),
-                   (-Q, ("B", 2, 1), ("A", 1, 2)), (-qp(2), ("B", 2, 2), ("A", 1, 1))])
+                   (-Q, ("B", 2, 1), ("A", 1, 2)),
+                   (-QScalar.q_power(2), ("B", 2, 2), ("A", 1, 1))])
     add("inv:DC", [(ONE, ("D", 1, 1), ("C", 2, 2)), (Q, ("D", 1, 2), ("C", 2, 1)),
-                   (-Q, ("D", 2, 1), ("C", 1, 2)), (-qp(2), ("D", 2, 2), ("C", 1, 1))])
+                   (-Q, ("D", 2, 1), ("C", 1, 2)),
+                   (-QScalar.q_power(2), ("D", 2, 2), ("C", 1, 1))])
     add("inv:CA", [(ONE, ("C", 1, 1), ("A", 2, 2)), (Q, ("C", 2, 1), ("A", 1, 2)),
-                   (-Q, ("C", 1, 2), ("A", 2, 1)), (-qp(2), ("C", 2, 2), ("A", 1, 1))])
+                   (-Q, ("C", 1, 2), ("A", 2, 1)),
+                   (-QScalar.q_power(2), ("C", 2, 2), ("A", 1, 1))])
     add("inv:DB", [(ONE, ("D", 1, 1), ("B", 2, 2)), (Q, ("D", 2, 1), ("B", 1, 2)),
-                   (-Q, ("D", 1, 2), ("B", 2, 1)), (-qp(2), ("D", 2, 2), ("B", 1, 1))])
+                   (-Q, ("D", 1, 2), ("B", 2, 1)),
+                   (-QScalar.q_power(2), ("D", 2, 2), ("B", 1, 1))])
     for i in (1, 2):
         add(f"inv:row{i}", [(ONE, ("C", i, 1), ("B", i, 2)),
                             (Q, ("C", i, 2), ("B", i, 1)),
-                            (-qp(3), ("D", i, 1), ("A", i, 2)),
-                            (-qp(4), ("D", i, 2), ("A", i, 1))])
+                            (-QScalar.q_power(3), ("D", i, 1), ("A", i, 2)),
+                            (-QScalar.q_power(4), ("D", i, 2), ("A", i, 1))])
     for i in (1, 2):
         add(f"inv:col{i}", [(ONE, ("C", 1, i), ("B", 2, i)),
                             (Q, ("C", 2, i), ("B", 1, i)),
                             (-Q, ("D", 1, i), ("A", 2, i)),
-                            (-qp(2), ("D", 2, i), ("A", 1, i))])
+                            (-QScalar.q_power(2), ("D", 2, i), ("A", 1, i))])
     add("inv:mix1", [(ONE, ("C", 1, 1), ("B", 2, 2)), (-ONE, ("C", 2, 2), ("B", 1, 1)),
                      (LAMBDA, ("C", 2, 1), ("B", 1, 2)),
-                     (-qp(2), ("D", 1, 2), ("A", 2, 1)),
-                     (qp(2), ("D", 2, 1), ("A", 1, 2))])
+                     (-QScalar.q_power(2), ("D", 1, 2), ("A", 2, 1)),
+                     (QScalar.q_power(2), ("D", 2, 1), ("A", 1, 2))])
     add("inv:mix2", [(ONE, ("C", 1, 2), ("B", 2, 1)), (-ONE, ("C", 2, 1), ("B", 1, 2)),
-                     (-qp(2), ("D", 1, 1), ("A", 2, 2)),
-                     (qp(2), ("D", 2, 2), ("A", 1, 1)),
-                     (-LAMBDA * qp(2), ("D", 1, 2), ("A", 2, 1))])
+                     (-QScalar.q_power(2), ("D", 1, 1), ("A", 2, 2)),
+                     (QScalar.q_power(2), ("D", 2, 2), ("A", 1, 1)),
+                     (-LAMBDA * QScalar.q_power(2), ("D", 1, 2), ("A", 2, 1))])
     return rels
 
 
@@ -235,13 +236,13 @@ def g_closed_forms(dom):
     """Two equivalent closed forms of the 2-contraction, each congruent
     to the K-contraction of M_1b M_2b modulo the relations."""
     first = _binomial(dom, [
-        (qp(-10), ("D", 1, 1), ("A", 2, 2)),
-        (qp(-9), ("D", 1, 2), ("A", 2, 1)),
-        (-qp(-12), ("C", 1, 2), ("B", 2, 1)),
-        (-qp(-13), ("C", 1, 1), ("B", 2, 2))])
+        (QScalar.q_power(-10), ("D", 1, 1), ("A", 2, 2)),
+        (QScalar.q_power(-9), ("D", 1, 2), ("A", 2, 1)),
+        (-QScalar.q_power(-12), ("C", 1, 2), ("B", 2, 1)),
+        (-QScalar.q_power(-13), ("C", 1, 1), ("B", 2, 2))])
     second = _binomial(dom, [
-        (qp(-10), ("D", 2, 2), ("A", 1, 1)),
-        (qp(-11), ("D", 1, 2), ("A", 2, 1)),
-        (-qp(-12), ("C", 2, 1), ("B", 1, 2)),
-        (-qp(-13), ("C", 1, 1), ("B", 2, 2))])
+        (QScalar.q_power(-10), ("D", 2, 2), ("A", 1, 1)),
+        (QScalar.q_power(-11), ("D", 1, 2), ("A", 2, 1)),
+        (-QScalar.q_power(-12), ("C", 2, 1), ("B", 1, 2)),
+        (-QScalar.q_power(-13), ("C", 1, 1), ("B", 2, 2))])
     return first, second

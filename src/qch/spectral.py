@@ -9,18 +9,39 @@ evaluation at admissible integer points, symbolically where cheap.
 """
 from __future__ import annotations
 
+import operator
 import random
 
-from .scalar import LAMBDA, ONE, QScalar, ZERO, q_int
-
-
-def qp(e):
-    return QScalar.q_power(e)
+from .domains import QQ
+from .scalar import LAMBDA, ONE, Q, QINV, QScalar, ZERO, q_int
+from .sparse import add_into, product
 
 
 def mu_of(k):
     """Skew eigenvalue parameter of the symplectic-type R-matrix."""
-    return -qp(-1 - 2 * k)
+    return -QScalar.q_power(-1 - 2 * k)
+
+
+# ---------------------------------------------------------------------------
+# Sparse polynomials {exponent tuple: QScalar}, shared by SpectralPoly and
+# the numerators and denominators of SpectralRational.
+
+def _add_exponents(e1, e2):
+    return tuple(map(operator.add, e1, e2))
+
+
+def _padd(a, b):
+    return add_into(dict(a), b.items(), QQ)
+
+
+def _pmul(a, b):
+    return product(a, b, _add_exponents, QQ)
+
+
+def _pscale(a, c):
+    if c.is_zero():
+        return {}
+    return {e: c * v for e, v in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -53,34 +74,16 @@ class SpectralPoly:
         return cls(k, {tuple(e): ONE})
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return SpectralPoly(self.k, terms)
+        return SpectralPoly(self.k, _padd(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return SpectralPoly(self.k, terms)
+        return SpectralPoly(self.k, _pmul(self.terms, other.terms))
 
     def scale(self, c):
-        if c.is_zero():
-            return SpectralPoly.zero(self.k)
-        return SpectralPoly(self.k, {e: c * v for e, v in self.terms.items()})
+        return SpectralPoly(self.k, _pscale(self.terms, c))
 
     def __eq__(self, other):
         return self.k == other.k and (self - other).is_zero()
@@ -117,25 +120,20 @@ class SpectralPoly:
         return f"SpectralPoly(k={self.k}, {len(self.terms)} terms)"
 
 
+def _unpaired(k, e):
+    """Exponent e with each pair nu_j nu_{2k+1-j} rewritten to nu_0^2."""
+    e = list(e)
+    for j in range(1, k + 1):
+        m = min(e[j], e[2 * k + 1 - j])
+        if m:
+            e[j] -= m
+            e[2 * k + 1 - j] -= m
+            e[0] += 2 * m
+    return tuple(e)
+
+
 def _normalize(k, terms):
-    out = {}
-    for e, c in terms.items():
-        if c.is_zero():
-            continue
-        e = list(e)
-        for j in range(1, k + 1):
-            m = min(e[j], e[2 * k + 1 - j])
-            if m:
-                e[j] -= m
-                e[2 * k + 1 - j] -= m
-                e[0] += 2 * m
-        e = tuple(e)
-        s = out.get(e, ZERO) + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+    return add_into({}, ((_unpaired(k, e), c) for e, c in terms.items()), QQ)
 
 
 def reduce(p):
@@ -231,13 +229,19 @@ def _newton_powersums(k, n):
         acc = acc + pi_hom(k, "a", m).scale(sign * q_int(m))
         gp = g
         for i in range(1, m // 2 + 1):
-            c = mu * qp(m - 2 * i) - qp(1 - m + 2 * i)
+            c = _newton_coeff(mu, m, i)
             acc = acc - (pi_hom(k, "a", m - 2 * i) * gp).scale(sign * c)
             gp = gp * g
         for i in range(1, m):
-            acc = acc - (pi_hom(k, "a", i) * p[m - i]).scale((-qp(1)) ** i)
+            acc = acc - (pi_hom(k, "a", i) * p[m - i]).scale((-Q) ** i)
         p.append(acc)
     return p
+
+
+def _newton_coeff(mu, m, i):
+    """mu q^(m-2i) - q^(1-m+2i), the coefficient of a_(m-2i) g^i in the
+    first Newton relation at degree m."""
+    return mu * QScalar.q_power(m - 2 * i) - QScalar.q_power(1 - m + 2 * i)
 
 
 def sym_identities(k, i):
@@ -261,7 +265,7 @@ def expansion_coefficients(k, order=None):
     idx = list(order) if order is not None else list(range(1, 2 * k + 1))
     coeffs = [SpectralPoly.constant(k, ONE)]
     for i in idx:
-        root = SpectralPoly.variable(k, i).scale(qp(1))
+        root = SpectralPoly.variable(k, i).scale(Q)
         nxt = [SpectralPoly.zero(k) for _ in range(len(coeffs) + 1)]
         for j, c in enumerate(coeffs):
             nxt[j + 1] = nxt[j + 1] + c
@@ -277,7 +281,7 @@ def factor_check(k, mode="auto", seed=0):
     if mode == "auto":
         mode = "exact" if k <= 2 else "evaluate"
     coeffs = expansion_coefficients(k)
-    targets = [pi_hom(k, "eps", i).scale((-qp(1)) ** i)
+    targets = [pi_hom(k, "eps", i).scale((-Q) ** i)
                for i in range(2 * k + 1)]
     if mode == "exact":
         for i in range(2 * k + 1):
@@ -297,36 +301,6 @@ def factor_check(k, mode="auto", seed=0):
 
 # ---------------------------------------------------------------------------
 # Rational functions on the chart nu_{2k+1-j} = nu_0^2 / nu_j.
-
-def _padd(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, ZERO) + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _pmul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _pscale(a, c):
-    if c.is_zero():
-        return {}
-    return {e: c * v for e, v in a.items()}
-
 
 class SpectralRational:
     """Ratio of polynomials in the chart variables nu_0, nu_1 .. nu_k."""
@@ -417,13 +391,13 @@ def d_coefficient(k, i, hat=False):
     if not 1 <= i <= 2 * k:
         raise ValueError(f"d_{i} outside 1..{2 * k}")
     nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-    qm2 = SpectralRational.constant(k, qp(-2))
+    qm2 = SpectralRational.constant(k, QScalar.q_power(-2))
     out = SpectralRational.constant(k, ONE)
     if hat:
         skip = {i}
     else:
         skip = {i, 2 * k + 1 - i}
-        qm4 = SpectralRational.constant(k, qp(-4))
+        qm4 = SpectralRational.constant(k, QScalar.q_power(-4))
         pair = nu[2 * k + 1 - i]
         out = (nu[i] - qm4 * pair) / (nu[i] - pair)
     for j in range(1, 2 * k + 1):
@@ -441,11 +415,11 @@ def d_value(k, i, nus, hat=False):
     else:
         skip = {i, 2 * k + 1 - i}
         pair = nus[2 * k + 1 - i]
-        out = (nus[i] - qp(-4) * pair) / (nus[i] - pair)
+        out = (nus[i] - QScalar.q_power(-4) * pair) / (nus[i] - pair)
     for j in range(1, 2 * k + 1):
         if j in skip:
             continue
-        out = out * (nus[i] - qp(-2) * nus[j]) / (nus[i] - nus[j])
+        out = out * (nus[i] - QScalar.q_power(-2) * nus[j]) / (nus[i] - nus[j])
     return out
 
 
@@ -458,13 +432,13 @@ def powersum_param(k, n):
         for _ in range(n):
             term = term * nu[i]
         acc = acc + term
-    return acc.scale(qp(n - 1))
+    return acc.scale(QScalar.q_power(n - 1))
 
 
 def w_function(k, which, z):
     """w_1, w_2, or w_3 evaluated at the chart rational z."""
     nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-    qm2 = SpectralRational.constant(k, qp(-2))
+    qm2 = SpectralRational.constant(k, QScalar.q_power(-2))
     w = SpectralRational.constant(k, ONE)
     for i in range(1, 2 * k + 1):
         w = w * ((z - qm2 * nu[i]) / (z - nu[i]))
@@ -534,12 +508,12 @@ def _point_data(k, chart, n):
     a_vals = _value_elementary(ext, n)
     s_vals = _value_complete(base, n)
     d_vals = [None] + [d_value(k, i, nus) for i in range(1, 2 * k + 1)]
-    p_vals = [qp(-1) * sum(d_vals[1:], ZERO)]
+    p_vals = [QINV * sum(d_vals[1:], ZERO)]
     for m in range(1, n + 1):
         acc = ZERO
         for i in range(1, 2 * k + 1):
             acc = acc + d_vals[i] * nus[i] ** m
-        p_vals.append(qp(m - 1) * acc)
+        p_vals.append(QScalar.q_power(m - 1) * acc)
     return {"nus": nus, "a": a_vals, "s": s_vals, "p": p_vals,
             "g": nus[0] * nus[0], "d": d_vals}
 
@@ -564,17 +538,18 @@ def newton_check(k, n, seed=0):
             lhs_a = ZERO
             lhs_s = ZERO
             for i in range(m):
-                lhs_a = lhs_a + ((-qp(1)) ** i) * a[i] * p[m - i]
-                lhs_s = lhs_s + qp(-i) * s[i] * p[m - i]
+                lhs_a = lhs_a + ((-Q) ** i) * a[i] * p[m - i]
+                lhs_s = lhs_s + QScalar.q_power(-i) * s[i] * p[m - i]
             sign = ONE if m % 2 else -ONE
             rhs_a = sign * q_int(m) * a[m]
             rhs_s = q_int(m) * s[m]
             gp = g
             for i in range(1, m // 2 + 1):
-                rhs_a = rhs_a - sign * (mu * qp(m - 2 * i)
-                                        - qp(1 - m + 2 * i)) * a[m - 2 * i] * gp
-                rhs_s = rhs_s + (mu * qp(2 * i - m)
-                                 + qp(m - 2 * i - 1)) * s[m - 2 * i] * gp
+                rhs_a = rhs_a - sign * _newton_coeff(mu, m, i) \
+                    * a[m - 2 * i] * gp
+                rhs_s = rhs_s + (mu * QScalar.q_power(2 * i - m)
+                                 + QScalar.q_power(m - 2 * i - 1)) \
+                    * s[m - 2 * i] * gp
                 gp = gp * g
             if not (lhs_a - rhs_a).is_zero():
                 return {"ok": False, "relation": "newton-a", "n": m,
@@ -597,13 +572,14 @@ def wronski_modified(k, n, seed=0):
         sp = [s[0]] + ([s[1]] if n >= 1 else [])
         for i in range(2, n + 1):
             sp.append(s[i] + sp[i - 2] * g)
-        pp = [(ONE - mu * mu * qp(2)) / LAMBDA] + ([p[1]] if n >= 1 else [])
+        pp = ([(ONE - mu * mu * QScalar.q_power(2)) / LAMBDA]
+              + ([p[1]] if n >= 1 else []))
         for i in range(2, n + 1):
-            pp.append(p[i] + (qp(-2) * pp[i - 2] - p[i - 2]) * g)
+            pp.append(p[i] + (QScalar.q_power(-2) * pp[i - 2] - p[i - 2]) * g)
         for m in range(1, n + 1):
             lhs = ZERO
             for i in range(m):
-                lhs = lhs + qp(-i) * s[i] * pp[m - i]
+                lhs = lhs + QScalar.q_power(-i) * s[i] * pp[m - i]
             if not (lhs - q_int(m) * s[m]).is_zero():
                 return {"ok": False, "relation": "mod-n", "n": m,
                         "points": count,
@@ -632,12 +608,11 @@ def newton_closure(k, seed=0):
         for n in range(1, k + 1):
             acc = ZERO
             for i in range(n):
-                acc = acc + ((-qp(1)) ** i) * a[i] * p[n - i]
+                acc = acc + ((-Q) ** i) * a[i] * p[n - i]
             sign = ONE if n % 2 else -ONE
             gp = g
             for i in range(1, n // 2 + 1):
-                acc = acc + sign * (mu * qp(n - 2 * i)
-                                    - qp(1 - n + 2 * i)) * a[n - 2 * i] * gp
+                acc = acc + sign * _newton_coeff(mu, n, i) * a[n - 2 * i] * gp
                 gp = gp * g
             solved = sign * acc / q_int(n)
             if not (solved - a[n]).is_zero():
@@ -668,27 +643,29 @@ def parameterization_checks(k, seed=0):
     nu0 = SpectralRational.nu(k, 0)
     # w_1(+-q^{-1} nu_0) = q^{-2k} and w_2(0) = -q^{2-4k}, symbolically.
     for sgn, tag in ((ONE, "w1+"), (-ONE, "w1-")):
-        val = w_function(k, 1, nu0.scale(sgn * qp(-1)))
-        out[tag] = val == one.scale(qp(-2 * k))
+        val = w_function(k, 1, nu0.scale(sgn * QINV))
+        out[tag] = val == one.scale(QScalar.q_power(-2 * k))
     out["w2-zero"] = (w_function(k, 2, SpectralRational.constant(k, ZERO))
-                      == one.scale(-qp(2 - 4 * k)))
+                      == one.scale(-QScalar.q_power(2 - 4 * k)))
     # d_i = (nu_i^2 - q^-4 nu_0^2)/(nu_i^2 - q^-2 nu_0^2) * d-hat_i,
     # symbolically by cross-multiplication.
     ok = True
     for i in range(1, 2 * k + 1):
         nui = SpectralRational.nu(k, i)
-        ratio = ((nui * nui - (nu0 * nu0).scale(qp(-4)))
-                 / (nui * nui - (nu0 * nu0).scale(qp(-2))))
+        ratio = ((nui * nui - (nu0 * nu0).scale(QScalar.q_power(-4)))
+                 / (nui * nui - (nu0 * nu0).scale(QScalar.q_power(-2))))
         ok = ok and d_coefficient(k, i) == ratio * d_coefficient(k, i, hat=True)
     out["d-ratio"] = ok
     # Initial-condition targets, all in the symmetric q-integer convention.
-    init1 = (ONE - mu * mu * qp(2)) / LAMBDA
-    init2 = qp(-1 - 2 * k) * (q_int(2 * k + 1) - ONE)
-    out["init-1-closed"] = (init1 - qp(-2 * k) * q_int(2 * k)).is_zero()
-    out["init-2-closed"] = (init2 - (qp(1) - mu) * (qp(-1) + mu)
+    init1 = (ONE - mu * mu * QScalar.q_power(2)) / LAMBDA
+    init2 = QScalar.q_power(-1 - 2 * k) * (q_int(2 * k + 1) - ONE)
+    out["init-1-closed"] = (init1 - QScalar.q_power(-2 * k)
+                            * q_int(2 * k)).is_zero()
+    out["init-2-closed"] = (init2 - (Q - mu) * (QINV + mu)
                             / LAMBDA).is_zero()
-    out["w2-value-id"] = (-qp(2 - 4 * k)
-                          - (-qp(3) * (init2 - init1) - qp(2 - 2 * k))
+    out["w2-value-id"] = (-QScalar.q_power(2 - 4 * k)
+                          - (-QScalar.q_power(3) * (init2 - init1)
+                             - QScalar.q_power(2 - 2 * k))
                           ).is_zero()
     if k == 1:
         nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
@@ -701,8 +678,8 @@ def parameterization_checks(k, seed=0):
             dsum = dsum + di
             dhatsum = dhatsum + dhi
             wsum = wsum + nu[i] * (di - dhi)
-        out["init-1"] = dhatsum.scale(qp(-1)) == one.scale(init1)
-        out["init-2"] = dsum.scale(qp(-1)) == one.scale(init2)
+        out["init-1"] = dhatsum.scale(QINV) == one.scale(init1)
+        out["init-2"] = dsum.scale(QINV) == one.scale(init2)
         out["init-3"] = wsum.is_zero()
     else:
         count = _point_count(k, 2)
@@ -717,8 +694,8 @@ def parameterization_checks(k, seed=0):
             s2 = sum(dv[1:], ZERO)
             s3 = sum((nus[i] * (dv[i] - dh[i])
                       for i in range(1, 2 * k + 1)), ZERO)
-            ok1 = ok1 and (qp(-1) * s1 - init1).is_zero()
-            ok2 = ok2 and (qp(-1) * s2 - init2).is_zero()
+            ok1 = ok1 and (QINV * s1 - init1).is_zero()
+            ok2 = ok2 and (QINV * s2 - init2).is_zero()
             ok3 = ok3 and s3.is_zero()
         out["init-1"] = ok1
         out["init-2"] = ok2

@@ -17,6 +17,7 @@ import json
 from . import linalg
 from .domains import QQ, FpDomain
 from .scalar import scalar_from_text
+from .sparse import add_into, axpy_into
 
 
 class TensorOperator:
@@ -52,20 +53,8 @@ class TensorOperator:
         return TensorOperator(self.dom, self.dim, self.arity, dict(self.data))
 
     # -- basic structure -----------------------------------------------------
-    def set_entry(self, tin, tout, coeff):
-        if self.dom.is_zero(coeff):
-            self.data.pop((tin, tout), None)
-        else:
-            self.data[(tin, tout)] = coeff
-
     def add_to_entry(self, tin, tout, coeff):
-        key = (tin, tout)
-        cur = self.data.get(key)
-        s = coeff if cur is None else self.dom.add(cur, coeff)
-        if self.dom.is_zero(s):
-            self.data.pop(key, None)
-        else:
-            self.data[key] = s
+        add_into(self.data, (((tin, tout), coeff),), self.dom)
 
     def entry(self, tin, tout):
         return self.data.get((tin, tout), self.dom.zero())
@@ -84,16 +73,8 @@ class TensorOperator:
     # -- linear operations ---------------------------------------------------
     def __add__(self, other):
         assert self.arity == other.arity and self.dim == other.dim
-        dom = self.dom
-        data = dict(self.data)
-        for k, v in other.data.items():
-            cur = data.get(k)
-            s = v if cur is None else dom.add(cur, v)
-            if dom.is_zero(s):
-                data.pop(k, None)
-            else:
-                data[k] = s
-        return TensorOperator(dom, self.dim, self.arity, data)
+        data = add_into(dict(self.data), other.data.items(), self.dom)
+        return TensorOperator(self.dom, self.dim, self.arity, data)
 
     def __sub__(self, other):
         return self + (-other)
@@ -110,13 +91,6 @@ class TensorOperator:
         return TensorOperator(dom, self.dim, self.arity,
                               {k: dom.mul(c, v) for k, v in self.data.items()})
 
-    def scale_right(self, c):
-        dom = self.dom
-        if dom.is_zero(c):
-            return TensorOperator(dom, self.dim, self.arity, {})
-        return TensorOperator(dom, self.dim, self.arity,
-                              {k: dom.mul(v, c) for k, v in self.data.items()})
-
     # -- composition ---------------------------------------------------------
     def __matmul__(self, other):
         """Operator product self . other (apply other first)."""
@@ -128,17 +102,9 @@ class TensorOperator:
         data = {}
         for (bin_, bmid), bc in other.data.items():
             hits = by_in.get(bmid)
-            if not hits:
-                continue
-            for aout, ac in hits:
-                key = (bin_, aout)
-                v = dom.mul(ac, bc)
-                cur = data.get(key)
-                s = v if cur is None else dom.add(cur, v)
-                if dom.is_zero(s):
-                    data.pop(key, None)
-                else:
-                    data[key] = s
+            if hits:
+                axpy_into(data, (((bin_, aout), ac) for aout, ac in hits),
+                          bc, dom)
         return TensorOperator(dom, self.dim, self.arity, data)
 
     # -- embeddings and traces -----------------------------------------------
@@ -162,20 +128,12 @@ class TensorOperator:
 
     def partial_trace(self, pos):
         """Plain trace over 1-based factor pos; arity drops by one."""
-        dom = self.dom
         i = pos - 1
-        data = {}
-        for (tin, tout), c in self.data.items():
-            if tin[i] != tout[i]:
-                continue
-            key = (tin[:i] + tin[i + 1:], tout[:i] + tout[i + 1:])
-            cur = data.get(key)
-            s = c if cur is None else dom.add(cur, c)
-            if dom.is_zero(s):
-                data.pop(key, None)
-            else:
-                data[key] = s
-        return TensorOperator(dom, self.dim, self.arity - 1, data)
+        traced = (((tin[:i] + tin[i + 1:], tout[:i] + tout[i + 1:]), c)
+                  for (tin, tout), c in self.data.items()
+                  if tin[i] == tout[i])
+        data = add_into({}, traced, self.dom)
+        return TensorOperator(self.dom, self.dim, self.arity - 1, data)
 
     def r_trace(self, d_op, pos):
         """Trace over factor pos twisted by the arity-1 operator D."""
@@ -224,18 +182,6 @@ class TensorOperator:
 def matrix_unit(dom, dim, i, j):
     """E_ij as an arity-1 operator (maps basis vector j to i); 0-based."""
     return TensorOperator(dom, dim, 1, {((j,), (i,)): dom.one()})
-
-
-def operator_from_matrix(dom, entries):
-    """Arity-1 operator from a dense matrix entries[i][j] (row=out, col=in)."""
-    dim = len(entries)
-    data = {}
-    for i in range(dim):
-        for j in range(dim):
-            c = entries[i][j]
-            if not dom.is_zero(c):
-                data[((j,), (i,))] = c
-    return TensorOperator(dom, dim, 1, data)
 
 
 def matrix_from_operator(x):
@@ -304,14 +250,6 @@ def solve_skew_inverse(r_op):
             # M(Psi)[(r1,r2)][(c1,c2)] = Psi^(r1 c2)_(r2 c1)
             data[((r2, c1), (r1, c2))] = c
     return TensorOperator(dom, dim, 2, data)
-
-
-def skew_trace_ops(r_op, psi):
-    """D_R = Tr_(2) Psi and the inverse-side trace (Tr_(1) Psi)^(-1)."""
-    d_r = psi.partial_trace(2)
-    tr1 = psi.partial_trace(1)
-    d_rinv = invert_arity1(tr1)
-    return d_r, d_rinv
 
 
 def verify_skew_inverse(r_op, psi):

@@ -131,6 +131,14 @@ def test_prime_count_env(capsys, monkeypatch):
     assert reports[0]["parameters"]["primes"] == 4
 
 
+def test_primes_flag_sets_ch_points(capsys):
+    code, reports, _ = run_json(capsys, ["qma", "--k", "2", "--verify", "ch",
+                                         "--primes", "4", "--json"])
+    assert code == 0
+    assert reports[0]["parameters"]["primes"] == 4
+    assert reports[0]["witness"] == "points:4"
+
+
 def _exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)

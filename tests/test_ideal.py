@@ -198,6 +198,18 @@ def test_modular_non_member(ideal2):
     assert cert.status == "non-member"
 
 
+def test_modular_prime_count_validated(rtt2, ideal2, monkeypatch):
+    entry = rtt2.ch_identity(1).rows[0][0]
+    monkeypatch.setenv("QCH_PRIME_COUNT", "x")
+    with pytest.raises(ValueError, match="QCH_PRIME_COUNT"):
+        ideal2.membership(entry, mode="modular")
+    monkeypatch.setenv("QCH_PRIME_COUNT", "4")
+    assert len(ideal2.membership(entry, mode="modular").points) >= 4
+    for count in (1, 2):
+        with pytest.raises(ValueError, match="min_points"):
+            ideal2.membership(entry, mode="modular", min_points=count)
+
+
 def test_membership_family(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
     cert = ideal2.membership_family(lambda pt: entry.reduce_at(pt), 2, seed=9)
