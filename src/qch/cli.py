@@ -10,8 +10,9 @@ import time
 from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
-from .domains import QQ
-from .ideal import MIN_PRIME_COUNT, QuadraticIdeal, modular_bound, prime_count
+from .domains import QQ, SpanDomain
+from .ideal import (MIN_PRIME_COUNT, MembershipCertificate, MixedVerdictError,
+                    QuadraticIdeal, modular_bound, prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 from .scalar import sample_points
@@ -135,16 +136,55 @@ def _algebra(k, pair):
     return AlgebraContext(r, f, label=f"sp{2 * k}-{pair}")
 
 
-def _membership_report(name, params, ideal, qmat, seed, primes):
-    def run():
-        cert = ideal.membership_matrix(qmat, seed=seed, witness=True,
-                                       min_points=primes)
-        if not cert.is_member:
-            return "fail", cert.detail or cert.status, None, cert.bound
-        if cert.kind in ("exact", "trivial"):
-            return "pass", "0", f"witness:{len(cert.witness or [])} terms", None
-        return "probable-pass", "0", f"points:{len(cert.points)}", cert.bound
-    return _timed(name, params, run)
+def _certificate_verdict(cert):
+    """(status, failure bound) of a membership certificate: an exact
+    member passes, a modular one probably passes with its bound."""
+    if not cert.is_member:
+        return "fail", cert.bound
+    if cert.kind == "exact":
+        return "pass", None
+    return "probable-pass", cert.bound
+
+
+def _identity_certificate(ideal, ctx, build, degree, seed, primes):
+    """Membership of every entry of the matrix identity build(ctx) of the
+    given degree; None when it is 0 in the free algebra.
+
+    When the verdict will be modular (`QuadraticIdeal.needs_modular`) the
+    identity is built evaluate-first: only at the prime points, with its
+    degree, coefficient span and nonzero entries bounded by one SpanDomain
+    build.  Mixed modular verdicts fall back to the exact build.
+    """
+    if ideal.needs_modular(degree):
+        shape = [p for p in build(ctx.over(SpanDomain())).entries() if p]
+        if shape:
+            try:
+                return ideal.membership_family(
+                    lambda pt: build(ctx.at_point(pt)),
+                    max(p.degree() for p in shape),
+                    max(c.degree_span() for p in shape
+                        for c in p.terms.values()),
+                    entries=len(shape), seed=seed, min_points=primes)
+            except MixedVerdictError:
+                pass
+    mat = build(ctx)
+    if mat.is_zero():
+        return None
+    return ideal.membership_matrix(mat, seed=seed, witness=True,
+                                   min_points=primes)
+
+
+def _recursion_residuals(ctx):
+    """(label, residual matrix) of each descendant recursion and
+    expansion checked by qma.recursions."""
+    for m in (0, 1, 2):
+        for i in (0, 1):
+            for res in ctx.recursion_residuals(m, i):
+                yield f"recursion m={m} i={i}", res
+    for m, i in ((-1, 1), (0, 2)):
+        yield f"expansion-a m={m} i={i}", ctx.expansion_residual_a(m, i)
+    for m, i in ((1, 1), (2, 2)):
+        yield f"expansion-b m={m} i={i}", ctx.expansion_residual_b(m, i)
 
 
 def run_qma(k, pair, verify, primes, seed):
@@ -155,20 +195,31 @@ def run_qma(k, pair, verify, primes, seed):
     reports = []
     if "parent" in verify:
         def run_parent():
-            pmat = ctx.parent_identity(k)
-            if pmat.is_zero():
+            cert = _identity_certificate(
+                ideal, ctx, lambda c: c.parent_identity(k), k, seed, primes)
+            if cert is None:
                 return "pass", "0 (free algebra)", None, None
-            cert = ideal.membership_matrix(pmat, seed=seed, witness=True,
-                                           min_points=primes)
-            if cert.is_member and cert.kind == "exact":
-                return "pass", "0", f"witness:{len(cert.witness or [])}", None
-            if cert.is_member:
-                return "probable-pass", "0", None, cert.bound
-            return "fail", cert.detail or cert.status, None, cert.bound
+            status, bound = _certificate_verdict(cert)
+            if status == "fail":
+                return status, cert.detail or cert.status, None, bound
+            witness = (f"witness:{len(cert.witness or [])}"
+                       if status == "pass" else None)
+            return status, "0", witness, bound
         reports.append(_timed("qma.parent", params, run_parent))
     if "ch" in verify:
-        reports.append(_membership_report(
-            "qma.ch", params, ideal, ctx.ch_identity(k), seed, primes))
+        def run_ch():
+            cert = _identity_certificate(
+                ideal, ctx, lambda c: c.ch_identity(k), 2 * k, seed, primes)
+            if cert is None:
+                return "pass", "0 (free algebra)", None, None
+            status, bound = _certificate_verdict(cert)
+            if status == "fail":
+                return status, cert.detail or cert.status, None, bound
+            if status == "pass":
+                return (status, "0",
+                        f"witness:{len(cert.witness or [])} terms", None)
+            return status, "0", f"points:{len(cert.points)}", bound
+        reports.append(_timed("qma.ch", params, run_ch))
     if "cutting" in verify:
         def run_cutting():
             if not ctx.boundary_a(k + 1).is_zero():
@@ -181,27 +232,17 @@ def run_qma(k, pair, verify, primes, seed):
         reports.append(_timed("qma.cutting", params, run_cutting))
     if "recursions" in verify:
         def run_recursions():
-            for m in (0, 1, 2):
-                for i in (0, 1):
-                    for res in ctx.recursion_residuals(m, i):
-                        cert = ideal.membership_matrix(res, seed=seed,
-                                                       min_points=primes)
-                        if not cert.is_member:
-                            return ("fail", f"recursion m={m} i={i}: "
-                                    f"{cert.status}", None, cert.bound)
-            for m, i in ((-1, 1), (0, 2)):
-                cert = ideal.membership_matrix(ctx.expansion_residual_a(m, i),
-                                               seed=seed, min_points=primes)
+            certs = []
+            for label, res in _recursion_residuals(ctx):
+                cert = ideal.membership_matrix(res, seed=seed,
+                                               min_points=primes)
                 if not cert.is_member:
-                    return ("fail", f"expansion-a m={m} i={i}", None,
+                    return ("fail", f"{label}: {cert.status}", None,
                             cert.bound)
-            for m, i in ((1, 1), (2, 2)):
-                cert = ideal.membership_matrix(ctx.expansion_residual_b(m, i),
-                                               seed=seed, min_points=primes)
-                if not cert.is_member:
-                    return ("fail", f"expansion-b m={m} i={i}", None,
-                            cert.bound)
-            return "pass", "0", None, None
+                certs.append(cert)
+            status, bound = _certificate_verdict(
+                MembershipCertificate.union(certs))
+            return status, "0", None, bound
         reports.append(_timed("qma.recursions", params, run_recursions))
     return reports
 
@@ -390,6 +431,8 @@ def _validate(args, parser):
         parser.error("--samples must be >= 1")
     if getattr(args, "degree", 2) < 2:
         parser.error("--degree must be >= 2")
+    if getattr(args, "max_n", 2) < 2:
+        parser.error("--max-n must be >= 2")
     if getattr(args, "primes", None) is not None \
             and args.primes < MIN_PRIME_COUNT:
         parser.error(f"--primes must be >= {MIN_PRIME_COUNT}")

@@ -1,16 +1,26 @@
-"""Coefficient domains: the exact field Q(q) and prime fields at a point.
+"""Coefficient domains: the exact field Q(q), prime fields at a point, and
+degree-span bounds.
 
 Every higher layer (tensor operators, noncommutative polynomials, the
 elimination routines) is generic over this small protocol, so the same
 construction code runs exactly over Q(q) or fast over F_p at a PrimePoint.
 Their sparse sums and products all go through the one kernel in
 `qch.sparse`, which reaches coefficients only through a domain.
+
+SpanDomain runs the same construction code once more to bound, without
+computing them, the Laurent degree spans of the exact Q(q) coefficients.
+That bound is the candidate degree of a modular verdict whose candidate is
+only ever built at prime points.  Its elements cannot decide equality, so
+it cannot pivot: objects that need elimination are built over Q(q) first
+(`can_pivot` below).
 """
 
 from __future__ import annotations
 
+import itertools
+
 from . import scalar
-from .scalar import QScalar
+from .scalar import InadmissiblePointError
 
 
 class QDomain:
@@ -18,6 +28,7 @@ class QDomain:
 
     name = "Q(q)"
     exact = True
+    can_pivot = True
     point = None
 
     def zero(self):
@@ -28,9 +39,6 @@ class QDomain:
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def is_one(self, a):
-        return a.is_one()
 
     def add(self, a, b):
         return a + b
@@ -50,9 +58,6 @@ class QDomain:
     def from_scalar(self, a):
         return a
 
-    def from_int(self, n):
-        return QScalar.from_int(n)
-
     def to_text(self, a):
         return scalar.scalar_to_text(a)
 
@@ -61,6 +66,7 @@ class FpDomain:
     """F_p with q evaluated at a PrimePoint; elements are plain ints."""
 
     exact = False
+    can_pivot = True
 
     def __init__(self, point):
         self.point = point
@@ -76,9 +82,6 @@ class FpDomain:
     def is_zero(self, a):
         return a == 0
 
-    def is_one(self, a):
-        return a == 1
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -92,18 +95,135 @@ class FpDomain:
         return a * b % self.p
 
     def inv(self, a):
+        # a pivot that is nonzero over Q(q) but vanishes here: the point
+        # is not admissible for this computation
         if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in " + self.name)
+            raise InadmissiblePointError("inverse of 0 in " + self.name)
         return pow(a, -1, self.p)
 
     def from_scalar(self, a):
         return self.point.reduce(a)
 
-    def from_int(self, n):
-        return n % self.p
-
     def to_text(self, a):
         return str(a)
+
+
+class Span:
+    """An upper bound on an element x of Q(q), not x itself.
+
+    x = N / D, where N is a Laurent polynomial with exponents in [lo, hi]
+    and D is, up to a constant, the product of the denominator atoms raised
+    to their multiplicities.  An atom is a polynomial with a nonzero
+    constant term, keyed (degree bound, identity); `den` is the degree
+    bound of D.
+    """
+
+    __slots__ = ("lo", "hi", "atoms", "den")
+
+    def __init__(self, lo, hi, atoms, den):
+        self.lo = lo
+        self.hi = hi
+        self.atoms = atoms
+        self.den = den
+
+    def degree_span(self):
+        """At least the `degree_span()` of the canonical form of x: the
+        canonical numerator divides q^s N and the denominator q^t D."""
+        return max(self.hi - self.lo, self.den)
+
+    def __repr__(self):
+        return f"Span([{self.lo}, {self.hi}], den {self.den})"
+
+
+# the structural zero: the only element known to be 0
+SPAN_ZERO = Span(0, 0, {}, 0)
+SPAN_ONE = Span(0, 0, {}, 0)
+
+
+class SpanDomain:
+    """Degree-span bounds of Q(q) values (see `Span`).
+
+    Sums take each atom's larger multiplicity, a common multiple of the two
+    denominators, and widen the numerator range by the cofactors; products
+    add ranges and multiplicities; an inverse makes its numerator a fresh
+    atom.  Negation changes no bound, and only the structural zero is zero,
+    so a sum that cancels over Q(q) stays a (valid, loose) bound here.
+    """
+
+    name = "span"
+    exact = False
+    can_pivot = False
+
+    def __init__(self):
+        self._fresh = itertools.count()
+
+    def zero(self):
+        return SPAN_ZERO
+
+    def one(self):
+        return SPAN_ONE
+
+    def is_zero(self, a):
+        return a is SPAN_ZERO
+
+    def add(self, a, b):
+        if a is SPAN_ZERO:
+            return b
+        if b is SPAN_ZERO:
+            return a
+        if a.atoms == b.atoms:
+            return Span(min(a.lo, b.lo), max(a.hi, b.hi), a.atoms, a.den)
+        atoms = dict(a.atoms)
+        for key, m in b.atoms.items():
+            if atoms.get(key, 0) < m:
+                atoms[key] = m
+        den = sum(key[0] * m for key, m in atoms.items())
+        # N_a * (D / D_a) + N_b * (D / D_b): each cofactor is a polynomial
+        # of degree at most den - den_a (den - den_b)
+        return Span(min(a.lo, b.lo),
+                    max(a.hi + den - a.den, b.hi + den - b.den), atoms, den)
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        if a is SPAN_ZERO or b is SPAN_ZERO:
+            return SPAN_ZERO
+        if not b.atoms:
+            atoms = a.atoms
+        elif not a.atoms:
+            atoms = b.atoms
+        else:
+            atoms = dict(a.atoms)
+            for key, m in b.atoms.items():
+                atoms[key] = atoms.get(key, 0) + m
+        return Span(a.lo + b.lo, a.hi + b.hi, atoms, a.den + b.den)
+
+    def inv(self, a):
+        """1/x = D q^-e / N1 with N = q^e N1, N1(0) != 0, lo <= e and
+        e + deg N1 <= hi; N1 becomes a fresh atom of degree <= hi - lo."""
+        if a is SPAN_ZERO:
+            raise ZeroDivisionError("inverse of the structural zero")
+        width = a.hi - a.lo
+        atoms = {(width, next(self._fresh)): 1} if width else {}
+        return Span(-a.hi, a.den - a.lo, atoms, width)
+
+    def from_scalar(self, a):
+        if a.is_zero():
+            return SPAN_ZERO
+        # x = num / den with den = q^t d0 and d0(0) != 0
+        t = min(a.den)
+        num_lo, num_hi = min(a.num) - t, max(a.num) - t
+        width = max(a.den) - t
+        if not width:
+            return Span(num_lo, num_hi, {}, 0)
+        key = (width, tuple(sorted((e - t, c) for e, c in a.den.items())))
+        return Span(num_lo, num_hi, {key: 1}, width)
+
+    def to_text(self, a):
+        return repr(a)
 
 
 QQ = QDomain()

@@ -18,16 +18,13 @@ import os
 
 from .domains import FpDomain
 from .linalg import Echelon
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, QMatrix
 from .scalar import InadmissiblePointError, sample_points
 
 FAILURE_TARGET = 1e-12
 DEFAULT_PRIME_COUNT = 3
 # fewest prime points a modular verdict may rest on
 MIN_PRIME_COUNT = 3
-# conservative Laurent degree span assumed for candidate coefficients
-# when the candidate is only available modulo a prime
-DEFAULT_CANDIDATE_SPAN = lambda d: 80 * (d + 1)
 
 
 def prime_count():
@@ -110,6 +107,27 @@ class MembershipCertificate:
     @property
     def is_member(self):
         return self.status in ("member", "probable-member")
+
+    @staticmethod
+    def union(certs):
+        """One certificate for the conjunction of certs (say, the entries
+        of a matrix): the first non-member if there is one, else the
+        weakest kind with the sum of the failure bounds and every point
+        sampled.  The witness is the last certificate's."""
+        points, bound = {}, None
+        for cert in certs:
+            if not cert.is_member:
+                return cert
+            if cert.kind == "modular":
+                bound = (bound or 0.0) + cert.bound
+                for pt in cert.points:
+                    points.setdefault((pt.p, pt.qhat), pt)
+        witness = certs[-1].witness if certs else []
+        if bound is None:
+            return MembershipCertificate("member", "exact", witness=witness)
+        return MembershipCertificate("probable-member", "modular",
+                                     points=list(points.values()),
+                                     witness=witness, bound=bound)
 
     def __repr__(self):
         extra = f", bound={self.bound:.3g}" if self.bound is not None else ""
@@ -311,12 +329,20 @@ class QuadraticIdeal:
         return self._points[key]
 
     # -- membership ----------------------------------------------------------------
+    def needs_modular(self, degree):
+        """Whether membership in this degree is decided at prime points
+        (mode "auto"): exact elimination is kept to degree <= 2 or
+        dim <= 2."""
+        return degree > 2 and self.dim > 2
+
     def membership(self, p, mode="auto", seed=0, witness=False,
-                   min_points=None, candidate_span=None, use_rewrite=True):
+                   min_points=None, candidate_span=None, use_rewrite=True,
+                   target=FAILURE_TARGET):
         """Decide p ∈ ideal.  Inhomogeneous p splits into graded parts.
 
-        mode: exact | modular | auto (exact for degree <= 2 or dim <= 2
-        over an exact domain, else modular).
+        mode: exact | modular | auto (exact over an exact domain unless
+        `needs_modular`).  A modular verdict samples points until its
+        failure bound is at most target (or 12 points are used).
         """
         if p.is_zero():
             return MembershipCertificate("member", "exact", witness=[])
@@ -327,7 +353,7 @@ class QuadraticIdeal:
                 "non-member", "exact", residual=parts[min(low)],
                 detail="nonzero part of degree < 2")
         if mode == "auto":
-            exact_ok = self.dom.exact and (max(parts) <= 2 or self.dim <= 2)
+            exact_ok = self.dom.exact and not self.needs_modular(max(parts))
             mode = "exact" if exact_ok else "modular"
         if mode == "exact":
             if not self.dom.exact:
@@ -338,22 +364,29 @@ class QuadraticIdeal:
                 lambda pt: p.reduce_at(pt), max(parts), seed=seed,
                 min_points=min_points,
                 candidate_span=candidate_span or self._poly_span(p),
-                use_rewrite=use_rewrite)
+                use_rewrite=use_rewrite, target=target)
         except MixedVerdictError:
             if not self.dom.exact:
                 raise
             return self._membership_exact(parts, witness, use_rewrite)
 
-    def membership_family(self, candidate_at, degree, seed=0,
-                          min_points=None, candidate_span=None,
+    def membership_family(self, candidate_at, degree, candidate_span,
+                          entries=1, seed=0, min_points=None,
                           use_rewrite=True):
-        """Modular membership for a candidate only constructible at a
-        point; candidate_at(pt) must be the reduction of one fixed
-        exact polynomial of the stated maximal degree."""
+        """Modular membership of a candidate that is only built at points.
+
+        candidate_at(pt) is the reduction at pt of one fixed exact
+        polynomial, or of every entry of one fixed exact QMatrix, built
+        once per point.  The caller vouches for the exact candidate: its
+        maximal degree, a bound on the Laurent degree span of its
+        coefficients (say, from a SpanDomain build) and the number of its
+        nonzero entries.  The failure bound is a union bound over those
+        entries, and points are added while it exceeds FAILURE_TARGET.
+        """
         return self._membership_modular(
             candidate_at, degree, seed=seed, min_points=min_points,
-            candidate_span=candidate_span or DEFAULT_CANDIDATE_SPAN(degree),
-            use_rewrite=use_rewrite)
+            candidate_span=candidate_span, use_rewrite=use_rewrite,
+            entries=entries)
 
     def _split_blocks(self, part):
         blocks = {}
@@ -397,23 +430,26 @@ class QuadraticIdeal:
         return 8 * self.dim + 8
 
     def _vanishes_at(self, pt, candidate_at, use_rewrite):
+        """Whether every entry of the candidate lies in the ideal at pt."""
         ideal_p = self.at_point(pt)
-        p_p = candidate_at(pt)
-        residual_blocks = 0
-        for d, part in p_p.graded_parts().items():
-            if use_rewrite:
-                try:
-                    part = ideal_p.normal_order(part)
-                except BudgetError:
-                    pass
-                if part.is_zero():
-                    continue
-            for block, terms in sorted(ideal_p._split_blocks(part).items()):
-                ech, _, _ = ideal_p.component(d, block)
-                row = {ideal_p.word_key(w): c for w, c in terms.items()}
-                if ech.reduce(row):
-                    residual_blocks += 1
-        return residual_blocks == 0
+        cand = candidate_at(pt)
+        polys = cand.entries() if isinstance(cand, QMatrix) else (cand,)
+        for p_p in polys:
+            for d, part in p_p.graded_parts().items():
+                if use_rewrite:
+                    try:
+                        part = ideal_p.normal_order(part)
+                    except BudgetError:
+                        pass
+                    if part.is_zero():
+                        continue
+                for block, terms in sorted(
+                        ideal_p._split_blocks(part).items()):
+                    ech, _, _ = ideal_p.component(d, block)
+                    row = {ideal_p.word_key(w): c for w, c in terms.items()}
+                    if ech.reduce(row):
+                        return False
+        return True
 
     def _degree_dmax(self, degree, candidate_span):
         """Largest per-block sum of relation coefficient spans, plus the
@@ -449,7 +485,8 @@ class QuadraticIdeal:
         raise IdealError("could not collect enough admissible points")
 
     def _membership_modular(self, candidate_at, degree, seed, min_points,
-                            candidate_span, use_rewrite):
+                            candidate_span, use_rewrite, entries=1,
+                            target=FAILURE_TARGET):
         want = prime_count() if min_points is None else min_points
         if want < MIN_PRIME_COUNT:
             raise ValueError(
@@ -459,14 +496,14 @@ class QuadraticIdeal:
             used = set()
             pts, verdicts = self._collect_verdicts(
                 candidate_at, use_rewrite, want, seed + 104729 * batch, used)
-            while (modular_bound(pts, d_max) > FAILURE_TARGET
+            while (entries * modular_bound(pts, d_max) > target
                    and len(pts) < 12):
                 more_p, more_v = self._collect_verdicts(
                     candidate_at, use_rewrite, 1,
                     seed + 104729 * batch + 31 * len(pts), used)
                 pts += more_p
                 verdicts += more_v
-            bound = modular_bound(pts, d_max)
+            bound = entries * modular_bound(pts, d_max)
             if all(verdicts):
                 return MembershipCertificate("probable-member", "modular",
                                              points=pts, bound=bound)
@@ -477,15 +514,17 @@ class QuadraticIdeal:
         raise MixedVerdictError("membership undecided: mixed modular verdicts")
 
     def membership_matrix(self, qmat, **kw):
-        """Entrywise membership; returns the first failing certificate or
-        the last success."""
-        cert = MembershipCertificate("member", "exact", witness=[])
-        for row in qmat.rows:
-            for p in row:
-                cert = self.membership(p, **kw)
-                if not cert.is_member:
-                    return cert
-        return cert
+        """Entrywise membership, as one `MembershipCertificate.union`.
+        Each nonzero entry gets an equal share of FAILURE_TARGET, so the
+        union bound stays below it."""
+        polys = qmat.entries()
+        target = FAILURE_TARGET / max(sum(1 for p in polys if p), 1)
+        certs = []
+        for p in polys:
+            certs.append(self.membership(p, target=target, **kw))
+            if not certs[-1].is_member:
+                break
+        return MembershipCertificate.union(certs)
 
     def __repr__(self):
         return (f"QuadraticIdeal({self.label or 'unnamed'}, dim={self.dim}, "

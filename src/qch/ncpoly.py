@@ -194,9 +194,6 @@ class NCDomain:
     def is_zero(self, p):
         return p.is_zero()
 
-    def is_one(self, p):
-        return p.terms == {(): self.base.one()}
-
     def add(self, a, b):
         return a + b
 
@@ -216,9 +213,6 @@ class NCDomain:
 
     def from_scalar(self, s):
         return NCPoly.constant(self.base, self.base.from_scalar(s))
-
-    def from_int(self, n):
-        return NCPoly.constant(self.base, self.base.from_int(n))
 
     def to_text(self, p):
         return p.to_text()
@@ -309,6 +303,10 @@ class QMatrix:
 
     def map_entries(self, fn):
         return QMatrix(self.dom, [[fn(x) for x in row] for row in self.rows])
+
+    def map_coefficients(self, dom, fn):
+        return QMatrix(dom, [[x.map_coefficients(dom, fn) for x in row]
+                             for row in self.rows])
 
     def entries(self):
         return [x for row in self.rows for x in row]

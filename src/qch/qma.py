@@ -13,9 +13,10 @@ to the ideal module for membership testing.
 from __future__ import annotations
 
 from . import tensor
+from .domains import FpDomain
 from .ncpoly import NCDomain, NCPoly, QMatrix
 from .rmatrix import (GuardError, antisymmetrizer_tower, check_compatible,
-                      compute_g_operator, twist)
+                      compute_g_operator, map_operator, twist)
 from .scalar import LAMBDA, Q, QINV, QScalar, q_int
 from .sparse import axpy_into
 from .tensor import TensorOperator
@@ -29,7 +30,7 @@ class AlgebraContext:
     `custom`.
     """
 
-    def __init__(self, r_ctx, f_ctx, label="", certify=True):
+    def __init__(self, r_ctx, f_ctx, label="", certify=True, pair=None):
         if f_ctx.dim != r_ctx.dim:
             raise ValueError("pair dimensions differ")
         self.r_ctx = r_ctx
@@ -42,7 +43,7 @@ class AlgebraContext:
             cert = check_compatible(r_ctx, f_ctx)
             if not cert.ok:
                 raise GuardError(f"incompatible pair: {cert.failures()}")
-        self.pair = self._pair_tag()
+        self.pair = pair or self._pair_tag()
         self._nc_ops = {}
         self._mbar = {}
         self._chain = {}
@@ -522,10 +523,31 @@ class AlgebraContext:
         conj = g_inv_mat @ nmat @ g_mat
         return nmat.mul_poly_right(self.g) - conj.mul_poly_left(self.g)
 
+    def over(self, dom, label=None):
+        """The same algebra with every scalar mapped into dom.
+
+        A domain that cannot pivot first gets the objects that need
+        elimination built over Q(q): those of both R-matrix contexts, the
+        twisted trace operator and G, G^-1.
+        """
+        if not dom.can_pivot:
+            # d_rf is a property: reading it builds and caches it
+            self.d_rf, self.g_conjugators()
+        r_ctx = self.r_ctx.over(dom)
+        f_ctx = r_ctx if self.f_ctx is self.r_ctx else self.f_ctx.over(dom)
+        ctx = AlgebraContext(r_ctx, f_ctx,
+                             label=label or f"{self.label} over {dom.name}",
+                             certify=False, pair=self.pair)
+        if self._d_rf is not None:
+            ctx._d_rf = map_operator(self._d_rf, dom)
+        if self._g_pair is not None:
+            ctx._g_pair = tuple(m.map_coefficients(dom, dom.from_scalar)
+                                for m in self._g_pair)
+        return ctx
+
     def at_point(self, pt):
         """The same algebra with every scalar reduced at a prime point."""
-        return AlgebraContext(self.r_ctx.at_point(pt), self.f_ctx.at_point(pt),
-                              label=f"{self.label} @ {pt!r}", certify=False)
+        return self.over(FpDomain(pt), label=f"{self.label} @ {pt!r}")
 
     def __repr__(self):
         return (f"AlgebraContext({self.label}, pair={self.pair}, "

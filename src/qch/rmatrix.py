@@ -10,7 +10,7 @@ antisymmetrizer tower degenerates).
 from __future__ import annotations
 
 from . import tensor
-from .domains import QQ
+from .domains import QQ, FpDomain
 from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
 from .tensor import TensorOperator
 
@@ -122,19 +122,36 @@ class RMatrixContext:
         """R-trace over the given 1-based factors of x."""
         return x.r_trace_many(self.d_r, positions)
 
-    def at_point(self, pt):
-        """The same context with all operators reduced at a prime point."""
-        ctx = RMatrixContext(self.r.reduce_at(pt), self.mu_scalar,
-                             label=f"{self.label} @ {pt!r}",
+    def over(self, dom, label=None):
+        """The same context with every operator mapped into dom.
+
+        Operators already built are mapped, the rest are built over dom
+        when used.  A domain that cannot pivot first gets the ones that
+        need elimination (R^-1, Psi, D_R, D_{R^-1}) built here.
+        """
+        if not dom.can_pivot:
+            # properties: reading them builds and caches them over Q(q)
+            self.r_inv, self.d_r, self.d_rinv
+        ctx = RMatrixContext(map_operator(self.r, dom), self.mu_scalar,
+                             label=label or f"{self.label} over {dom.name}",
                              height_hint=self.height_hint)
         for attr in ("_r_inv", "_k_op", "_psi", "_d_r", "_d_rinv"):
             cached = getattr(self, attr)
             if cached is not None:
-                setattr(ctx, attr, cached.reduce_at(pt))
+                setattr(ctx, attr, map_operator(cached, dom))
         return ctx
+
+    def at_point(self, pt):
+        """The same context with all operators reduced at a prime point."""
+        return self.over(FpDomain(pt), label=f"{self.label} @ {pt!r}")
 
     def __repr__(self):
         return f"RMatrixContext({self.label or 'unnamed'}, dim={self.dim})"
+
+
+def map_operator(op, dom):
+    """op with each exact coefficient sent into dom."""
+    return op.map_coefficients(dom, dom.from_scalar)
 
 
 def contractor(ctx):

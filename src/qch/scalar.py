@@ -237,9 +237,6 @@ class QScalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == {0: 1} and self.den == {0: 1}
-
     def __bool__(self):
         return bool(self.num)
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qch import cli
+from qch.ideal import MembershipCertificate, QuadraticIdeal
 
 
 def run_json(capsys, argv):
@@ -174,3 +175,30 @@ def test_human_table_summary(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "2/2 checks passed" in out.splitlines()[-1]
+
+
+def test_spectral_max_n_below_2_exit_2(capsys):
+    for value in ("-1", "0", "1"):
+        code, err = _exit_code(["spectral", "--k", "1", "--max-n", value],
+                               capsys)
+        assert code == 2
+        assert "--max-n must be >= 2" in err
+
+
+def test_recursions_report_modular_certificates(capsys, monkeypatch):
+    code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
+                                         "recursions", "--json"])
+    assert code == 0
+    assert reports[0]["status"] == "pass"
+    assert "failure_bound" not in reports[0]
+
+    def modular(self, qmat, **kw):
+        return MembershipCertificate("probable-member", "modular",
+                                     points=[], bound=1e-20)
+    monkeypatch.setattr(QuadraticIdeal, "membership_matrix", modular)
+    code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
+                                         "recursions", "--json"])
+    assert code == 0
+    # 12 recursion residuals and 4 expansion residuals, one bound each
+    assert reports[0]["status"] == "probable-pass"
+    assert reports[0]["failure_bound"] == pytest.approx(16e-20, rel=1e-12, abs=0)

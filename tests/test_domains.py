@@ -1,0 +1,99 @@
+"""Coefficient domains: SpanDomain bounds and F_p pivots at a point."""
+from __future__ import annotations
+
+import pytest
+
+from qch.domains import QQ, FpDomain, SpanDomain
+from qch.ideal import QuadraticIdeal
+from qch.qma import AlgebraContext
+from qch.rmatrix import build_standard_sp, flip_context
+from qch.scalar import (InadmissiblePointError, PrimePoint, QScalar,
+                        sample_points)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+
+def leaves():
+    laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                              min_size=1, max_size=3)
+    return st.tuples(laurent, laurent).map(
+        lambda nd: QScalar(nd[0], nd[1]) if any(nd[1].values())
+        else QScalar.laurent(nd[0]))
+
+
+# an expression tree: a leaf, or (op, subtree[, subtree])
+trees = st.recursive(
+    leaves(),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("inv"), sub)),
+    max_leaves=10)
+
+
+def evaluate(tree, dom):
+    """(exact value, value in dom) of an expression tree."""
+    if isinstance(tree, QScalar):
+        return tree, dom.from_scalar(tree)
+    op, *args = tree
+    vals = [evaluate(a, dom) for a in args]
+    if op == "inv":
+        (x, s), = vals
+        hypothesis.assume(not x.is_zero())
+        return x.inv(), dom.inv(s)
+    (x, s), (y, t) = vals
+    if op == "+":
+        return x + y, dom.add(s, t)
+    if op == "-":
+        return x - y, dom.sub(s, t)
+    return x * y, dom.mul(s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_span_bounds_exact_degree_span(tree):
+    dom = SpanDomain()
+    exact, bound = evaluate(tree, dom)
+    assert bound.degree_span() >= exact.degree_span()
+    assert exact.is_zero() or not dom.is_zero(bound)
+
+
+def test_span_structural_zero():
+    dom = SpanDomain()
+    x = dom.from_scalar(QScalar.laurent({1: 1, 3: 2}))
+    assert dom.is_zero(dom.from_scalar(QScalar.from_int(0)))
+    assert dom.is_zero(dom.mul(x, dom.zero()))
+    # a sum that cancels over Q(q) is still a bound, not a zero
+    assert not dom.is_zero(dom.sub(x, x))
+    assert dom.sub(x, x).degree_span() >= 0
+    with pytest.raises(ZeroDivisionError):
+        dom.inv(dom.zero())
+
+
+def test_fp_zero_pivot_is_inadmissible_point():
+    dom = FpDomain(PrimePoint(7, 3, 1))
+    assert dom.inv(3) * 3 % 7 == 1
+    for zero in (0, 7, -14):
+        with pytest.raises(InadmissiblePointError):
+            dom.inv(zero)
+
+
+def test_zero_pivot_in_point_build_resamples():
+    """A candidate whose point build hits a zero pivot at the first point
+    sampled costs that point, not the verdict."""
+    ctx = AlgebraContext(build_standard_sp(1), flip_context(QQ, 2))
+    ideal = QuadraticIdeal(QQ, 2, ctx.defining_relations())
+    entry = ctx.ch_identity(1).rows[0][0]
+    bad = sample_points(9, 1, ideal._point_bound())[0]
+
+    def candidate_at(pt):
+        if (pt.p, pt.qhat) == (bad.p, bad.qhat):
+            FpDomain(pt).inv(0)
+        return entry.reduce_at(pt)
+
+    cert = ideal.membership_family(candidate_at, 2, ideal._poly_span(entry),
+                                   seed=9)
+    assert cert.is_member and cert.kind == "modular"
+    assert (bad.p, bad.qhat) not in {(pt.p, pt.qhat) for pt in cert.points}
+    assert len(cert.points) >= 3

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from qch.domains import QQ
-from qch.ideal import (BudgetError, QuadraticIdeal, default_weights,
-                       generator_order, witness_to_json)
+from qch.ideal import (FAILURE_TARGET, BudgetError, MembershipCertificate,
+                       QuadraticIdeal, default_weights, generator_order,
+                       witness_to_json)
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
@@ -212,9 +213,37 @@ def test_modular_prime_count_validated(rtt2, ideal2, monkeypatch):
 
 def test_membership_family(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
-    cert = ideal2.membership_family(lambda pt: entry.reduce_at(pt), 2, seed=9)
+    cert = ideal2.membership_family(lambda pt: entry.reduce_at(pt), 2,
+                                    ideal2._poly_span(entry), seed=9)
     assert cert.is_member
     assert cert.bound < 1e-12
+
+
+def test_matrix_bound_is_union_over_entries(rtt2, ideal2):
+    ch = rtt2.ch_identity(1)
+    cert = ideal2.membership_matrix(ch, mode="modular", seed=9)
+    polys = [p for p in ch.entries() if p]
+    singles = [ideal2.membership(p, mode="modular", seed=9,
+                                 target=FAILURE_TARGET / len(polys))
+               for p in polys]
+    assert (cert.status, cert.kind) == ("probable-member", "modular")
+    assert cert.bound == pytest.approx(
+        sum(c.bound for c in singles), rel=1e-12, abs=0)
+    assert cert.bound > max(c.bound for c in singles)
+    assert cert.bound < FAILURE_TARGET
+
+
+def test_union_takes_weakest_kind():
+    pt = sample_points(1, 1, 8)[0]
+    exact = MembershipCertificate("member", "exact", witness=[])
+    modular = MembershipCertificate("probable-member", "modular",
+                                    points=[pt], bound=2e-20)
+    miss = MembershipCertificate("non-member", "exact")
+    assert MembershipCertificate.union([exact, exact]).kind == "exact"
+    both = MembershipCertificate.union([exact, modular, modular])
+    assert (both.status, both.kind) == ("probable-member", "modular")
+    assert both.bound == 4e-20 and both.points == [pt]
+    assert MembershipCertificate.union([modular, miss, exact]) is miss
 
 
 def test_degree_bound_per_degree(rtt2):

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from qch import qma
-from qch.domains import QQ
-from qch.ideal import QuadraticIdeal
+from qch import cli, qma
+from qch.domains import QQ, SpanDomain
+from qch.ideal import FAILURE_TARGET, QuadraticIdeal
 from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext, star_word
 from qch.rmatrix import build_standard_sp, flip_context
@@ -497,6 +497,48 @@ def test_at_point_reduction(rtt2):
     ctx_p = rtt2.at_point(pt)
     assert ctx_p.parent_identity(1).is_zero()
     assert ctx_p.a_elem(1) == rtt2.a_elem(1).reduce_at(pt)
+
+
+# -- evaluate first: k = 2 identities at points and as span bounds -----------------
+
+K2_IDENTITIES = {"ch": lambda ctx: ctx.ch_identity(2),
+                 "parent": lambda ctx: ctx.parent_identity(2)}
+
+
+@pytest.fixture(scope="module")
+def exact_k2(rtt4):
+    return {name: build(rtt4) for name, build in K2_IDENTITIES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(K2_IDENTITIES))
+def test_span_build_bounds_exact_identity(rtt4, ideal4, exact_k2, name):
+    exact = exact_k2[name]
+    bound = K2_IDENTITIES[name](rtt4.over(SpanDomain()))
+    for exact_p, bound_p in zip(exact.entries(), bound.entries()):
+        assert bound_p.degree() >= exact_p.degree()
+        for w, c in exact_p.terms.items():
+            assert bound_p.terms[w].degree_span() >= c.degree_span()
+    span = max(c.degree_span() for p in bound.entries()
+               for c in p.terms.values())
+    assert span >= max(ideal4._poly_span(p) for p in exact.entries())
+
+
+@pytest.mark.parametrize("name", sorted(K2_IDENTITIES))
+def test_point_build_is_reduction_of_exact_identity(rtt4, exact_k2, name):
+    pt = sample_points(5, count=1, bound=40)[0]
+    at_point = K2_IDENTITIES[name](rtt4.at_point(pt))
+    assert at_point == exact_k2[name].map_entries(lambda p: p.reduce_at(pt))
+
+
+def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):
+    cert = cli._identity_certificate(ideal4, rtt4, K2_IDENTITIES["ch"], 4,
+                                     seed=3, primes=3)
+    exact = ideal4.membership_matrix(exact_k2["ch"], seed=3, min_points=3)
+    assert (cert.status, cert.kind) == (exact.status, exact.kind)
+    assert cert.status == "probable-member"
+    assert len(cert.points) == len(exact.points) == 3
+    # the union over 16 entries of a bound that uses the span-build span
+    assert exact.bound <= cert.bound < FAILURE_TARGET
 
 
 # -- block calibration maps -----------------------------------------------------------
