@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ, SpanDomain
-from .ideal import (MIN_PRIME_COUNT, MembershipCertificate, MixedVerdictError,
-                    QuadraticIdeal, modular_bound, prime_count)
+from .ideal import (FAILURE_TARGET, MIN_PRIME_COUNT, MembershipCertificate,
+                    MixedVerdictError, QuadraticIdeal, modular_bound,
+                    prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 from .scalar import sample_points
@@ -174,6 +175,23 @@ def _identity_certificate(ideal, ctx, build, degree, seed, primes):
                                    min_points=primes)
 
 
+def _identity_check(ideal, ctx, build, degree, seed, primes, suffix=""):
+    """The report of a matrix identity check (qma.parent, qma.ch);
+    suffix follows the witness size of an exact pass."""
+    def run():
+        cert = _identity_certificate(ideal, ctx, build, degree, seed, primes)
+        if cert is None:
+            return "pass", "0 (free algebra)", None, None
+        status, bound = _certificate_verdict(cert)
+        if status == "fail":
+            return status, cert.detail or cert.status, None, bound
+        if status == "pass":
+            return (status, "0",
+                    f"witness:{len(cert.witness or [])}{suffix}", None)
+        return status, "0", f"points:{len(cert.points)}", bound
+    return run
+
+
 def _recursion_residuals(ctx):
     """(label, residual matrix) of each descendant recursion and
     expansion checked by qma.recursions."""
@@ -194,32 +212,12 @@ def run_qma(k, pair, verify, primes, seed):
     params = {"k": k, "pair": pair, "primes": primes, "seed": seed}
     reports = []
     if "parent" in verify:
-        def run_parent():
-            cert = _identity_certificate(
-                ideal, ctx, lambda c: c.parent_identity(k), k, seed, primes)
-            if cert is None:
-                return "pass", "0 (free algebra)", None, None
-            status, bound = _certificate_verdict(cert)
-            if status == "fail":
-                return status, cert.detail or cert.status, None, bound
-            witness = (f"witness:{len(cert.witness or [])}"
-                       if status == "pass" else None)
-            return status, "0", witness, bound
-        reports.append(_timed("qma.parent", params, run_parent))
+        reports.append(_timed("qma.parent", params, _identity_check(
+            ideal, ctx, lambda c: c.parent_identity(k), k, seed, primes)))
     if "ch" in verify:
-        def run_ch():
-            cert = _identity_certificate(
-                ideal, ctx, lambda c: c.ch_identity(k), 2 * k, seed, primes)
-            if cert is None:
-                return "pass", "0 (free algebra)", None, None
-            status, bound = _certificate_verdict(cert)
-            if status == "fail":
-                return status, cert.detail or cert.status, None, bound
-            if status == "pass":
-                return (status, "0",
-                        f"witness:{len(cert.witness or [])} terms", None)
-            return status, "0", f"points:{len(cert.points)}", bound
-        reports.append(_timed("qma.ch", params, run_ch))
+        reports.append(_timed("qma.ch", params, _identity_check(
+            ideal, ctx, lambda c: c.ch_identity(k), 2 * k, seed, primes,
+            suffix=" terms")))
     if "cutting" in verify:
         def run_cutting():
             if not ctx.boundary_a(k + 1).is_zero():
@@ -232,10 +230,17 @@ def run_qma(k, pair, verify, primes, seed):
         reports.append(_timed("qma.cutting", params, run_cutting))
     if "recursions" in verify:
         def run_recursions():
+            # one FAILURE_TARGET for the suite, shared by every nonzero
+            # entry of every residual
+            residuals = list(_recursion_residuals(ctx))
+            sizes = [sum(1 for p in res.entries() if p)
+                     for _, res in residuals]
+            total = max(sum(sizes), 1)
             certs = []
-            for label, res in _recursion_residuals(ctx):
-                cert = ideal.membership_matrix(res, seed=seed,
-                                               min_points=primes)
+            for (label, res), size in zip(residuals, sizes):
+                cert = ideal.membership_matrix(
+                    res, target=FAILURE_TARGET * size / total, seed=seed,
+                    min_points=primes)
                 if not cert.is_member:
                     return ("fail", f"{label}: {cert.status}", None,
                             cert.bound)

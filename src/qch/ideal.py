@@ -321,8 +321,7 @@ class QuadraticIdeal:
         key = (pt.p, pt.qhat)
         if key not in self._points:
             fp = FpDomain(pt)
-            rels = [(rid, p.map_coefficients(fp, fp.from_scalar))
-                    for rid, p in self.relations]
+            rels = [(rid, p.over(fp)) for rid, p in self.relations]
             self._points[key] = QuadraticIdeal(
                 fp, self.dim, rels, label=f"{self.label} @ {pt!r}",
                 order=self.order, weights=self.weights)
@@ -380,13 +379,15 @@ class QuadraticIdeal:
         once per point.  The caller vouches for the exact candidate: its
         maximal degree, a bound on the Laurent degree span of its
         coefficients (say, from a SpanDomain build) and the number of its
-        nonzero entries.  The failure bound is a union bound over those
-        entries, and points are added while it exceeds FAILURE_TARGET.
+        nonzero entries.  Each entry gets an equal share of FAILURE_TARGET,
+        and the failure bound is the union bound over the entries.
         """
-        return self._membership_modular(
+        cert = self._membership_modular(
             candidate_at, degree, seed=seed, min_points=min_points,
             candidate_span=candidate_span, use_rewrite=use_rewrite,
-            entries=entries)
+            target=FAILURE_TARGET / entries)
+        cert.bound *= entries
+        return cert
 
     def _split_blocks(self, part):
         blocks = {}
@@ -485,7 +486,7 @@ class QuadraticIdeal:
         raise IdealError("could not collect enough admissible points")
 
     def _membership_modular(self, candidate_at, degree, seed, min_points,
-                            candidate_span, use_rewrite, entries=1,
+                            candidate_span, use_rewrite,
                             target=FAILURE_TARGET):
         want = prime_count() if min_points is None else min_points
         if want < MIN_PRIME_COUNT:
@@ -496,14 +497,13 @@ class QuadraticIdeal:
             used = set()
             pts, verdicts = self._collect_verdicts(
                 candidate_at, use_rewrite, want, seed + 104729 * batch, used)
-            while (entries * modular_bound(pts, d_max) > target
-                   and len(pts) < 12):
+            while modular_bound(pts, d_max) > target and len(pts) < 12:
                 more_p, more_v = self._collect_verdicts(
                     candidate_at, use_rewrite, 1,
                     seed + 104729 * batch + 31 * len(pts), used)
                 pts += more_p
                 verdicts += more_v
-            bound = entries * modular_bound(pts, d_max)
+            bound = modular_bound(pts, d_max)
             if all(verdicts):
                 return MembershipCertificate("probable-member", "modular",
                                              points=pts, bound=bound)
@@ -513,15 +513,15 @@ class QuadraticIdeal:
                     detail="nonzero residual at every sampled point")
         raise MixedVerdictError("membership undecided: mixed modular verdicts")
 
-    def membership_matrix(self, qmat, **kw):
+    def membership_matrix(self, qmat, target=FAILURE_TARGET, **kw):
         """Entrywise membership, as one `MembershipCertificate.union`.
-        Each nonzero entry gets an equal share of FAILURE_TARGET, so the
-        union bound stays below it."""
+        Each nonzero entry gets an equal share of target, the budget of
+        the whole matrix, so the union bound stays below it."""
         polys = qmat.entries()
-        target = FAILURE_TARGET / max(sum(1 for p in polys if p), 1)
+        share = target / max(sum(1 for p in polys if p), 1)
         certs = []
         for p in polys:
-            certs.append(self.membership(p, target=target, **kw))
+            certs.append(self.membership(p, target=share, **kw))
             if not certs[-1].is_member:
                 break
         return MembershipCertificate.union(certs)

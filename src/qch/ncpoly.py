@@ -111,10 +111,13 @@ class NCPoly:
                 terms[w] = v
         return NCPoly(dom, terms)
 
+    def over(self, dom):
+        """self with each exact coefficient sent into dom."""
+        return self.map_coefficients(dom, dom.from_scalar)
+
     def reduce_at(self, point):
         from .domains import FpDomain
-        fp = FpDomain(point)
-        return self.map_coefficients(fp, fp.from_scalar)
+        return self.over(FpDomain(point))
 
     # -- text ------------------------------------------------------------------
     def to_text(self, name="M"):
@@ -304,9 +307,9 @@ class QMatrix:
     def map_entries(self, fn):
         return QMatrix(self.dom, [[fn(x) for x in row] for row in self.rows])
 
-    def map_coefficients(self, dom, fn):
-        return QMatrix(dom, [[x.map_coefficients(dom, fn) for x in row]
-                             for row in self.rows])
+    def over(self, dom):
+        """self with each exact coefficient sent into dom."""
+        return QMatrix(dom, [[x.over(dom) for x in row] for row in self.rows])
 
     def entries(self):
         return [x for row in self.rows for x in row]

@@ -16,7 +16,7 @@ from . import tensor
 from .domains import FpDomain
 from .ncpoly import NCDomain, NCPoly, QMatrix
 from .rmatrix import (GuardError, antisymmetrizer_tower, check_compatible,
-                      compute_g_operator, map_operator, twist)
+                      compute_g_operator, twist)
 from .scalar import LAMBDA, Q, QINV, QScalar, q_int
 from .sparse import axpy_into
 from .tensor import TensorOperator
@@ -30,7 +30,7 @@ class AlgebraContext:
     `custom`.
     """
 
-    def __init__(self, r_ctx, f_ctx, label="", certify=True, pair=None):
+    def __init__(self, r_ctx, f_ctx, label="", certify=True):
         if f_ctx.dim != r_ctx.dim:
             raise ValueError("pair dimensions differ")
         self.r_ctx = r_ctx
@@ -43,7 +43,7 @@ class AlgebraContext:
             cert = check_compatible(r_ctx, f_ctx)
             if not cert.ok:
                 raise GuardError(f"incompatible pair: {cert.failures()}")
-        self.pair = pair or self._pair_tag()
+        self.pair = self._pair_tag()
         self._nc_ops = {}
         self._mbar = {}
         self._chain = {}
@@ -537,12 +537,12 @@ class AlgebraContext:
         f_ctx = r_ctx if self.f_ctx is self.r_ctx else self.f_ctx.over(dom)
         ctx = AlgebraContext(r_ctx, f_ctx,
                              label=label or f"{self.label} over {dom.name}",
-                             certify=False, pair=self.pair)
+                             certify=False)
+        ctx.pair = self.pair
         if self._d_rf is not None:
-            ctx._d_rf = map_operator(self._d_rf, dom)
+            ctx._d_rf = self._d_rf.over(dom)
         if self._g_pair is not None:
-            ctx._g_pair = tuple(m.map_coefficients(dom, dom.from_scalar)
-                                for m in self._g_pair)
+            ctx._g_pair = tuple(m.over(dom) for m in self._g_pair)
         return ctx
 
     def at_point(self, pt):

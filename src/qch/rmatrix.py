@@ -132,13 +132,13 @@ class RMatrixContext:
         if not dom.can_pivot:
             # properties: reading them builds and caches them over Q(q)
             self.r_inv, self.d_r, self.d_rinv
-        ctx = RMatrixContext(map_operator(self.r, dom), self.mu_scalar,
+        ctx = RMatrixContext(self.r.over(dom), self.mu_scalar,
                              label=label or f"{self.label} over {dom.name}",
                              height_hint=self.height_hint)
         for attr in ("_r_inv", "_k_op", "_psi", "_d_r", "_d_rinv"):
             cached = getattr(self, attr)
             if cached is not None:
-                setattr(ctx, attr, map_operator(cached, dom))
+                setattr(ctx, attr, cached.over(dom))
         return ctx
 
     def at_point(self, pt):
@@ -147,11 +147,6 @@ class RMatrixContext:
 
     def __repr__(self):
         return f"RMatrixContext({self.label or 'unnamed'}, dim={self.dim})"
-
-
-def map_operator(op, dom):
-    """op with each exact coefficient sent into dom."""
-    return op.map_coefficients(dom, dom.from_scalar)
 
 
 def contractor(ctx):

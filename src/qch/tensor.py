@@ -159,9 +159,12 @@ class TensorOperator:
                 data[k] = w
         return TensorOperator(dom, self.dim, self.arity, data)
 
+    def over(self, dom):
+        """self with each exact coefficient sent into dom."""
+        return self.map_coefficients(dom, dom.from_scalar)
+
     def reduce_at(self, point):
-        fp = FpDomain(point)
-        return self.map_coefficients(fp, fp.from_scalar)
+        return self.over(FpDomain(point))
 
     # -- linear algebra views --------------------------------------------------
     def rows(self):

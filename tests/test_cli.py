@@ -6,7 +6,7 @@ import json
 import pytest
 
 from qch import cli
-from qch.ideal import MembershipCertificate, QuadraticIdeal
+from qch.ideal import FAILURE_TARGET, MembershipCertificate, QuadraticIdeal
 
 
 def run_json(capsys, argv):
@@ -202,3 +202,22 @@ def test_recursions_report_modular_certificates(capsys, monkeypatch):
     # 12 recursion residuals and 4 expansion residuals, one bound each
     assert reports[0]["status"] == "probable-pass"
     assert reports[0]["failure_bound"] == pytest.approx(16e-20, rel=1e-12, abs=0)
+
+
+def test_recursions_share_one_failure_budget(capsys, monkeypatch):
+    targets = []
+
+    def modular(self, qmat, target=FAILURE_TARGET, **kw):
+        nonzero = sum(1 for p in qmat.entries() if p)
+        targets.append((target, nonzero))
+        return MembershipCertificate("probable-member", "modular",
+                                     points=[], bound=target)
+    monkeypatch.setattr(QuadraticIdeal, "membership_matrix", modular)
+    code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
+                                         "recursions", "--json"])
+    assert code == 0
+    assert reports[0]["failure_bound"] == pytest.approx(FAILURE_TARGET,
+                                                        rel=1e-9)
+    # every nonzero entry of every residual gets the same share
+    shares = {round(t / n / FAILURE_TARGET, 12) for t, n in targets if n}
+    assert len(shares) == 1

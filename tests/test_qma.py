@@ -530,6 +530,12 @@ def test_point_build_is_reduction_of_exact_identity(rtt4, exact_k2, name):
     assert at_point == exact_k2[name].map_entries(lambda p: p.reduce_at(pt))
 
 
+def test_mapped_contexts_keep_pair(rtt2):
+    pt = sample_points(5, count=1, bound=40)[0]
+    assert rtt2.over(SpanDomain()).pair == "rtt"
+    assert rtt2.at_point(pt).pair == "rtt"
+
+
 def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):
     cert = cli._identity_certificate(ideal4, rtt4, K2_IDENTITIES["ch"], 4,
                                      seed=3, primes=3)
