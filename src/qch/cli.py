@@ -12,17 +12,12 @@ from fractions import Fraction
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ, SpanDomain
 from .ideal import (FAILURE_TARGET, MIN_PRIME_COUNT, MembershipCertificate,
-                    MixedVerdictError, QuadraticIdeal, modular_bound,
-                    prime_count)
+                    MixedVerdictError, QuadraticIdeal, prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
-from .scalar import sample_points
 
 # qma verify targets; recursions run by default only at k = 1
 QMA_TARGETS = ("ch", "parent", "cutting", "recursions")
-# chart points are drawn uniformly from [2, 10^6); a nonzero rational
-# identity of cleared degree d survives one draw with probability < d/10^6
-CHART_RANGE = 10 ** 6
 
 
 def default_verify(k):
@@ -92,10 +87,6 @@ def _from_certificate(name, parameters, cert_fn):
     return _timed(name, parameters, run)
 
 
-def _sampling_bound(count, degree):
-    return float((degree / CHART_RANGE) ** count)
-
-
 # -- subcommand suites -------------------------------------------------------
 
 def run_rmatrix(k, checks, seed=0):
@@ -115,16 +106,14 @@ def run_rmatrix(k, checks, seed=0):
         count = prime_count()
 
         def run():
-            mode = "exact" if ctx.dim <= 4 else "modular"
-            got, tag = rmatrix.height(ctx, mode=mode, seed=seed,
-                                      prime_count=count)
+            got, tag = rmatrix.height(ctx, seed=seed, prime_count=count)
             detail = f"height={got} ({tag})"
             if got != k:
                 return "fail", detail, None, None
-            if mode == "exact":
+            _, bound = rmatrix.height_points(ctx, seed=seed,
+                                             prime_count=count)
+            if bound is None:
                 return "pass", "0", detail, None
-            pts = sample_points(seed, count, 2 * ctx.dim + 4)
-            bound = modular_bound(pts, 8 * ctx.dim + 8)
             return "probable-pass", "0", detail, bound
         reports.append(_timed(
             "rmatrix.height", {"k": k, "seed": seed, "primes": count}, run))
@@ -260,7 +249,7 @@ RANK_ORACLE = {
 }
 
 
-def run_ideal(k, pair, degree, seed=0):
+def run_ideal(k, pair, degree):
     ctx = _algebra(k, pair)
     ideal = QuadraticIdeal(QQ, 2 * k, ctx.defining_relations(),
                            label=ctx.label)
@@ -276,6 +265,15 @@ def run_ideal(k, pair, degree, seed=0):
                 return "fail", f"{detail} != {expected}", None, None
         return "pass", "0", detail, None
     return [_timed("ideal.rank", params, run)]
+
+
+def _sampled_verdict(r, witness=None):
+    """(status, residual, witness, bound) of a passed spectral result: a
+    sampled one is a probable pass with the bound it carries."""
+    if "bound" not in r:
+        return "pass", "0", None, None
+    return ("probable-pass", "0", witness or f"points:{r['points']}",
+            r["bound"])
 
 
 def run_spectral(k, max_n, seed=0):
@@ -297,10 +295,7 @@ def run_spectral(k, max_n, seed=0):
         r = spectral.factor_check(k, seed=seed)
         if not r["ok"]:
             return "fail", f"coefficient i={r['i']}", None, None
-        if r["mode"] == "exact":
-            return "pass", "0", None, None
-        bound = _sampling_bound(r["points"], 8 * k)
-        return "probable-pass", "0", f"points:{r['points']}", bound
+        return _sampled_verdict(r)
     reports.append(_timed("spectral.factor", params, run_factor))
 
     def run_newton():
@@ -314,30 +309,24 @@ def run_spectral(k, max_n, seed=0):
         r3 = spectral.newton_closure(k, seed=seed)
         if not r3["ok"]:
             return "fail", f"closure n={r3['n']}", None, None
-        bound = _sampling_bound(r["points"], 8 * k + 2 * max_n)
-        return ("probable-pass", "0",
-                f"points:{r['points']}+{r2['points']}+{r3['points']}", bound)
+        return _sampled_verdict(
+            r, f"points:{r['points']}+{r2['points']}+{r3['points']}")
     reports.append(_timed("spectral.newton", params, run_newton))
 
     def run_param():
         r = spectral.parameterization_checks(k, seed=seed)
         if not r["ok"]:
-            bad = [key for key, v in r.items()
-                   if key not in ("k", "points") and not v]
+            bad = [key for key, v in r.items() if v is False]
             return "fail", f"failed: {','.join(bad)}", None, None
-        if "points" not in r:
-            return "pass", "0", None, None
-        bound = _sampling_bound(r["points"], 8 * k)
-        return "probable-pass", "0", f"points:{r['points']}", bound
+        return _sampled_verdict(r)
     reports.append(_timed("spectral.param", params, run_param))
 
     if k <= 2:
         def run_poly():
-            r = spectral.polynomiality_check(k, min(max_n, 4), seed=seed)
+            r = spectral.polynomiality_check(k, max_n, seed=seed)
             if not r["ok"]:
                 return "fail", f"n={r['n']}", None, None
-            bound = _sampling_bound(r["points"], 8 * k + 2 * max_n)
-            return "probable-pass", "0", f"points:{r['points']}", bound
+            return _sampled_verdict(r)
         reports.append(_timed("spectral.polynomiality", params, run_poly))
     return reports
 
@@ -369,7 +358,7 @@ def run_all(k, seed):
     reports += run_rmatrix(k, ("ybe", "cubic", "bmw", "height"), seed=seed)
     reports += run_qma(k, "rtt", default_verify(k), prime_count(), seed)
     reports += run_qma(k, "re", ("ch", "parent"), prime_count(), seed)
-    reports += run_ideal(k, "rtt", 2, seed=seed)
+    reports += run_ideal(k, "rtt", 2)
     reports += run_spectral(k, 4, seed=seed)
     reports += run_classical(k, 20, None, seed)
     return reports

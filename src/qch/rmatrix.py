@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import tensor
 from .domains import QQ, FpDomain
+from .ideal import modular_bound
 from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
 from .tensor import TensorOperator
 
@@ -240,7 +241,7 @@ def check_cubic(ctx, name="cubic"):
     return cert
 
 
-def check_bmw(ctx, name="bmw", points=None):
+def check_bmw(ctx, name="bmw"):
     """Cubic plus the tangle relations of K, rank(K) = 1, trace values."""
     cert = check_cubic(ctx, name)
     k1 = ctx.k_op.embed(1, 3)
@@ -250,7 +251,7 @@ def check_bmw(ctx, name="bmw", points=None):
     cert.record_zero("K2 K1 = K2 R1 R2", (k2 @ k1) - (k2 @ r1 @ r2))
     cert.record_zero("K2 K1 = K2 R1^-1 R2^-1", (k2 @ k1) - (k2 @ r1i @ r2i))
     cert.record_zero("K1 K2 K1 = K1", (k1 @ k2 @ k1) - k1)
-    rank = tensor.exact_rank(ctx.k_op, points)
+    rank = tensor.exact_rank(ctx.k_op)
     cert.record("rank(K) = 1", rank == 1, f"rank={rank}")
     mu = ctx.mu_scalar
     cert.record_zero("Tr_R(2) K1 = mu I",
@@ -394,21 +395,30 @@ def _height_scan(ctx, bound):
     return None
 
 
+def height_points(ctx, mode="auto", seed=0, prime_count=3):
+    """The prime points of a modular height scan with its failure bound,
+    or (None, None) for an exact scan; "auto" scans exactly for dim <= 4."""
+    if mode == "auto":
+        mode = "exact" if ctx.dim <= 4 else "modular"
+    if mode == "exact":
+        return None, None
+    points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
+    return points, modular_bound(points, 8 * ctx.dim + 8)
+
+
 def height(ctx, bound=None, mode="auto", seed=0, prime_count=3):
     """Height of the R-matrix, with its type tag.
 
     mode "exact" runs the tower over the exact field; "modular" runs it
     at prime_count admissible points and requires agreement; "auto"
-    picks exact for dim <= 4.
+    picks as `height_points` does.
     """
     if bound is None:
         bound = (ctx.height_hint or 4) + 2
-    if mode == "auto":
-        mode = "exact" if ctx.dim <= 4 else "modular"
-    if mode == "exact":
+    points, _ = height_points(ctx, mode, seed, prime_count)
+    if points is None:
         k = _height_scan(ctx, bound)
     else:
-        points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
         ks = [_height_scan(ctx.at_point(pt), bound) for pt in points]
         if len(set(ks)) != 1:
             raise GuardError(f"modular height scans disagree: {ks}")

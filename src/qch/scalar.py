@@ -335,10 +335,6 @@ def q_int(n):
     return QScalar.laurent({n - 1 - 2 * j: 1 for j in range(n)})
 
 
-def bar_involution(a):
-    return a.bar()
-
-
 # ---------------------------------------------------------------------------
 # Scalar text form: integer-coefficient Laurent terms `c*q^e` joined by
 # +/-, fractions as `num / den` (parenthesized when composite).
@@ -529,6 +525,3 @@ def sample_points(seed, count, bound):
         raise InadmissiblePointError("could not sample enough admissible points")
     return pts
 
-
-def reduce_mod(a, pt):
-    return pt.reduce(a)

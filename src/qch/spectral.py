@@ -16,6 +16,11 @@ from .domains import QQ
 from .scalar import LAMBDA, ONE, Q, QINV, QScalar, ZERO, q_int
 from .sparse import add_into, product
 
+# Chart points are drawn uniformly from [2, CHART_RANGE); a nonzero rational
+# identity of cleared total degree d survives one draw with probability
+# below d / CHART_RANGE (Schwartz-Zippel).
+CHART_RANGE = 10 ** 6
+
 
 def mu_of(k):
     """Skew eigenvalue parameter of the symplectic-type R-matrix."""
@@ -42,6 +47,18 @@ def _pscale(a, c):
     if c.is_zero():
         return {}
     return {e: c * v for e, v in a.items()}
+
+
+def _peval(a, vals):
+    """Value of a at vals[0..] (exact scalars)."""
+    acc = ZERO
+    for e, c in a.items():
+        t = c
+        for i, p in enumerate(e):
+            if p:
+                t = t * vals[i] ** p
+        acc = acc + t
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +96,12 @@ class SpectralPoly:
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
+    def __neg__(self):
+        return self.scale(-ONE)
+
     def __mul__(self, other):
+        if isinstance(other, QScalar):
+            return self.scale(other)
         return SpectralPoly(self.k, _pmul(self.terms, other.terms))
 
     def scale(self, c):
@@ -96,14 +118,7 @@ class SpectralPoly:
 
     def evaluate(self, vals):
         """Value at vals[0..2k] (exact scalars)."""
-        acc = ZERO
-        for e, c in self.terms.items():
-            t = c
-            for i, p in enumerate(e):
-                if p:
-                    t = t * vals[i] ** p
-            acc = acc + t
-        return acc
+        return _peval(self.terms, vals)
 
     def to_text(self):
         if not self.terms:
@@ -143,9 +158,10 @@ def reduce(p):
 
 # -- symmetric-function builders --------------------------------------------
 
-def _sym_dp(k, args, n, homogeneous):
-    """e_0..e_n (or, with homogeneous=True, h_0..h_n) of the arguments."""
-    rows = [SpectralPoly.constant(k, ONE)] + [SpectralPoly.zero(k)] * n
+def _sym_dp(args, n, homogeneous, one):
+    """e_0..e_n (or, with homogeneous=True, h_0..h_n) of the arguments:
+    spectral polynomials, or exact values with one = ONE."""
+    rows = [one] + [one * ZERO] * n
     for arg in args:
         if homogeneous:
             for i in range(1, n + 1):
@@ -156,31 +172,37 @@ def _sym_dp(k, args, n, homogeneous):
     return rows
 
 
-def _base_args(k):
-    return [SpectralPoly.variable(k, i) for i in range(1, 2 * k + 1)]
+def _extended(nus):
+    """The alphabet nu_0, -nu_0, nu_1 .. nu_2k of the a-images."""
+    return [nus[0], -nus[0]] + nus[1:]
+
+
+def _variables(k):
+    return [SpectralPoly.variable(k, i) for i in range(2 * k + 1)]
 
 
 def elementary(k, i):
     """e_i(nu_1 .. nu_2k), reduced."""
     if i < 0 or i > 2 * k:
         return SpectralPoly.zero(k)
-    return _sym_dp(k, _base_args(k), i, homogeneous=False)[i]
+    return _sym_dp(_variables(k)[1:], i, homogeneous=False,
+                   one=SpectralPoly.constant(k, ONE))[i]
 
 
 def elementary_extended(k, i):
     """e_i(nu_0, -nu_0, nu_1 .. nu_2k), reduced."""
     if i < 0 or i > 2 * k + 2:
         return SpectralPoly.zero(k)
-    nu0 = SpectralPoly.variable(k, 0)
-    args = [nu0, nu0.scale(-ONE)] + _base_args(k)
-    return _sym_dp(k, args, i, homogeneous=False)[i]
+    return _sym_dp(_extended(_variables(k)), i, homogeneous=False,
+                   one=SpectralPoly.constant(k, ONE))[i]
 
 
 def complete(k, n):
     """h_n(nu_1 .. nu_2k), reduced."""
     if n < 0:
         return SpectralPoly.zero(k)
-    return _sym_dp(k, _base_args(k), n, homogeneous=True)[n]
+    return _sym_dp(_variables(k)[1:], n, homogeneous=True,
+                   one=SpectralPoly.constant(k, ONE))[n]
 
 
 def pi_hom(k, symbol, i=1):
@@ -198,50 +220,55 @@ def pi_hom(k, symbol, i=1):
     if symbol == "eps":
         if not 0 <= i <= 2 * k:
             raise ValueError(f"epsilon_{i} outside 0..{2 * k}")
+        g = pi_hom(k, "g")
         if i > k:
-            g = pi_hom(k, "g")
             out = pi_hom(k, "eps", 2 * k - i)
             for _ in range(i - k):
                 out = out * g
             return out
         out = SpectralPoly.zero(k)
-        g = pi_hom(k, "g")
         gp = SpectralPoly.constant(k, ONE)
-        j = 0
-        while i - 2 * j >= 0:
+        for j in range(i // 2 + 1):
             out = out + elementary_extended(k, i - 2 * j) * gp
             gp = gp * g
-            j += 1
         return out
     if symbol == "p":
         return _newton_powersums(k, i)[i]
     raise ValueError(f"unknown symbol {symbol!r}")
 
 
+def _newton_a(m, a, p, g, mu):
+    """The first Newton relation at degree m as (lhs, c); it reads
+    lhs = c a_m with c = (-1)^(m-1) [m]_q and lhs the sum of
+    (-q)^i a_i p_(m-i) over i < m and of
+    (-1)^(m-1) (mu q^(m-2i) - q^(1-m+2i)) a_(m-2i) g^i over 0 < i <= m/2.
+    a, p and g are spectral polynomials or their values at a point.
+    """
+    sign = ONE if m % 2 else -ONE
+    # (-q)^i goes in before p_(m-i): over exact values the other order
+    # canonicalizes a large product twice
+    terms = [a[i] * (-Q) ** i * p[m - i] for i in range(m)]
+    gp = g
+    for i in range(1, m // 2 + 1):
+        c = mu * QScalar.q_power(m - 2 * i) - QScalar.q_power(1 - m + 2 * i)
+        terms.append(a[m - 2 * i] * (sign * c) * gp)
+        gp = gp * g
+    return sum(terms[1:], terms[0]), sign * q_int(m)
+
+
 def _newton_powersums(k, n):
-    """p_1..p_n images solved from the Newton recursion for the a-series."""
-    mu = mu_of(k)
-    g = pi_hom(k, "g")
+    """p_1..p_n images solved from the first Newton relation for the
+    a-series (p_0 is a zero placeholder)."""
+    a = _sym_dp(_extended(_variables(k)), n, homogeneous=False,
+                one=SpectralPoly.constant(k, ONE))
+    g, mu = pi_hom(k, "g"), mu_of(k)
     p = [SpectralPoly.zero(k)]
     for m in range(1, n + 1):
-        acc = SpectralPoly.zero(k)
-        sign = ONE if m % 2 else -ONE  # (-1)^{m-1}
-        acc = acc + pi_hom(k, "a", m).scale(sign * q_int(m))
-        gp = g
-        for i in range(1, m // 2 + 1):
-            c = _newton_coeff(mu, m, i)
-            acc = acc - (pi_hom(k, "a", m - 2 * i) * gp).scale(sign * c)
-            gp = gp * g
-        for i in range(1, m):
-            acc = acc - (pi_hom(k, "a", i) * p[m - i]).scale((-Q) ** i)
-        p.append(acc)
+        # p_m enters lhs as a_0 p_m: solve with it at zero
+        p.append(SpectralPoly.zero(k))
+        lhs, c = _newton_a(m, a, p, g, mu)
+        p[m] = a[m] * c - lhs
     return p
-
-
-def _newton_coeff(mu, m, i):
-    """mu q^(m-2i) - q^(1-m+2i), the coefficient of a_(m-2i) g^i in the
-    first Newton relation at degree m."""
-    return mu * QScalar.q_power(m - 2 * i) - QScalar.q_power(1 - m + 2 * i)
 
 
 def sym_identities(k, i):
@@ -274,12 +301,11 @@ def expansion_coefficients(k, order=None):
     return coeffs
 
 
-def factor_check(k, mode="auto", seed=0):
+def factor_check(k, seed=0):
     """Expand the factorized characteristic product and confirm each
     power-symbol coefficient equals the corresponding (-q)^i epsilon
-    image, exactly for small k, by admissible-point evaluation above."""
-    if mode == "auto":
-        mode = "exact" if k <= 2 else "evaluate"
+    image, exactly for k <= 2, by admissible-point evaluation above."""
+    mode = "exact" if k <= 2 else "evaluate"
     coeffs = expansion_coefficients(k)
     targets = [pi_hom(k, "eps", i).scale((-Q) ** i)
                for i in range(2 * k + 1)]
@@ -288,15 +314,15 @@ def factor_check(k, mode="auto", seed=0):
             if not (coeffs[2 * k - i] - targets[i]).is_zero():
                 return {"ok": False, "i": i, "mode": mode}
         return {"ok": True, "mode": mode, "checked": 2 * k + 1}
-    count = _point_count(k, 2 * k)
-    rng = random.Random(seed)
-    for _ in range(count):
-        nus = spectral_values(k, sample_chart(k, rng))
+    charts = _charts(k, 2 * k, seed)
+    for chart in charts:
+        nus = spectral_values(k, chart)
         for i in range(2 * k + 1):
             diff = coeffs[2 * k - i].evaluate(nus) - targets[i].evaluate(nus)
             if not diff.is_zero():
-                return {"ok": False, "i": i, "mode": mode, "points": count}
-    return {"ok": True, "mode": mode, "checked": 2 * k + 1, "points": count}
+                return {"ok": False, "i": i, "mode": mode}
+    return {"ok": True, "mode": mode, "checked": 2 * k + 1,
+            "points": len(charts), "bound": _bound(charts, 8 * k)}
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +370,8 @@ class SpectralRational:
         return self + other.scale(-ONE)
 
     def __mul__(self, other):
+        if isinstance(other, QScalar):
+            return self.scale(other)
         return SpectralRational(self.k, _pmul(self.num, other.num),
                                 _pmul(self.den, other.den))
 
@@ -367,66 +395,43 @@ class SpectralRational:
         return not diff
 
     def evaluate(self, chart_vals):
-        return (_eval_chart(self.num, chart_vals)
-                / _eval_chart(self.den, chart_vals))
+        return _peval(self.num, chart_vals) / _peval(self.den, chart_vals)
 
     def __repr__(self):
         return (f"SpectralRational(k={self.k}, {len(self.num)}/"
                 f"{len(self.den)} terms)")
 
 
-def _eval_chart(poly, vals):
-    acc = ZERO
-    for e, c in poly.items():
-        t = c
-        for i, p in enumerate(e):
-            if p:
-                t = t * vals[i] ** p
-        acc = acc + t
-    return acc
+def _chart_nus(k):
+    """The chart rationals nu_0 .. nu_2k."""
+    return [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
+
+
+def d_value(k, i, nus, hat=False):
+    """d_i (or the unpaired variant with hat=True) at the spectral values
+    nus: exact scalars, or the chart rationals for d_i itself."""
+    if not 1 <= i <= 2 * k:
+        raise ValueError(f"d_{i} outside 1..{2 * k}")
+    x, pair = nus[i], 2 * k + 1 - i
+    out = None if hat else ((x - nus[pair] * QScalar.q_power(-4))
+                            / (x - nus[pair]))
+    for j in range(1, 2 * k + 1):
+        if j == i or (j == pair and not hat):
+            continue
+        ratio = (x - nus[j] * QScalar.q_power(-2)) / (x - nus[j])
+        out = ratio if out is None else out * ratio
+    return out
 
 
 def d_coefficient(k, i, hat=False):
     """The rational d_i (or the unpaired variant with hat=True)."""
-    if not 1 <= i <= 2 * k:
-        raise ValueError(f"d_{i} outside 1..{2 * k}")
-    nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-    qm2 = SpectralRational.constant(k, QScalar.q_power(-2))
-    out = SpectralRational.constant(k, ONE)
-    if hat:
-        skip = {i}
-    else:
-        skip = {i, 2 * k + 1 - i}
-        qm4 = SpectralRational.constant(k, QScalar.q_power(-4))
-        pair = nu[2 * k + 1 - i]
-        out = (nu[i] - qm4 * pair) / (nu[i] - pair)
-    for j in range(1, 2 * k + 1):
-        if j in skip:
-            continue
-        out = out * ((nu[i] - qm2 * nu[j]) / (nu[i] - nu[j]))
-    return out
-
-
-def d_value(k, i, nus, hat=False):
-    """Value of d_i (or the hat variant) at exact spectral values."""
-    if hat:
-        skip = {i}
-        out = ONE
-    else:
-        skip = {i, 2 * k + 1 - i}
-        pair = nus[2 * k + 1 - i]
-        out = (nus[i] - QScalar.q_power(-4) * pair) / (nus[i] - pair)
-    for j in range(1, 2 * k + 1):
-        if j in skip:
-            continue
-        out = out * (nus[i] - QScalar.q_power(-2) * nus[j]) / (nus[i] - nus[j])
-    return out
+    return d_value(k, i, _chart_nus(k), hat=hat)
 
 
 def powersum_param(k, n):
     """Rational image of the n-th power sum: q^{n-1} sum_i d_i nu_i^n."""
     acc = SpectralRational.constant(k, ZERO)
-    nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
+    nu = _chart_nus(k)
     for i in range(1, 2 * k + 1):
         term = d_coefficient(k, i)
         for _ in range(n):
@@ -437,15 +442,15 @@ def powersum_param(k, n):
 
 def w_function(k, which, z):
     """w_1, w_2, or w_3 evaluated at the chart rational z."""
-    nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-    qm2 = SpectralRational.constant(k, QScalar.q_power(-2))
+    nu = _chart_nus(k)
+    qm2 = QScalar.q_power(-2)
     w = SpectralRational.constant(k, ONE)
     for i in range(1, 2 * k + 1):
-        w = w * ((z - qm2 * nu[i]) / (z - nu[i]))
+        w = w * ((z - nu[i] * qm2) / (z - nu[i]))
     if which == 1:
         return w
     nu0sq = nu[0] * nu[0]
-    w = nu0sq * w / (z * z - qm2 * nu0sq)
+    w = nu0sq * w / (z * z - nu0sq * qm2)
     if which == 2:
         return w
     if which == 3:
@@ -460,18 +465,10 @@ def sample_chart(k, rng):
     """Admissible chart values: nu_0..nu_k integers giving 2k pairwise
     distinct spectral values (resampled on collision)."""
     while True:
-        vals = rng.sample(range(2, 10 ** 6), k + 1)
+        vals = rng.sample(range(2, CHART_RANGE), k + 1)
         chart = [QScalar.from_int(v) for v in vals]
-        nus = spectral_values(k, chart)
-        seen = set()
-        ok = True
-        for v in nus[1:]:
-            key = str(v)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok:
+        keys = [str(v) for v in spectral_values(k, chart)[1:]]
+        if len(set(keys)) == len(keys):
             return chart
 
 
@@ -484,29 +481,25 @@ def spectral_values(k, chart):
     return nus
 
 
-def _value_elementary(args, n):
-    rows = [ONE] + [ZERO] * n
-    for a in args:
-        for i in range(n, 0, -1):
-            rows[i] = rows[i] + a * rows[i - 1]
-    return rows
+def _charts(k, n, seed):
+    """The chart points of a sampled check in degree n, drawn from
+    Random(seed): one more than the per-variable degree bound of its cleared
+    denominators (4k from the d_i, n from the power), with a margin."""
+    rng = random.Random(seed)
+    return [sample_chart(k, rng) for _ in range(4 * k + 2 * n + 3)]
 
 
-def _value_complete(args, n):
-    rows = [ONE] + [ZERO] * n
-    for a in args:
-        for i in range(1, n + 1):
-            rows[i] = rows[i] + a * rows[i - 1]
-    return rows
+def _bound(charts, degree):
+    """Chance that a nonzero identity of cleared total degree `degree`
+    vanishes at every chart point."""
+    return float((degree / CHART_RANGE) ** len(charts))
 
 
 def _point_data(k, chart, n):
     """Values of a_i, s_i, p_i, g (and the d_i) at one chart point."""
     nus = spectral_values(k, chart)
-    base = nus[1:]
-    ext = [nus[0], -nus[0]] + base
-    a_vals = _value_elementary(ext, n)
-    s_vals = _value_complete(base, n)
+    a_vals = _sym_dp(_extended(nus), n, homogeneous=False, one=ONE)
+    s_vals = _sym_dp(nus[1:], n, homogeneous=True, one=ONE)
     d_vals = [None] + [d_value(k, i, nus) for i in range(1, 2 * k + 1)]
     p_vals = [QINV * sum(d_vals[1:], ZERO)]
     for m in range(1, n + 1):
@@ -518,56 +511,42 @@ def _point_data(k, chart, n):
             "g": nus[0] * nus[0], "d": d_vals}
 
 
-def _point_count(k, n):
-    """Evaluation-point budget: per-variable degree bound + 1.  Cleared
-    denominators have per-variable degree at most 4k from the d_i plus n
-    from the power, with a safety margin."""
-    return 4 * k + 2 * n + 3
-
-
 def newton_check(k, n, seed=0):
     """Certify the two Newton relations at degrees 1..n with rational
     power-sum images, by exact evaluation at admissible points."""
     mu = mu_of(k)
-    count = _point_count(k, n)
-    rng = random.Random(seed)
-    for _ in range(count):
-        data = _point_data(k, sample_chart(k, rng), n)
+    charts = _charts(k, n, seed)
+    for chart in charts:
+        data = _point_data(k, chart, n)
         a, s, p, g = data["a"], data["s"], data["p"], data["g"]
         for m in range(1, n + 1):
-            lhs_a = ZERO
+            lhs_a, c = _newton_a(m, a, p, g, mu)
             lhs_s = ZERO
             for i in range(m):
-                lhs_a = lhs_a + ((-Q) ** i) * a[i] * p[m - i]
                 lhs_s = lhs_s + QScalar.q_power(-i) * s[i] * p[m - i]
-            sign = ONE if m % 2 else -ONE
-            rhs_a = sign * q_int(m) * a[m]
             rhs_s = q_int(m) * s[m]
             gp = g
             for i in range(1, m // 2 + 1):
-                rhs_a = rhs_a - sign * _newton_coeff(mu, m, i) \
-                    * a[m - 2 * i] * gp
                 rhs_s = rhs_s + (mu * QScalar.q_power(2 * i - m)
                                  + QScalar.q_power(m - 2 * i - 1)) \
                     * s[m - 2 * i] * gp
                 gp = gp * g
-            if not (lhs_a - rhs_a).is_zero():
-                return {"ok": False, "relation": "newton-a", "n": m,
-                        "points": count, "residual": str(lhs_a - rhs_a)}
-            if not (lhs_s - rhs_s).is_zero():
-                return {"ok": False, "relation": "newton-s", "n": m,
-                        "points": count, "residual": str(lhs_s - rhs_s)}
-    return {"ok": True, "n": n, "points": count}
+            for relation, res in (("newton-a", lhs_a - a[m] * c),
+                                  ("newton-s", lhs_s - rhs_s)):
+                if not res.is_zero():
+                    return {"ok": False, "relation": relation, "n": m,
+                            "residual": str(res)}
+    return {"ok": True, "n": n, "points": len(charts),
+            "bound": _bound(charts, 8 * k + 2 * n)}
 
 
 def wronski_modified(k, n, seed=0):
     """Certify the modified Newton and Wronski relations built from the
     auxiliary s' and p' iterations, by exact evaluation."""
     mu = mu_of(k)
-    count = _point_count(k, n)
-    rng = random.Random(seed)
-    for _ in range(count):
-        data = _point_data(k, sample_chart(k, rng), n)
+    charts = _charts(k, n, seed)
+    for chart in charts:
+        data = _point_data(k, chart, n)
         a, s, p, g = data["a"], data["s"], data["p"], data["g"]
         sp = [s[0]] + ([s[1]] if n >= 1 else [])
         for i in range(2, n + 1):
@@ -582,7 +561,6 @@ def wronski_modified(k, n, seed=0):
                 lhs = lhs + QScalar.q_power(-i) * s[i] * pp[m - i]
             if not (lhs - q_int(m) * s[m]).is_zero():
                 return {"ok": False, "relation": "mod-n", "n": m,
-                        "points": count,
                         "residual": str(lhs - q_int(m) * s[m])}
         for m in range(n + 1):
             lhs = ZERO
@@ -592,51 +570,61 @@ def wronski_modified(k, n, seed=0):
             target = ONE if m == 0 else ZERO
             if not (lhs - target).is_zero():
                 return {"ok": False, "relation": "mod-w", "n": m,
-                        "points": count, "residual": str(lhs - target)}
-    return {"ok": True, "n": n, "points": count}
+                        "residual": str(lhs - target)}
+    return {"ok": True, "n": n, "points": len(charts),
+            "bound": _bound(charts, 8 * k + 2 * n)}
 
 
 def newton_closure(k, seed=0):
     """Solve the first Newton relation for a_n at sampled points and
     match the elementary-symmetric images, n <= k."""
     mu = mu_of(k)
-    count = _point_count(k, k)
-    rng = random.Random(seed)
-    for _ in range(count):
-        data = _point_data(k, sample_chart(k, rng), k)
+    charts = _charts(k, k, seed)
+    for chart in charts:
+        data = _point_data(k, chart, k)
         a, p, g = data["a"], data["p"], data["g"]
         for n in range(1, k + 1):
-            acc = ZERO
-            for i in range(n):
-                acc = acc + ((-Q) ** i) * a[i] * p[n - i]
-            sign = ONE if n % 2 else -ONE
-            gp = g
-            for i in range(1, n // 2 + 1):
-                acc = acc + sign * _newton_coeff(mu, n, i) * a[n - 2 * i] * gp
-                gp = gp * g
-            solved = sign * acc / q_int(n)
-            if not (solved - a[n]).is_zero():
-                return {"ok": False, "n": n, "points": count}
-    return {"ok": True, "points": count}
+            lhs, c = _newton_a(n, a, p, g, mu)
+            if not (lhs / c - a[n]).is_zero():
+                return {"ok": False, "n": n}
+    return {"ok": True, "points": len(charts),
+            "bound": _bound(charts, 8 * k + 2 * k)}
 
 
 def polynomiality_check(k, n, seed=0):
-    """Stretch check: the rational power-sum image agrees with the
-    polynomial produced by solving the Newton recursion."""
-    count = _point_count(k, n)
-    rng = random.Random(seed)
-    polys = _newton_powersums(k, n)
-    for _ in range(count):
-        data = _point_data(k, sample_chart(k, rng), n)
-        for m in range(1, n + 1):
+    """Stretch check: the rational power-sum images p_1..p_min(n,4) agree
+    with the polynomials solved from the Newton recursion.  The bound keeps
+    the degree of p_n, which over-covers the degrees checked."""
+    top = min(n, 4)
+    charts = _charts(k, top, seed)
+    polys = _newton_powersums(k, top)
+    for chart in charts:
+        data = _point_data(k, chart, top)
+        for m in range(1, top + 1):
             if not (polys[m].evaluate(data["nus"]) - data["p"][m]).is_zero():
-                return {"ok": False, "n": m, "points": count}
-    return {"ok": True, "n": n, "points": count}
+                return {"ok": False, "n": m}
+    return {"ok": True, "n": top, "points": len(charts),
+            "bound": _bound(charts, 8 * k + 2 * n)}
+
+
+def _init_residuals(k, nus, init1, init2):
+    """Residuals of the three initial conditions at the spectral values
+    nus (exact scalars, or the chart rationals with init1 and init2 as
+    rational constants): q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2
+    and sum nu_i (d_i - d-hat_i)."""
+    idx = range(1, 2 * k + 1)
+    d = [d_value(k, i, nus) for i in idx]
+    dh = [d_value(k, i, nus, hat=True) for i in idx]
+    w = [nus[i] * (d[i - 1] - dh[i - 1]) for i in idx]
+    return (sum(dh[1:], dh[0]) * QINV - init1,
+            sum(d[1:], d[0]) * QINV - init2,
+            sum(w[1:], w[0]))
 
 
 def parameterization_checks(k, seed=0):
     """The d-ratio relation, the three initial conditions, and the
-    w-function evaluations."""
+    w-function evaluations; the initial conditions symbolically at k = 1,
+    at sampled chart points above."""
     out = {"k": k}
     mu = mu_of(k)
     one = SpectralRational.constant(k, ONE)
@@ -668,39 +656,17 @@ def parameterization_checks(k, seed=0):
                              - QScalar.q_power(2 - 2 * k))
                           ).is_zero()
     if k == 1:
-        nu = [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-        dsum = SpectralRational.constant(k, ZERO)
-        dhatsum = SpectralRational.constant(k, ZERO)
-        wsum = SpectralRational.constant(k, ZERO)
-        for i in range(1, 2 * k + 1):
-            di = d_coefficient(k, i)
-            dhi = d_coefficient(k, i, hat=True)
-            dsum = dsum + di
-            dhatsum = dhatsum + dhi
-            wsum = wsum + nu[i] * (di - dhi)
-        out["init-1"] = dhatsum.scale(QINV) == one.scale(init1)
-        out["init-2"] = dsum.scale(QINV) == one.scale(init2)
-        out["init-3"] = wsum.is_zero()
+        charts = None
+        residuals = [_init_residuals(k, _chart_nus(k), one * init1,
+                                     one * init2)]
     else:
-        count = _point_count(k, 2)
-        rng = random.Random(seed)
-        ok1 = ok2 = ok3 = True
-        for _ in range(count):
-            nus = spectral_values(k, sample_chart(k, rng))
-            dv = [None] + [d_value(k, i, nus) for i in range(1, 2 * k + 1)]
-            dh = [None] + [d_value(k, i, nus, hat=True)
-                           for i in range(1, 2 * k + 1)]
-            s1 = sum(dh[1:], ZERO)
-            s2 = sum(dv[1:], ZERO)
-            s3 = sum((nus[i] * (dv[i] - dh[i])
-                      for i in range(1, 2 * k + 1)), ZERO)
-            ok1 = ok1 and (QINV * s1 - init1).is_zero()
-            ok2 = ok2 and (QINV * s2 - init2).is_zero()
-            ok3 = ok3 and s3.is_zero()
-        out["init-1"] = ok1
-        out["init-2"] = ok2
-        out["init-3"] = ok3
-        out["points"] = count
-    out["ok"] = all(v for key, v in out.items()
-                    if key not in ("k", "points"))
+        charts = _charts(k, 2, seed)
+        residuals = [_init_residuals(k, spectral_values(k, chart), init1,
+                                     init2) for chart in charts]
+    for tag, values in zip(("init-1", "init-2", "init-3"), zip(*residuals)):
+        out[tag] = all(r.is_zero() for r in values)
+    out["ok"] = all(v for key, v in out.items() if key != "k")
+    if charts:
+        out["points"] = len(charts)
+        out["bound"] = _bound(charts, 8 * k)
     return out

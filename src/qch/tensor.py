@@ -16,7 +16,7 @@ import json
 
 from . import linalg
 from .domains import QQ, FpDomain
-from .scalar import scalar_from_text
+from .scalar import sample_points, scalar_from_text
 from .sparse import add_into, axpy_into
 
 
@@ -271,6 +271,9 @@ def verify_skew_inverse(r_op, psi):
 # ---------------------------------------------------------------------------
 # Rank certification.
 
+EXACT_RANK_LIMIT = 4096  # most columns (dim ** arity) also ranked exactly
+
+
 class RankCertificate:
     def __init__(self, rank, kind, point_ranks=None, points=None):
         self.rank = rank
@@ -282,22 +285,19 @@ class RankCertificate:
         return f"RankCertificate(rank={self.rank}, kind={self.kind})"
 
 
-def rank_certificate(x, points=None, exact_limit=4096):
+def rank_certificate(x):
     """Rank over the exact field, certified at modular points.
 
-    For exact-domain operators: modular ranks at the given points must
-    agree; an exact elimination is run as well when the matrix is small
-    enough (or whenever the modular ranks disagree), and wins.
+    For exact-domain operators: modular ranks at three sampled points must
+    agree; an exact elimination also runs up to EXACT_RANK_LIMIT columns
+    (or whenever the modular ranks disagree), and wins.
     """
     if not x.dom.exact:
         r = x.rank_in_domain()
         return RankCertificate(r, "modular", [r], [x.dom.point])
-    if points is None:
-        from .scalar import sample_points
-        points = sample_points(0, 3, 4 * x.dim + 4)
+    points = sample_points(0, 3, 4 * x.dim + 4)
     pranks = [x.reduce_at(pt).rank_in_domain() for pt in points]
-    ncols = x.dim ** x.arity
-    feasible = ncols <= exact_limit
+    feasible = x.dim ** x.arity <= EXACT_RANK_LIMIT
     if len(set(pranks)) == 1 and not feasible:
         return RankCertificate(pranks[0], "modular", pranks, points)
     er = x.rank_in_domain()
@@ -305,8 +305,8 @@ def rank_certificate(x, points=None, exact_limit=4096):
     return RankCertificate(er, kind, pranks, points)
 
 
-def exact_rank(x, points=None):
-    return rank_certificate(x, points).rank
+def exact_rank(x):
+    return rank_certificate(x).rank
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,81 @@ def test_recursions_share_one_failure_budget(capsys, monkeypatch):
     # every nonzero entry of every residual gets the same share
     shares = {round(t / n / FAILURE_TARGET, 12) for t, n in targets if n}
     assert len(shares) == 1
+
+
+# Reports of fixed runs, elapsed aside.  A refactor must keep every field,
+# the bits of each failure bound included.
+PINNED_REPORTS = {
+    ("spectral", "--k", "1", "--max-n", "6", "--seed", "3"): [
+        {"check": "spectral.factor",
+         "parameters": {"k": 1, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.images",
+         "parameters": {"k": 1, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.newton",
+         "failure_bound": 5.242880000000008e-90,
+         "parameters": {"k": 1, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:19+19+9"},
+        {"check": "spectral.param",
+         "parameters": {"k": 1, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.polynomiality",
+         "failure_bound": 3.276800000000004e-71,
+         "parameters": {"k": 1, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:15"},
+    ],
+    ("spectral", "--k", "2", "--max-n", "6", "--seed", "3"): [
+        {"check": "spectral.factor",
+         "parameters": {"k": 2, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.images",
+         "parameters": {"k": 2, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.newton",
+         "failure_bound": 1.9259043800372755e-105,
+         "parameters": {"k": 2, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:23+23+15"},
+        {"check": "spectral.param",
+         "failure_bound": 1.1529215046068462e-72,
+         "parameters": {"k": 2, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:15"},
+        {"check": "spectral.polynomiality",
+         "failure_bound": 3.1333044500294075e-87,
+         "parameters": {"k": 2, "max_n": 6, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:19"},
+    ],
+    ("rmatrix", "--k", "3", "--checks", "height", "--seed", "5"): [
+        {"check": "rmatrix.height",
+         "failure_bound": 1.7732685050456947e-23,
+         "parameters": {"k": 3, "primes": 3, "seed": 5},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "height=3 (Sp(6))"},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS))
+def test_reports_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QCH_PRIME_COUNT", raising=False)
+    code, reports, _ = run_json(capsys, list(argv) + ["--json"])
+    assert code == 0
+    for r in reports:
+        del r["elapsed"]
+    assert reports == PINNED_REPORTS[argv]

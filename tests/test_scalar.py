@@ -6,8 +6,7 @@ import pytest
 from qch import scalar as sc
 from qch.scalar import (
     ONE, ZERO, Q, QINV, LAMBDA, QScalar, InadmissiblePointError, PrimePoint,
-    bar_involution, q_int, reduce_mod, sample_points, scalar_from_text,
-    scalar_to_text,
+    q_int, sample_points, scalar_from_text, scalar_to_text,
 )
 
 
@@ -60,15 +59,15 @@ def test_bar_involution():
     rng = random.Random(5)
     for _ in range(60):
         a = _rand_scalar(rng)
-        assert bar_involution(bar_involution(a)) == a
-    assert bar_involution(Q) == QINV
-    assert bar_involution(q_int(3)) == q_int(3)
+        assert a.bar().bar() == a
+    assert Q.bar() == QINV
+    assert q_int(3).bar() == q_int(3)
 
 
 def test_reduce_mod_is_homomorphism():
     pt = PrimePoint(101, 3, 8)
-    assert reduce_mod(QINV, pt) == 34  # 3 * 34 = 102 = 1 mod 101
-    assert reduce_mod(LAMBDA, pt) == (3 - 34) % 101 == 70
+    assert pt.reduce(QINV) == 34  # 3 * 34 = 102 = 1 mod 101
+    assert pt.reduce(LAMBDA) == (3 - 34) % 101 == 70
     rng = random.Random(7)
     for _ in range(80):
         a, b = _rand_scalar(rng), _rand_scalar(rng)
