@@ -8,13 +8,15 @@ over the rational function field for small cases and at >= 3 admissible
 prime points otherwise, with the failure probability of the modular
 route reported.  An echelon-oriented rewriting system provides a sound
 fast path (a zero normal form proves membership; a nonzero one decides
-nothing).
+nothing).  Words are coded once, on entry, as integers (`word_key`) that
+order words of one length as the generator order does.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter
 
 from .domains import FpDomain
 from .linalg import Echelon
@@ -113,7 +115,8 @@ class MembershipCertificate:
         """One certificate for the conjunction of certs (say, the entries
         of a matrix): the first non-member if there is one, else the
         weakest kind with the sum of the failure bounds and every point
-        sampled.  The witness is the last certificate's."""
+        sampled.  An exact union's witness is every certificate's, in
+        order."""
         points, bound = {}, None
         for cert in certs:
             if not cert.is_member:
@@ -122,12 +125,12 @@ class MembershipCertificate:
                 bound = (bound or 0.0) + cert.bound
                 for pt in cert.points:
                     points.setdefault((pt.p, pt.qhat), pt)
-        witness = certs[-1].witness if certs else []
         if bound is None:
+            witness = [item for c in certs for item in c.witness or ()]
             return MembershipCertificate("member", "exact", witness=witness)
         return MembershipCertificate("probable-member", "modular",
                                      points=list(points.values()),
-                                     witness=witness, bound=bound)
+                                     bound=bound)
 
     def __repr__(self):
         extra = f", bound={self.bound:.3g}" if self.bound is not None else ""
@@ -151,9 +154,22 @@ class QuadraticIdeal:
             self.relations.append((rid, p))
         self.order = order if order is not None else generator_order(dim)
         self._rank_to_gen = {r: g for g, r in self.order.items()}
+        self._base = dim * dim
+        gg = self._base ** 2
+        # each relation as {2-letter code: coefficient}
+        self._rel_codes = [{self.word_key(w) - gg: c
+                            for w, c in p.terms.items()}
+                           for _, p in self.relations]
         self.weights = (default_weights(dim) if weights is None else weights)
-        if self.weights is not None and not self._relations_weighted():
+        if self.weights is not None and any(
+                len({self.block_key(code + gg) for code in codes}) > 1
+                for codes in self._rel_codes):
             self.weights = None
+        # (row weight, column weight) of each relation
+        self._rel_weights = [
+            (0, 0) if self.weights is None
+            else self.block_key(next(iter(codes)) + gg)[1:]
+            for codes in self._rel_codes]
         self._rel_span = [self._poly_span(p) for _, p in self.relations]
         self._ruleset = None
         self._components = {}
@@ -161,26 +177,34 @@ class QuadraticIdeal:
         self._block_span_max = {}
         self._points = {}
 
-    # -- orders, blocks, spans ------------------------------------------------
+    # -- words, blocks, spans ------------------------------------------------
     def word_key(self, w):
-        return tuple(self.order[g] for g in w)
+        """The integer code of a word: 1, then one base-dim**2 digit per
+        letter, its rank in the generator order."""
+        key = 1
+        for g in w:
+            key = key * self._base + self.order[g]
+        return key
 
     def word_from_key(self, key):
-        return tuple(self._rank_to_gen[r] for r in key)
+        letters = []
+        while key > 1:
+            key, r = divmod(key, self._base)
+            letters.append(self._rank_to_gen[r])
+        return tuple(reversed(letters))
 
-    def block_key(self, w):
-        if self.weights is None:
-            return (len(w),)
-        rw = sum(self.weights[a] for a, _ in w)
-        cw = sum(self.weights[b] for _, b in w)
-        return (len(w), rw, cw)
-
-    def _relations_weighted(self):
-        for _, p in self.relations:
-            blocks = {self.block_key(w) for w in p.terms}
-            if len(blocks) > 1:
-                return False
-        return True
+    def block_key(self, key):
+        """(length, row weight, column weight) of a word code, or
+        (length,) without weights."""
+        n = rw = cw = 0
+        while key > 1:
+            key, r = divmod(key, self._base)
+            n += 1
+            if self.weights is not None:
+                a, b = self._rank_to_gen[r]
+                rw += self.weights[a]
+                cw += self.weights[b]
+        return (n,) if self.weights is None else (n, rw, cw)
 
     def _poly_span(self, p):
         span = 0
@@ -193,63 +217,76 @@ class QuadraticIdeal:
     # -- rewriting fast path -----------------------------------------------------
     def ruleset(self):
         """Echelonized relations oriented as rewrite rules: the leading
-        2-letter word (largest under the column order) maps to minus the
-        tail.  Every rule application stays inside the ideal's coset."""
+        2-letter code (largest under the column order) maps to minus the
+        tail, a list of (code, coefficient).  Every rule application
+        stays inside the ideal's coset."""
         if self._ruleset is None:
             ech = Echelon(self.dom)
-            for _, p in self.relations:
-                ech.add_row({self.word_key(w): c for w, c in p.terms.items()})
-            rules = {}
-            for lead, row in ech.pivots.items():
-                repl = {self.word_from_key(col): self.dom.neg(c)
-                        for col, c in row.items() if col != lead}
-                rules[self.word_from_key(lead)] = repl
-            self._ruleset = rules
+            for codes in self._rel_codes:
+                ech.add_row(codes)
+            self._ruleset = {
+                lead: [(code, self.dom.neg(c)) for code, c in row.items()
+                       if code != lead]
+                for lead, row in ech.pivots.items()}
         return self._ruleset
 
     def normal_order(self, p, budget=2_000_000):
         """Fixed point of the oriented rules, processed largest word
         first so duplicate intermediates merge.  p - normal_order(p) is
-        an ideal member by construction."""
+        an ideal member by construction.
+
+        A rule rewrites the leftmost pair it fits, at letters pos, pos + 1
+        of a word of length L, by adding (new - old pair code) * G**(L - 2
+        - pos) to the word's code."""
         rules = self.ruleset()
         dom = self.dom
-        terms = dict(p.terms)
-        heap = [(tuple(-r for r in self.word_key(w)), w) for w in terms]
+        base = self._base
+        pair = base * base
+        terms = {self.word_key(w): c for w, c in p.terms.items()}
+        heap = [-key for key in terms]
         heapq.heapify(heap)
+        # powers[L] <= key < powers[L + 1] for a word of length L; codes
+        # pop largest first, so lengths only go down
+        powers = [1]
+        while powers[-1] <= max(terms, default=1):
+            powers.append(powers[-1] * base)
+        length = len(powers) - 1
         out = {}
         steps = 0
         while heap:
-            _, w = heapq.heappop(heap)
-            c = terms.pop(w, None)
+            key = -heapq.heappop(heap)
+            c = terms.pop(key, None)
             if c is None:
                 continue
-            hit = None
-            for pos in range(len(w) - 1):
-                if (w[pos], w[pos + 1]) in rules:
-                    hit = pos
+            while key < powers[length]:
+                length -= 1
+                shifts = powers[length - 2::-1] if length > 1 else ()
+            for shift in shifts:
+                code = key // shift % pair
+                rule = rules.get(code)
+                if rule is not None:
                     break
-            if hit is None:
-                out[w] = c
+            else:
+                out[key] = c
                 continue
             steps += 1
             if steps > budget:
                 raise BudgetError(f"normal_order budget exceeded ({budget})")
             # not qch.sparse.axpy_into: a new word must also go on the heap
-            for w2, c2 in rules[(w[hit], w[hit + 1])].items():
-                nw = w[:hit] + w2 + w[hit + 2:]
+            for code2, c2 in rule:
+                nk = key + (code2 - code) * shift
                 v = dom.mul(c, c2)
-                cur = terms.get(nw)
+                cur = terms.get(nk)
                 if cur is None:
-                    terms[nw] = v
-                    heapq.heappush(heap,
-                                   (tuple(-r for r in self.word_key(nw)), nw))
+                    terms[nk] = v
+                    heapq.heappush(heap, -nk)
                 else:
                     s = dom.add(cur, v)
                     if dom.is_zero(s):
-                        terms.pop(nw, None)
+                        del terms[nk]
                     else:
-                        terms[nw] = s
-        return NCPoly(dom, out)
+                        terms[nk] = s
+        return NCPoly(dom, {self.word_from_key(k): c for k, c in out.items()})
 
     # -- graded spanning components ------------------------------------------------
     def _all_words(self, length):
@@ -270,9 +307,7 @@ class QuadraticIdeal:
         if degree not in self._span_index:
             idx = {}
             words = {l: self._all_words(l) for l in range(degree - 1)}
-            for rel_i, (_, rel) in enumerate(self.relations):
-                d2, rw0, cw0 = (self.block_key(next(iter(rel.terms)))
-                                if self.weights else (2, 0, 0))
+            for rel_i, (rw0, cw0) in enumerate(self._rel_weights):
                 for l1 in range(degree - 1):
                     for w1, rw1, cw1 in words[l1]:
                         for w2, rw2, cw2 in words[degree - 2 - l1]:
@@ -286,22 +321,24 @@ class QuadraticIdeal:
         return self._span_index[degree]
 
     def component(self, degree, block, track=False):
-        """Echelon basis of the ideal's (degree, block) slice plus the
-        insertion metadata (relation id, w1, w2) aligned with combo
-        indices."""
+        """Echelon basis of the ideal's (degree, block) slice, on word
+        codes, plus the insertion metadata (relation id, w1, w2) aligned
+        with combo indices."""
         key = (degree, block, track)
         if key not in self._components:
             ech = Echelon(self.dom, track_combos=track)
             metas = []
-            span = 0
+            pair = self._base ** 2
             for rel_i, w1, w2 in self._span_index_for(degree).get(block, []):
-                rid, rel = self.relations[rel_i]
-                row = {self.word_key(w1 + w + w2): c
-                       for w, c in rel.terms.items()}
-                ech.add_row(row)
-                metas.append((rid, w1, w2))
-                span += self._rel_span[rel_i]
-            self._components[key] = (ech, metas, span)
+                # code(w1 w w2) = (code(w1) * G**2 + pair code of w)
+                #                 * G**|w2| + code(w2) - G**|w2|
+                head = self.word_key(w1) * pair
+                shift = self._base ** len(w2)
+                tail = self.word_key(w2) - shift
+                ech.add_row({(head + code) * shift + tail: c
+                             for code, c in self._rel_codes[rel_i].items()})
+                metas.append((self.relations[rel_i][0], w1, w2))
+            self._components[key] = (ech, metas)
         return self._components[key]
 
     def rank_of_degree(self, degree):
@@ -310,7 +347,7 @@ class QuadraticIdeal:
         rank = 0
         spanning = 0
         for block in blocks:
-            ech, metas, _ = self.component(degree, block)
+            ech, metas = self.component(degree, block)
             rank += ech.rank
             spanning += len(metas)
         return {"degree": degree, "rank": rank, "blocks": len(blocks),
@@ -390,9 +427,11 @@ class QuadraticIdeal:
         return cert
 
     def _split_blocks(self, part):
+        """{block: {word code: coefficient}} of a homogeneous part."""
         blocks = {}
         for w, c in part.terms.items():
-            blocks.setdefault(self.block_key(w), {})[w] = c
+            key = self.word_key(w)
+            blocks.setdefault(self.block_key(key), {})[key] = c
         return blocks
 
     def _membership_exact(self, parts, witness, use_rewrite):
@@ -406,9 +445,8 @@ class QuadraticIdeal:
                     part = parts[d]
                 if part.is_zero():
                     continue
-            for block, terms in sorted(self._split_blocks(part).items()):
-                ech, metas, _ = self.component(d, block, track=witness)
-                row = {self.word_key(w): c for w, c in terms.items()}
+            for block, row in sorted(self._split_blocks(part).items()):
+                ech, metas = self.component(d, block, track=witness)
                 if witness:
                     res, combo = ech.reduce_with_combo(row)
                 else:
@@ -444,10 +482,9 @@ class QuadraticIdeal:
                         pass
                     if part.is_zero():
                         continue
-                for block, terms in sorted(
+                for block, row in sorted(
                         ideal_p._split_blocks(part).items()):
-                    ech, _, _ = ideal_p.component(d, block)
-                    row = {ideal_p.word_key(w): c for w, c in terms.items()}
+                    ech, _ = ideal_p.component(d, block)
                     if ech.reduce(row):
                         return False
         return True
@@ -455,12 +492,29 @@ class QuadraticIdeal:
     def _degree_dmax(self, degree, candidate_span):
         """Largest per-block sum of relation coefficient spans, plus the
         candidate span: a degree bound for the minor whose vanishing
-        could make one modular verdict wrong."""
+        could make one modular verdict wrong.
+
+        Counted, not listed: a block's sum is, over relations r, max(span
+        of r, 1) times the number of pairs (w1, w2), |w1| + |w2| = degree
+        - 2, that put w1 r w2 in the block: degree - 1 splits of each word
+        w1 w2 of the right weight."""
         if degree not in self._block_span_max:
-            self._block_span_max[degree] = max(
-                (sum(max(self._rel_span[i], 1) for i, _, _ in rows)
-                 for rows in self._span_index_for(degree).values()),
-                default=0)
+            letters = [(0, 0) if self.weights is None else
+                       (self.weights[a], self.weights[b])
+                       for a, b in self.order]
+            counts = Counter({(0, 0): 1})   # words of length degree - 2
+            for _ in range(degree - 2):
+                nxt = Counter()
+                for (rw, cw), n in counts.items():
+                    for ra, cb in letters:
+                        nxt[rw + ra, cw + cb] += n
+                counts = nxt
+            blocks = Counter()
+            for span, (rw0, cw0) in zip(self._rel_span, self._rel_weights):
+                for (rw, cw), n in counts.items():
+                    blocks[rw + rw0, cw + cw0] += max(span, 1) * n
+            self._block_span_max[degree] = max(degree - 1, 0) * max(
+                blocks.values(), default=0)
         return self._block_span_max[degree] + max(candidate_span, 1)
 
     def _collect_verdicts(self, candidate_at, use_rewrite, want, seed, used):

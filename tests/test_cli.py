@@ -236,7 +236,7 @@ PINNED_REPORTS = {
          "residual": "0",
          "status": "pass"},
         {"check": "spectral.newton",
-         "failure_bound": 5.242880000000008e-90,
+         "failure_bound": 1.0485760000000016e-89,
          "parameters": {"k": 1, "max_n": 6, "seed": 3},
          "residual": "0",
          "status": "probable-pass",
@@ -262,7 +262,7 @@ PINNED_REPORTS = {
          "residual": "0",
          "status": "pass"},
         {"check": "spectral.newton",
-         "failure_bound": 1.9259043800372755e-105,
+         "failure_bound": 3.851808760074551e-105,
          "parameters": {"k": 2, "max_n": 6, "seed": 3},
          "residual": "0",
          "status": "probable-pass",

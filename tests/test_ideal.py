@@ -278,3 +278,57 @@ def test_witness_json_shape(rtt2, ideal2):
         for w in (w1, w2):
             assert all(len(pair) == 2 and all(1 <= x <= 2 for x in pair)
                        for pair in w)
+
+
+def test_union_witness_is_every_entry_witness(rtt2, ideal2):
+    entries = [p for p in rtt2.ch_identity(1).entries() if p]
+    singles = [ideal2.membership(p, witness=True) for p in entries]
+    cert = MembershipCertificate.union(singles)
+    assert cert.kind == "exact"
+    assert len(cert.witness) == sum(len(c.witness) for c in singles)
+    assert cert.witness == [item for c in singles for item in c.witness]
+
+
+@pytest.mark.parametrize("pair", ["rtt", "re"])
+def test_sp4_parent_witness_replays(pair):
+    """Every exact witness item c * w1 * r * w2, summed over Q(q) with no
+    elimination, gives back its entry of the k = 2 parent identity."""
+    r = build_standard_sp(2)
+    ctx = AlgebraContext(r, r if pair == "re" else flip_context(QQ, 4),
+                         label=f"sp4-{pair}")
+    ideal = QuadraticIdeal(QQ, 4, ctx.defining_relations())
+    rels = dict(ideal.relations)
+    total = 0
+    for entry in ctx.parent_identity(2).entries():
+        if not entry:
+            continue
+        cert = ideal.membership(entry, witness=True)
+        assert cert.kind == "exact" and cert.is_member
+        acc = NCPoly.zero(QQ)
+        for coeff, w1, rid, w2 in cert.witness:
+            acc = acc + (word_poly(w1) * rels[rid] * word_poly(w2)).scale(
+                coeff)
+        assert acc == entry
+        total += len(cert.witness)
+    assert total == 187
+
+
+def test_non_member_residual_decodes_to_words(ideal2, ideal4):
+    # a word that leads no relation is its own residual
+    for ideal, dim in ((ideal2, 2), (ideal4, 4)):
+        leads = {ideal.word_from_key(lead + dim ** 4)
+                 for lead in ideal.ruleset()}
+        gens = [(a, b) for a in range(dim) for b in range(dim)]
+        free = [(g, h) for g in gens for h in gens if (g, h) not in leads]
+        for w in free[:3] + free[-3:]:
+            p = word_poly(w).scale(qp(1))
+            cert = ideal.membership(p, mode="exact")
+            assert cert.status == "non-member"
+            assert cert.residual == p
+    # any residual differs from its polynomial by an ideal member
+    p = gen(0, 0) * gen(0, 1) * gen(1, 1) - gen(1, 1) * gen(0, 1) * gen(0, 0)
+    cert = ideal2.membership(p, mode="exact", use_rewrite=False)
+    assert cert.status == "non-member"
+    assert all(len(w) == 3 and all(g in ideal2.order for g in w)
+               for w in cert.residual.terms)
+    assert ideal2.membership(p - cert.residual, mode="exact").is_member
