@@ -116,7 +116,8 @@ class MembershipCertificate:
         of a matrix): the first non-member if there is one, else the
         weakest kind with the sum of the failure bounds and every point
         sampled.  An exact union's witness is every certificate's, in
-        order."""
+        order, each item led by the index in certs of the certificate it
+        came from (the entry it certifies)."""
         points, bound = {}, None
         for cert in certs:
             if not cert.is_member:
@@ -126,7 +127,8 @@ class MembershipCertificate:
                 for pt in cert.points:
                     points.setdefault((pt.p, pt.qhat), pt)
         if bound is None:
-            witness = [item for c in certs for item in c.witness or ()]
+            witness = [(entry, *item) for entry, c in enumerate(certs)
+                       for item in c.witness or ()]
             return MembershipCertificate("member", "exact", witness=witness)
         return MembershipCertificate("probable-member", "modular",
                                      points=list(points.values()),
@@ -586,10 +588,10 @@ class QuadraticIdeal:
 
 
 def witness_to_json(witness):
-    """Witness entries as JSON-ready lists: [coeff, w1, relation id, w2]
-    with 1-based generator labels."""
+    """Witness items as JSON-ready lists: [coeff, w1, relation id, w2]
+    with 1-based generator labels, after a union item's entry index."""
     out = []
-    for coeff, w1, rid, w2 in witness:
+    for *entry, coeff, w1, rid, w2 in witness:
         enc = lambda w: [[a + 1, b + 1] for a, b in w]
-        out.append([str(coeff), enc(w1), rid, enc(w2)])
+        out.append([*entry, str(coeff), enc(w1), rid, enc(w2)])
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from . import tensor
 from .domains import QQ, FpDomain
 from .ideal import modular_bound
+from .linalg import Echelon
 from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
 from .tensor import TensorOperator
 
@@ -307,26 +308,25 @@ def compute_g_operator(r_ctx, f_ctx):
 # ---------------------------------------------------------------------------
 # Projector towers.
 
-def _sigma_op(ctx, i, x, sign, arity):
-    """sigma_i^+-(x) = 1 + (x-1)/(q-q^-1) R_i + mu(x-1)/(mu -+ q^-+1 x) K_i."""
+def _sigma_local(ctx, i, x, sign):
+    """sigma_i^+-(x) = 1 + (x-1)/(q-q^-1) R + mu(x-1)/(mu -+ q^-+1 x) K on
+    the two factors it acts on."""
     den = ctx.mu_scalar - QScalar.from_int(sign) * QScalar.q_power(-sign) * x
     if den.is_zero():
         raise GuardError(f"tower denominator mu - q^{-sign} x vanishes "
                          f"at level {i}")
     c_r = (x - ONE) / LAMBDA
     c_k = ctx.mu_scalar * (x - ONE) / den
-    out = ctx.identity(arity)
-    out = out + ctx.r.embed(i, arity).scale(ctx.coeff(c_r))
-    out = out + ctx.k_op.embed(i, arity).scale(ctx.coeff(c_k))
-    return out
+    return (ctx.identity() + ctx.r.scale(ctx.coeff(c_r))
+            + ctx.k_op.scale(ctx.coeff(c_k)))
 
 
 def sigma_minus(ctx, i, x, arity):
-    return _sigma_op(ctx, i, x, -1, arity)
+    return _sigma_local(ctx, i, x, -1).embed(i, arity)
 
 
 def sigma_plus(ctx, i, x, arity):
-    return _sigma_op(ctx, i, x, +1, arity)
+    return _sigma_local(ctx, i, x, +1).embed(i, arity)
 
 
 def antisymmetrizer_tower(ctx, n):
@@ -351,11 +351,39 @@ def symmetrizer_tower(ctx, n):
     return out
 
 
-def height_probe(ctx, tower, i):
-    """a^(i) sigma_i^-(q^-2i) a^(i); its vanishing ends the height search."""
+def _probe_sigma(ctx, i):
+    """sigma_i^-(q^-2i) of the height probe, on its two factors."""
+    return _sigma_local(ctx, i, QScalar.q_power(-2 * i), -1)
+
+
+def height_probe(ctx, tower, i, sig=None):
+    """a^(i) sigma_i^-(q^-2i) a^(i); its vanishing ends the height search.
+    sig is sigma_i^-(q^-2i) on its two factors, if already built."""
+    if sig is None:
+        sig = _probe_sigma(ctx, i)
     a_i = tower[i - 1].embed(1, i + 1)
-    sig = sigma_minus(ctx, i, QScalar.q_power(-2 * i), i + 1)
-    return a_i @ sig @ a_i
+    return a_i @ sig.embed(i, i + 1) @ a_i
+
+
+def probe_vanishes(ctx, tower, i, sig=None):
+    """Whether `height_probe(ctx, tower, i)` is zero, decided without
+    building it.
+
+    With P = a^(i) (x) 1, P sigma_i P = 0 exactly when P sigma_i y = 0 for
+    every y in Im P = Im a^(i) (x) V.  So each b (x) e_j, with b from an
+    echelon basis of the columns of a^(i), gets sigma_i on factors i, i+1
+    and then a^(i) on factors 1..i; the probe vanishes iff every image is
+    zero.  The test is exact in ctx's domain.
+    """
+    if sig is None:
+        sig = _probe_sigma(ctx, i)
+    a_i = tower[i - 1]
+    ech = Echelon(ctx.dom)
+    for col in a_i.columns().values():
+        ech.add_row(col)
+    basis = ({t + (j,): c for t, c in b.items()}
+             for b in ech.pivots.values() for j in range(ctx.dim))
+    return not any(a_i.apply_at(1, sig.apply_at(i, basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +409,19 @@ def big_delta(mu, i):
 def _height_scan(ctx, bound):
     """Smallest i with the probe vanishing; None if not found below bound.
 
-    Also checks that every lower tower level is a nonzero operator.
+    Also checks that every lower tower level is a nonzero operator.  A
+    level's probe is tested by `probe_vanishes` and built, as the next
+    level, only when it is nonzero.
     """
     tower = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
     for i in range(1, bound + 1):
-        probe = height_probe(ctx, tower, i)
-        if probe.is_zero():
+        sig = _probe_sigma(ctx, i)
+        if probe_vanishes(ctx, tower, i, sig):
             if any(a.is_zero() for a in tower):
                 return None
             return i
         c = QScalar.q_power(i) / q_int(i + 1)
-        tower.append(probe.scale(ctx.coeff(c)))
+        tower.append(height_probe(ctx, tower, i, sig).scale(ctx.coeff(c)))
     return None
 
 

@@ -301,28 +301,16 @@ def expansion_coefficients(k, order=None):
     return coeffs
 
 
-def factor_check(k, seed=0):
-    """Expand the factorized characteristic product and confirm each
-    power-symbol coefficient equals the corresponding (-q)^i epsilon
-    image, exactly for k <= 2, by admissible-point evaluation above."""
-    mode = "exact" if k <= 2 else "evaluate"
+def factor_check(k):
+    """Expand the factorized characteristic product and confirm, exactly,
+    that each power-symbol coefficient equals the corresponding (-q)^i
+    epsilon image."""
     coeffs = expansion_coefficients(k)
-    targets = [pi_hom(k, "eps", i).scale((-Q) ** i)
-               for i in range(2 * k + 1)]
-    if mode == "exact":
-        for i in range(2 * k + 1):
-            if not (coeffs[2 * k - i] - targets[i]).is_zero():
-                return {"ok": False, "i": i, "mode": mode}
-        return {"ok": True, "mode": mode, "checked": 2 * k + 1}
-    charts = _charts(k, 2 * k, seed)
-    for chart in charts:
-        nus = spectral_values(k, chart)
-        for i in range(2 * k + 1):
-            diff = coeffs[2 * k - i].evaluate(nus) - targets[i].evaluate(nus)
-            if not diff.is_zero():
-                return {"ok": False, "i": i, "mode": mode}
-    return {"ok": True, "mode": mode, "checked": 2 * k + 1,
-            "points": len(charts), "bound": _bound(charts, 8 * k)}
+    for i in range(2 * k + 1):
+        target = pi_hom(k, "eps", i).scale((-Q) ** i)
+        if not (coeffs[2 * k - i] - target).is_zero():
+            return {"ok": False, "i": i}
+    return {"ok": True, "checked": 2 * k + 1}
 
 
 # ---------------------------------------------------------------------------

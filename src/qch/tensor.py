@@ -96,16 +96,32 @@ class TensorOperator:
         """Operator product self . other (apply other first)."""
         assert self.arity == other.arity and self.dim == other.dim
         dom = self.dom
-        by_in = {}
-        for (tin, tout), c in self.data.items():
-            by_in.setdefault(tin, []).append((tout, c))
+        cols = self.columns()
         data = {}
         for (bin_, bmid), bc in other.data.items():
-            hits = by_in.get(bmid)
+            hits = cols.get(bmid)
             if hits:
-                axpy_into(data, (((bin_, aout), ac) for aout, ac in hits),
+                axpy_into(data, (((bin_, aout), ac)
+                                 for aout, ac in hits.items()),
                           bc, dom)
         return TensorOperator(dom, self.dim, self.arity, data)
+
+    def apply_at(self, pos, vectors):
+        """Apply self on factors pos .. pos+arity-1 (1-based) of each
+        sparse vector {multi-index: coeff} in an iterable; yields the
+        images in order, without embedding self into a larger arity."""
+        lo, hi = pos - 1, pos - 1 + self.arity
+        dom = self.dom
+        cols = self.columns()
+        for vec in vectors:
+            out = {}
+            for t, c in vec.items():
+                hits = cols.get(t[lo:hi])
+                if hits:
+                    head, tail = t[:lo], t[hi:]
+                    axpy_into(out, ((head + tout + tail, ac)
+                                    for tout, ac in hits.items()), c, dom)
+            yield out
 
     # -- embeddings and traces -----------------------------------------------
     def embed(self, pos, arity):
@@ -173,6 +189,13 @@ class TensorOperator:
         for (tin, tout), c in self.data.items():
             rows.setdefault(tout, {})[tin] = c
         return rows
+
+    def columns(self):
+        """Matrix columns {output multi-index: coeff} keyed by input index."""
+        cols = {}
+        for (tin, tout), c in self.data.items():
+            cols.setdefault(tin, {})[tout] = c
+        return cols
 
     def rank_in_domain(self):
         return linalg.rank_of_rows(list(self.rows().values()), self.dom)

@@ -286,31 +286,35 @@ def test_union_witness_is_every_entry_witness(rtt2, ideal2):
     cert = MembershipCertificate.union(singles)
     assert cert.kind == "exact"
     assert len(cert.witness) == sum(len(c.witness) for c in singles)
-    assert cert.witness == [item for c in singles for item in c.witness]
+    assert cert.witness == [(entry, *item) for entry, c in enumerate(singles)
+                            for item in c.witness]
+    data = witness_to_json(cert.witness)
+    assert [item[0] for item in data] == [item[0] for item in cert.witness]
+    assert [item[1:] for item in data] == witness_to_json(
+        [item[1:] for item in cert.witness])
 
 
 @pytest.mark.parametrize("pair", ["rtt", "re"])
 def test_sp4_parent_witness_replays(pair):
-    """Every exact witness item c * w1 * r * w2, summed over Q(q) with no
-    elimination, gives back its entry of the k = 2 parent identity."""
+    """The union witness of the k = 2 parent identity, replayed entry by
+    entry: its items c * w1 * r * w2 for each entry, summed over Q(q) with
+    no elimination, give back that entry."""
     r = build_standard_sp(2)
     ctx = AlgebraContext(r, r if pair == "re" else flip_context(QQ, 4),
                          label=f"sp4-{pair}")
     ideal = QuadraticIdeal(QQ, 4, ctx.defining_relations())
     rels = dict(ideal.relations)
-    total = 0
-    for entry in ctx.parent_identity(2).entries():
-        if not entry:
-            continue
-        cert = ideal.membership(entry, witness=True)
-        assert cert.kind == "exact" and cert.is_member
-        acc = NCPoly.zero(QQ)
-        for coeff, w1, rid, w2 in cert.witness:
-            acc = acc + (word_poly(w1) * rels[rid] * word_poly(w2)).scale(
-                coeff)
-        assert acc == entry
-        total += len(cert.witness)
-    assert total == 187
+    parent = ctx.parent_identity(2)
+    cert = ideal.membership_matrix(parent, witness=True)
+    assert cert.kind == "exact" and cert.is_member
+    assert len(cert.witness) == 187
+    sums = {}
+    for entry, coeff, w1, rid, w2 in cert.witness:
+        term = (word_poly(w1) * rels[rid] * word_poly(w2)).scale(coeff)
+        sums[entry] = sums.get(entry, NCPoly.zero(QQ)) + term
+    for entry, p in enumerate(parent.entries()):
+        assert sums.get(entry, NCPoly.zero(QQ)) == p
+    assert set(sums) == {i for i, p in enumerate(parent.entries()) if p}
 
 
 def test_non_member_residual_decodes_to_words(ideal2, ideal4):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from qch import rmatrix, tensor
@@ -146,6 +148,58 @@ def test_height_exact(k, tag):
 def test_height_modular_agrees_at_k2():
     ctx = rmatrix.build_standard_sp(2)
     assert rmatrix.height(ctx, mode="modular", seed=11) == (2, "Sp(4)")
+
+
+def _assert_image_test_agrees(ctx, k):
+    """probe_vanishes equals the explicit probe at every level up to the
+    height k; past it both stop at the same tower guard."""
+    tower = rmatrix.antisymmetrizer_tower(ctx, k + 1)
+    assert tower[k].is_zero() and not tower[k - 1].is_zero()
+    for i in range(1, k + 1):
+        vanishes = rmatrix.height_probe(ctx, tower, i).is_zero()
+        assert rmatrix.probe_vanishes(ctx, tower, i) == vanishes
+        assert vanishes == (i == k)
+    for probe in (rmatrix.probe_vanishes, rmatrix.height_probe):
+        with pytest.raises(rmatrix.GuardError):
+            probe(ctx, tower, k + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_image_test_agrees_with_probe_exact(k):
+    _assert_image_test_agrees(rmatrix.build_standard_sp(k), k)
+
+
+def test_image_test_agrees_with_probe_at_points_k3():
+    ctx = rmatrix.build_standard_sp(3)
+    for pt in sample_points(7, 3, 2 * ctx.dim + 4):
+        _assert_image_test_agrees(ctx.at_point(pt), 3)
+
+
+def test_image_test_agrees_on_coordinate_projectors():
+    """Towers ending in a coordinate projector, from rank 1 up: each basis
+    vector of the image can carry the only nonzero part of the probe."""
+    ctx = rmatrix.build_standard_sp(2)
+    for i in (1, 2):
+        idx = list(itertools.product(range(ctx.dim), repeat=i))
+        for support in (idx[:1], idx[-1:], idx[1::3]):
+            proj = TensorOperator(QQ, ctx.dim, i,
+                                  {(t, t): ONE for t in support})
+            tower = [None] * (i - 1) + [proj]
+            assert (rmatrix.probe_vanishes(ctx, tower, i)
+                    == rmatrix.height_probe(ctx, tower, i).is_zero())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_height_scan_stops_below_height(k):
+    ctx = rmatrix.build_standard_sp(k)
+    assert rmatrix._height_scan(ctx, k - 1) is None
+    assert rmatrix._height_scan(ctx, k) == k
+
+
+def test_height_scan_k4_at_a_point():
+    ctx = rmatrix.build_standard_sp(4)
+    pt = sample_points(0, 3, 2 * ctx.dim + 4)[0]
+    assert rmatrix._height_scan(ctx.at_point(pt), 6) == 4
 
 
 def test_context_at_point_is_homomorphic():

@@ -125,11 +125,16 @@ def test_factor_order_invariance():
         assert all(a == b for a, b in zip(base, perm))
 
 
-@pytest.mark.parametrize("k,mode", [(1, "exact"), (2, "exact"),
-                                    (3, "evaluate")])
-def test_factor_check(k, mode):
-    r = sp.factor_check(k)
-    assert r["ok"] and r["mode"] == mode
+@pytest.mark.parametrize("k", [1, 2, 3], ids=lambda k: f"{k}-exact")
+def test_factor_check(k):
+    assert sp.factor_check(k) == {"ok": True, "checked": 2 * k + 1}
+
+
+def test_factor_check_names_a_wrong_coefficient(monkeypatch):
+    coeffs = sp.expansion_coefficients(3)
+    coeffs[2] = coeffs[2] + var(3, 0, 4)
+    monkeypatch.setattr(sp, "expansion_coefficients", lambda k: coeffs)
+    assert sp.factor_check(3) == {"ok": False, "i": 4}
 
 
 # -- rational layer -----------------------------------------------------------

@@ -41,6 +41,26 @@ def test_composition_associative_and_disjoint_embed():
     assert (r1 @ k3) == (k3 @ r1)
 
 
+@pytest.mark.parametrize("pos", [1, 2, 3])
+def test_apply_at_matches_embedded_columns(pos):
+    """Applying an operator at a factor position to a vector agrees with
+    the embedded operator, one basis vector and one sum at a time."""
+    ctx = rmatrix.build_standard_sp(1)
+    op = ctx.r + ctx.k_op.scale(qp(2))
+    big = op.embed(pos, 4)
+    cols = big.columns()
+    keys = sorted(cols)
+    images = list(op.apply_at(pos, ({t: ONE} for t in keys)))
+    assert images == [cols[t] for t in keys]
+    vec = {keys[0]: qp(1), keys[5]: qp(-2), keys[-1]: ONE}
+    (image,) = op.apply_at(pos, [vec])
+    want = {}
+    for t, c in vec.items():
+        for tout, v in cols[t].items():
+            want[tout] = want.get(tout, QScalar.from_int(0)) + v * c
+    assert image == {t: c for t, c in want.items() if not c.is_zero()}
+
+
 def test_trace_cyclicity_in_traced_factor():
     ctx = rmatrix.build_standard_sp(1)
     x = ctx.r
