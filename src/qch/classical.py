@@ -219,8 +219,8 @@ def _rand_primed_symmetric(k, rng):
     return (m + prime(m)).scale(Fraction(1, 2))
 
 
-def sample_blocks(k, g, rng, retries=100):
-    for _ in range(retries):
+def sample_blocks(k, g, rng):
+    for _ in range(100):
         a = _rand_block(k, rng)
         if a.det() != 0:
             return SimilitudeSample(a, _rand_primed_symmetric(k, rng),

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ, SpanDomain
-from .ideal import (FAILURE_TARGET, MIN_PRIME_COUNT, MembershipCertificate,
-                    MixedVerdictError, QuadraticIdeal, prime_count)
+from .ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
+                    MembershipCertificate, MixedVerdictError, QuadraticIdeal,
+                    prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 
@@ -394,7 +395,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--pair", choices=("rtt", "re"), default="rtt")
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--stats", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spectral", help="spectral parameterization suite")
@@ -430,8 +430,9 @@ def _validate(args, parser):
     if getattr(args, "max_n", 2) < 2:
         parser.error("--max-n must be >= 2")
     if getattr(args, "primes", None) is not None \
-            and args.primes < MIN_PRIME_COUNT:
-        parser.error(f"--primes must be >= {MIN_PRIME_COUNT}")
+            and not MIN_PRIME_COUNT <= args.primes <= MAX_PRIME_COUNT:
+        parser.error(f"--primes must be >= {MIN_PRIME_COUNT} and "
+                     f"<= {MAX_PRIME_COUNT}")
     if args.command in ("rmatrix", "qma", "all"):
         try:
             prime_count()

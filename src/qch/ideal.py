@@ -21,18 +21,20 @@ from collections import Counter
 from .domains import FpDomain
 from .linalg import Echelon
 from .ncpoly import NCPoly, QMatrix
-from .scalar import InadmissiblePointError, sample_points
+from .scalar import PRIME_POOL_SIZE, InadmissiblePointError, sample_points
 
 FAILURE_TARGET = 1e-12
 DEFAULT_PRIME_COUNT = 3
-# fewest prime points a modular verdict may rest on
+# fewest prime points a modular verdict may rest on, and most
 MIN_PRIME_COUNT = 3
+MAX_PRIME_COUNT = PRIME_POOL_SIZE
 
 
 def prime_count():
     """Prime points per modular check: QCH_PRIME_COUNT, default 3.
 
-    Raises ValueError unless the variable is an integer >= MIN_PRIME_COUNT.
+    Raises ValueError unless the variable is an integer from
+    MIN_PRIME_COUNT to MAX_PRIME_COUNT.
     """
     raw = os.environ.get("QCH_PRIME_COUNT", str(DEFAULT_PRIME_COUNT))
     try:
@@ -40,9 +42,10 @@ def prime_count():
     except ValueError:
         raise ValueError(
             f"QCH_PRIME_COUNT must be an integer, got {raw!r}") from None
-    if count < MIN_PRIME_COUNT:
+    if not MIN_PRIME_COUNT <= count <= MAX_PRIME_COUNT:
         raise ValueError(
-            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT}, got {count}")
+            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT} and "
+            f"<= {MAX_PRIME_COUNT}, got {count}")
     return count
 
 
@@ -374,8 +377,7 @@ class QuadraticIdeal:
         return degree > 2 and self.dim > 2
 
     def membership(self, p, mode="auto", seed=0, witness=False,
-                   min_points=None, candidate_span=None, use_rewrite=True,
-                   target=FAILURE_TARGET):
+                   min_points=None, target=FAILURE_TARGET):
         """Decide p ∈ ideal.  Inhomogeneous p splits into graded parts.
 
         mode: exact | modular | auto (exact over an exact domain unless
@@ -396,21 +398,19 @@ class QuadraticIdeal:
         if mode == "exact":
             if not self.dom.exact:
                 raise IdealError("exact membership needs an exact domain")
-            return self._membership_exact(parts, witness, use_rewrite)
+            return self._membership_exact(parts, witness)
         try:
             return self._membership_modular(
                 lambda pt: p.reduce_at(pt), max(parts), seed=seed,
-                min_points=min_points,
-                candidate_span=candidate_span or self._poly_span(p),
-                use_rewrite=use_rewrite, target=target)
+                min_points=min_points, candidate_span=self._poly_span(p),
+                target=target)
         except MixedVerdictError:
             if not self.dom.exact:
                 raise
-            return self._membership_exact(parts, witness, use_rewrite)
+            return self._membership_exact(parts, witness)
 
     def membership_family(self, candidate_at, degree, candidate_span,
-                          entries=1, seed=0, min_points=None,
-                          use_rewrite=True):
+                          entries=1, seed=0, min_points=None):
         """Modular membership of a candidate that is only built at points.
 
         candidate_at(pt) is the reduction at pt of one fixed exact
@@ -423,8 +423,7 @@ class QuadraticIdeal:
         """
         cert = self._membership_modular(
             candidate_at, degree, seed=seed, min_points=min_points,
-            candidate_span=candidate_span, use_rewrite=use_rewrite,
-            target=FAILURE_TARGET / entries)
+            candidate_span=candidate_span, target=FAILURE_TARGET / entries)
         cert.bound *= entries
         return cert
 
@@ -436,11 +435,11 @@ class QuadraticIdeal:
             blocks.setdefault(self.block_key(key), {})[key] = c
         return blocks
 
-    def _membership_exact(self, parts, witness, use_rewrite):
+    def _membership_exact(self, parts, witness=False):
         items = []
         for d in sorted(parts):
             part = parts[d]
-            if use_rewrite and not witness:
+            if not witness:
                 try:
                     part = self.normal_order(part)
                 except BudgetError:
@@ -470,26 +469,13 @@ class QuadraticIdeal:
     def _point_bound(self):
         return 8 * self.dim + 8
 
-    def _vanishes_at(self, pt, candidate_at, use_rewrite):
+    def _vanishes_at(self, pt, candidate_at):
         """Whether every entry of the candidate lies in the ideal at pt."""
         ideal_p = self.at_point(pt)
         cand = candidate_at(pt)
-        polys = cand.entries() if isinstance(cand, QMatrix) else (cand,)
-        for p_p in polys:
-            for d, part in p_p.graded_parts().items():
-                if use_rewrite:
-                    try:
-                        part = ideal_p.normal_order(part)
-                    except BudgetError:
-                        pass
-                    if part.is_zero():
-                        continue
-                for block, row in sorted(
-                        ideal_p._split_blocks(part).items()):
-                    ech, _ = ideal_p.component(d, block)
-                    if ech.reduce(row):
-                        return False
-        return True
+        entries = cand.entries() if isinstance(cand, QMatrix) else (cand,)
+        return all(ideal_p._membership_exact(p.graded_parts()).is_member
+                   for p in entries)
 
     def _degree_dmax(self, degree, candidate_span):
         """Largest per-block sum of relation coefficient spans, plus the
@@ -519,7 +505,7 @@ class QuadraticIdeal:
                 blocks.values(), default=0)
         return self._block_span_max[degree] + max(candidate_span, 1)
 
-    def _collect_verdicts(self, candidate_at, use_rewrite, want, seed, used):
+    def _collect_verdicts(self, candidate_at, want, seed, used):
         pts, verdicts = [], []
         for attempt in range(40):
             fresh = sample_points(seed + attempt, count=want + attempt,
@@ -532,8 +518,7 @@ class QuadraticIdeal:
                     continue
                 used.add(key)
                 try:
-                    verdicts.append(self._vanishes_at(pt, candidate_at,
-                                                      use_rewrite))
+                    verdicts.append(self._vanishes_at(pt, candidate_at))
                     pts.append(pt)
                 except InadmissiblePointError:
                     continue
@@ -542,21 +527,21 @@ class QuadraticIdeal:
         raise IdealError("could not collect enough admissible points")
 
     def _membership_modular(self, candidate_at, degree, seed, min_points,
-                            candidate_span, use_rewrite,
-                            target=FAILURE_TARGET):
+                            candidate_span, target=FAILURE_TARGET):
         want = prime_count() if min_points is None else min_points
-        if want < MIN_PRIME_COUNT:
+        if not MIN_PRIME_COUNT <= want <= MAX_PRIME_COUNT:
             raise ValueError(
-                f"min_points must be >= {MIN_PRIME_COUNT}, got {want}")
+                f"min_points must be >= {MIN_PRIME_COUNT} and "
+                f"<= {MAX_PRIME_COUNT}, got {want}")
         d_max = self._degree_dmax(degree, candidate_span)
         for batch in range(4):
             used = set()
             pts, verdicts = self._collect_verdicts(
-                candidate_at, use_rewrite, want, seed + 104729 * batch, used)
+                candidate_at, want, seed + 104729 * batch, used)
             while modular_bound(pts, d_max) > target and len(pts) < 12:
                 more_p, more_v = self._collect_verdicts(
-                    candidate_at, use_rewrite, 1,
-                    seed + 104729 * batch + 31 * len(pts), used)
+                    candidate_at, 1, seed + 104729 * batch + 31 * len(pts),
+                    used)
                 pts += more_p
                 verdicts += more_v
             bound = modular_bound(pts, d_max)

@@ -1,5 +1,5 @@
-"""Sparse row-echelon elimination and dense-ish matrix inversion, generic
-over a coefficient domain.
+"""Sparse row-echelon elimination, and matrix inversion built on it,
+generic over a coefficient domain.
 
 Rows are dicts {column: coefficient}.  Columns can be any sortable keys;
 the echelon picks each row's largest column as its pivot, so an order on
@@ -87,61 +87,36 @@ def invert_matrix(rows, n, dom):
 
     Returns the inverse as a list of row dicts.  Raises
     SingularMatrixError with a kernel witness when singular.
+
+    The rows go into an `Echelon` that tracks combinations.  A pivot row
+    has a 1 at its lead and its other entries left of it, so with the
+    leads taken in increasing order, clearing those entries with the
+    inverse rows already found leaves e_lead as a combination of the
+    rows: row lead of the inverse.
     """
-    aug = []
-    for i, r in enumerate(rows):
-        left = {c: v for c, v in r.items() if not dom.is_zero(v)}
-        aug.append((left, {i: dom.one()}))
-    # forward elimination with column pivoting in natural order
-    piv_rows = {}
-    free_cols = []
-    remaining = list(range(n))
-    work = aug
-    for col in range(n):
-        pick = None
-        for idx, (left, right) in enumerate(work):
-            if col in left:
-                pick = idx
-                break
-        if pick is None:
-            free_cols.append(col)
-            continue
-        left, right = work.pop(pick)
-        inv = dom.inv(left[col])
-        left = {c: dom.mul(inv, v) for c, v in left.items()}
-        right = {c: dom.mul(inv, v) for c, v in right.items()}
-        piv_rows[col] = (left, right)
-        nxt = []
-        for l2, r2 in work:
-            if col in l2:
-                c = dom.neg(l2[col])
-                axpy_into(l2, left.items(), c, dom)
-                axpy_into(r2, right.items(), c, dom)
-            if l2:
-                nxt.append((l2, r2))
-        work = nxt
-    if free_cols:
-        col = free_cols[0]
+    ech = Echelon(dom, track_combos=True)
+    for r in rows:
+        ech.add_row({c: v for c, v in r.items() if not dom.is_zero(v)})
+    leads = sorted(ech.pivots)
+    if len(leads) < n:
+        # v_col = 1 on the first free column, 0 on the others; each pivot
+        # row then fixes v at its lead from the entries left of it
+        col = min(set(range(n)).difference(leads))
         kernel = {col: dom.one()}
-        for c in sorted(piv_rows, reverse=True):
-            left, _ = piv_rows[c]
+        for lead in leads:
             acc = dom.zero()
-            for cc, v in left.items():
-                if cc == c:
-                    continue
-                if cc in kernel:
-                    acc = dom.add(acc, dom.mul(v, kernel[cc]))
+            for c, v in ech.pivots[lead].items():
+                if c in kernel:
+                    acc = dom.add(acc, dom.mul(v, kernel[c]))
             if not dom.is_zero(acc):
-                kernel[c] = dom.neg(acc)
+                kernel[lead] = dom.neg(acc)
         raise SingularMatrixError(
             f"matrix is singular (free column {col})", kernel=kernel)
-    # back substitution
-    for col in sorted(piv_rows, reverse=True):
-        left, right = piv_rows[col]
-        for c in [c for c in left if c > col]:
-            pl, pr = piv_rows[c]
-            coef = dom.neg(left[c])
-            axpy_into(left, pl.items(), coef, dom)
-            axpy_into(right, pr.items(), coef, dom)
-        piv_rows[col] = (left, right)
-    return [piv_rows[i][1] for i in range(n)]
+    inv = {}
+    for lead in leads:
+        row = dict(ech.combos[lead])
+        for c, v in ech.pivots[lead].items():
+            if c != lead:
+                axpy_into(row, inv[c].items(), dom.neg(v), dom)
+        inv[lead] = row
+    return [inv[i] for i in range(n)]

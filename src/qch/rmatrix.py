@@ -436,15 +436,14 @@ def height_points(ctx, mode="auto", seed=0, prime_count=3):
     return points, modular_bound(points, 8 * ctx.dim + 8)
 
 
-def height(ctx, bound=None, mode="auto", seed=0, prime_count=3):
+def height(ctx, mode="auto", seed=0, prime_count=3):
     """Height of the R-matrix, with its type tag.
 
     mode "exact" runs the tower over the exact field; "modular" runs it
     at prime_count admissible points and requires agreement; "auto"
     picks as `height_points` does.
     """
-    if bound is None:
-        bound = (ctx.height_hint or 4) + 2
+    bound = (ctx.height_hint or 4) + 2
     points, _ = height_points(ctx, mode, seed, prime_count)
     if points is None:
         k = _height_scan(ctx, bound)

@@ -457,7 +457,9 @@ def _primes_below_2_31(count):
     return out
 
 
-_PRIME_POOL = _primes_below_2_31(24)
+# sample_points takes at most one point per prime of the pool
+PRIME_POOL_SIZE = 24
+_PRIME_POOL = _primes_below_2_31(PRIME_POOL_SIZE)
 
 
 class PrimePoint:

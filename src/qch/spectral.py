@@ -581,8 +581,8 @@ def newton_closure(k, seed=0):
 
 def polynomiality_check(k, n, seed=0):
     """Stretch check: the rational power-sum images p_1..p_min(n,4) agree
-    with the polynomials solved from the Newton recursion.  The bound keeps
-    the degree of p_n, which over-covers the degrees checked."""
+    with the polynomials solved from the Newton recursion.  The bound takes
+    the degree of p_min(n,4), the largest one checked."""
     top = min(n, 4)
     charts = _charts(k, top, seed)
     polys = _newton_powersums(k, top)
@@ -592,7 +592,7 @@ def polynomiality_check(k, n, seed=0):
             if not (polys[m].evaluate(data["nus"]) - data["p"][m]).is_zero():
                 return {"ok": False, "n": m}
     return {"ok": True, "n": top, "points": len(charts),
-            "bound": _bound(charts, 8 * k + 2 * n)}
+            "bound": _bound(charts, 8 * k + 2 * top)}
 
 
 def _init_residuals(k, nus, init1, init2):

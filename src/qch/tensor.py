@@ -219,34 +219,32 @@ def matrix_from_operator(x):
     return m
 
 
+def _invert_reshaped(x, cell, entry):
+    """Exact inverse of x read as a dim**arity square matrix: x's entry
+    (tin, tout) sits at cell(tin, tout) = (row, column), and the inverse's
+    cell (row, column) is the result's entry entry(row, column)."""
+    n = x.dim ** x.arity
+    rows = [{} for _ in range(n)]
+    for (tin, tout), c in x.data.items():
+        r, col = cell(tin, tout)
+        rows[r][col] = c
+    inv = linalg.invert_matrix(rows, n, x.dom)
+    return TensorOperator(x.dom, x.dim, x.arity,
+                          {entry(r, col): c for r, row in enumerate(inv)
+                           for col, c in row.items()})
+
+
 def invert_arity1(x):
-    dom, dim = x.dom, x.dim
-    rows = [{} for _ in range(dim)]
-    for ((j,), (i,)), c in x.data.items():
-        rows[i][j] = c
-    inv = linalg.invert_matrix(rows, dim, dom)
-    data = {}
-    for i, row in enumerate(inv):
-        for j, c in row.items():
-            data[((j,), (i,))] = c
-    return TensorOperator(dom, dim, 1, data)
+    return _invert_reshaped(x, lambda tin, tout: (tout[0], tin[0]),
+                            lambda i, j: ((j,), (i,)))
 
 
 def invert_arity2(x):
     """Exact inverse of an arity-2 operator via its dim^2 matrix."""
-    dom, dim = x.dom, x.dim
-    n = dim * dim
-    rows = [{} for _ in range(n)]
-    for (tin, tout), c in x.data.items():
-        rows[tout[0] * dim + tout[1]][tin[0] * dim + tin[1]] = c
-    inv = linalg.invert_matrix(rows, n, dom)
-    data = {}
-    for r, row in enumerate(inv):
-        tout = (r // dim, r % dim)
-        for cidx, c in row.items():
-            tin = (cidx // dim, cidx % dim)
-            data[(tin, tout)] = c
-    return TensorOperator(dom, dim, 2, data)
+    dim = x.dim
+    return _invert_reshaped(
+        x, lambda tin, tout: (tout[0] * dim + tout[1], tin[0] * dim + tin[1]),
+        lambda r, c: (divmod(c, dim), divmod(r, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +258,15 @@ def solve_skew_inverse(r_op):
     one exact matrix inversion.  Raises SingularMatrixError with a kernel
     witness when R is not skew invertible.
     """
-    dom, dim = r_op.dom, r_op.dim
-    n = dim * dim
-    rows = [{} for _ in range(n)]
-    for (tin, tout), c in r_op.data.items():
-        i1, i2 = tin
-        j1, j2 = tout
-        rows[j1 * dim + i1][i2 * dim + j2] = c
-    inv = linalg.invert_matrix(rows, n, dom)
-    data = {}
-    for ridx, row in enumerate(inv):
-        r1, r2 = ridx // dim, ridx % dim
-        for cidx, c in row.items():
-            c1, c2 = cidx // dim, cidx % dim
-            # M(Psi)[(r1,r2)][(c1,c2)] = Psi^(r1 c2)_(r2 c1)
-            data[((r2, c1), (r1, c2))] = c
-    return TensorOperator(dom, dim, 2, data)
+    dim, m = r_op.dim, r_op.dim - 1
+    # M(Psi)[(r1,r2)][(c1,c2)] = Psi^(r1 c2)_(r2 c1).  The columns of M(R)
+    # count down, so the echelon, which pivots on a row's largest column,
+    # meets the rows of the Sp(2k) R-matrices with little fill-in.
+    return _invert_reshaped(
+        r_op,
+        lambda tin, tout: (tout[0] * dim + tin[0],
+                           (m - tin[1]) * dim + m - tout[1]),
+        lambda r, c: ((m - r % dim, c // dim), (m - r // dim, c % dim)))
 
 
 def verify_skew_inverse(r_op, psi):
@@ -347,8 +338,8 @@ def dump_operator(x):
     return entries
 
 
-def dump_operator_json(x, indent=None):
-    return json.dumps(dump_operator(x), indent=indent)
+def dump_operator_json(x):
+    return json.dumps(dump_operator(x))
 
 
 def load_operator(entries, dim=None):

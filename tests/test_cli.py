@@ -69,7 +69,7 @@ def test_qma_pair_and_verify_flags(capsys):
 
 def test_ideal_stats_oracle(capsys):
     code, reports, _ = run_json(capsys, ["ideal", "--k", "1", "--degree",
-                                         "2", "--stats", "--json"])
+                                         "2", "--json"])
     assert code == 0
     stats = json.loads(reports[0]["witness"])
     assert stats == {"degree": 2, "rank": 6, "blocks": 5, "spanning": 12}
@@ -162,6 +162,19 @@ def test_primes_flag_below_3_exit_2(capsys):
         assert "--primes must be >= 3" in err
 
 
+def test_prime_count_above_pool_exit_2(capsys, monkeypatch):
+    # sample_points has 24 primes, one point each
+    code, err = _exit_code(["qma", "--k", "2", "--verify", "ch", "--primes",
+                            "25"], capsys)
+    assert code == 2
+    assert "--primes must be >= 3 and <= 24" in err
+    monkeypatch.setenv("QCH_PRIME_COUNT", "30")
+    code, err = _exit_code(["rmatrix", "--k", "3", "--checks", "height"],
+                           capsys)
+    assert code == 2
+    assert "QCH_PRIME_COUNT must be >= 3 and <= 24, got 30" in err
+
+
 def test_ideal_degree_below_2_exit_2(capsys):
     for value in ("0", "1", "-3"):
         code, err = _exit_code(["ideal", "--k", "1", "--degree", value],
@@ -246,7 +259,7 @@ PINNED_REPORTS = {
          "residual": "0",
          "status": "pass"},
         {"check": "spectral.polynomiality",
-         "failure_bound": 3.276800000000004e-71,
+         "failure_bound": 1.1529215046068462e-72,
          "parameters": {"k": 1, "max_n": 6, "seed": 3},
          "residual": "0",
          "status": "probable-pass",
@@ -274,7 +287,7 @@ PINNED_REPORTS = {
          "status": "probable-pass",
          "witness": "points:15"},
         {"check": "spectral.polynomiality",
-         "failure_bound": 3.1333044500294075e-87,
+         "failure_bound": 1.6749952991002524e-88,
          "parameters": {"k": 2, "max_n": 6, "seed": 3},
          "residual": "0",
          "status": "probable-pass",

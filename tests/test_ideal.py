@@ -5,9 +5,9 @@ import random
 import pytest
 
 from qch.domains import QQ
-from qch.ideal import (FAILURE_TARGET, BudgetError, MembershipCertificate,
-                       QuadraticIdeal, default_weights, generator_order,
-                       witness_to_json)
+from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, BudgetError,
+                       MembershipCertificate, QuadraticIdeal, default_weights,
+                       generator_order, prime_count, witness_to_json)
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
@@ -126,7 +126,7 @@ def test_normal_order_congruent_mod_ideal(ideal2):
             terms[w] = terms.get(w, QScalar.from_int(0)) + c
         p = NCPoly(QQ, {w: c for w, c in terms.items() if not c.is_zero()})
         diff = ideal2.normal_order(p) - p
-        cert = ideal2.membership(diff, mode="exact", use_rewrite=False)
+        cert = ideal2.membership(diff, mode="exact", witness=True)
         assert cert.is_member, cert
 
 
@@ -206,9 +206,18 @@ def test_modular_prime_count_validated(rtt2, ideal2, monkeypatch):
         ideal2.membership(entry, mode="modular")
     monkeypatch.setenv("QCH_PRIME_COUNT", "4")
     assert len(ideal2.membership(entry, mode="modular").points) >= 4
-    for count in (1, 2):
+    for count in (1, 2, MAX_PRIME_COUNT + 1):
         with pytest.raises(ValueError, match="min_points"):
             ideal2.membership(entry, mode="modular", min_points=count)
+
+
+def test_prime_count_capped_at_pool(monkeypatch):
+    monkeypatch.setenv("QCH_PRIME_COUNT", str(MAX_PRIME_COUNT))
+    assert prime_count() == MAX_PRIME_COUNT
+    assert len(sample_points(0, MAX_PRIME_COUNT, 40)) == MAX_PRIME_COUNT
+    monkeypatch.setenv("QCH_PRIME_COUNT", str(MAX_PRIME_COUNT + 1))
+    with pytest.raises(ValueError, match=f"<= {MAX_PRIME_COUNT}"):
+        prime_count()
 
 
 def test_membership_family(rtt2, ideal2):
@@ -331,7 +340,7 @@ def test_non_member_residual_decodes_to_words(ideal2, ideal4):
             assert cert.residual == p
     # any residual differs from its polynomial by an ideal member
     p = gen(0, 0) * gen(0, 1) * gen(1, 1) - gen(1, 1) * gen(0, 1) * gen(0, 0)
-    cert = ideal2.membership(p, mode="exact", use_rewrite=False)
+    cert = ideal2.membership(p, mode="exact", witness=True)
     assert cert.status == "non-member"
     assert all(len(w) == 3 and all(g in ideal2.order for g in w)
                for w in cert.residual.terms)

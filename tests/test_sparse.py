@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from qch import sparse
+from qch import linalg, sparse
 from qch.domains import QQ, FpDomain
 from qch.ncpoly import NCDomain, NCPoly
 from qch.scalar import PrimePoint, QScalar
@@ -104,6 +104,30 @@ def test_product_matches_reference(dom, coeffs, data):
     out = sparse.product(a, b, combine, dom)
     assert out == expected
     assert_sparse(out, dom)
+
+
+@pytest.mark.parametrize("dom,coeffs", [(QQ, qq_coeffs()), (FP, fp_coeffs())],
+                         ids=["QQ", "Fp"])
+@prop
+@given(data=st.data())
+def test_invert_matrix_inverse_or_kernel(dom, coeffs, data):
+    """A^-1 A = I, or a nonzero v with A v = 0 for a singular A."""
+    n = data.draw(st.integers(1, 4))
+    # stored zeros are allowed: invert_matrix drops them
+    rows = [data.draw(st.dictionaries(st.integers(0, n - 1), coeffs))
+            for _ in range(n)]
+    try:
+        inv = linalg.invert_matrix(rows, n, dom)
+    except linalg.SingularMatrixError as err:
+        kernel = err.kernel
+        assert any(not dom.is_zero(v) for v in kernel.values())
+        for row in rows:
+            assert not dense([(0, dom.mul(v, kernel[c]))
+                              for c, v in row.items() if c in kernel], dom)
+        return
+    for i, inv_row in enumerate(inv):
+        assert dense([(col, dom.mul(c, v)) for r, c in inv_row.items()
+                      for col, v in rows[r].items()], dom) == {i: dom.one()}
 
 
 def test_cancelled_key_is_removed_and_new_key_appended():
