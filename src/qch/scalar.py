@@ -8,13 +8,25 @@ coefficients, kept in a canonical form so that equality is structural:
   * their polynomial gcd and common integer content are removed,
   * the lowest-degree nonzero coefficient of the denominator is positive.
 
-The polynomial gcd is skipped when numerator or denominator is a single
-term c*q^e.  After the q-shift at least one side has a nonzero constant
-term.  If the single term has e > 0, the other side is that one: q does not
-divide it, so it shares no nonconstant factor with c*q^e.  If e = 0, the
-single term is a constant.  Either way the gcd is a constant, and removing
-the integer content below gives the same canonical form as the full
-remainder sequence.
+Three shortcuts reach that form without a full polynomial gcd:
+
+  * A single-term side c*q^e needs none.  After the q-shift at least one
+    side has a nonzero constant term.  If the single term has e > 0, the
+    other side is that one: q does not divide it, so it shares no
+    nonconstant factor with c*q^e.  If e = 0, the single term is a
+    constant.  Either way the gcd is a constant, so one shift, one joint
+    integer content and the sign fix build the canonical dicts directly.
+  * `inv` and `__pow__` start from a canonical form.  Swapping its sides
+    keeps it coprime and content-free, so `inv` needs only the sign fix.
+    num^n and den^n stay coprime, their joint content is 1 by Gauss's
+    lemma, the lowest coefficient of den^n is a power of a positive one and
+    one side still has a constant term, so `__pow__` needs nothing.
+  * With several terms on both sides, the gcd comes from GCDHEU (Char,
+    Geddes & Gonnet, JSC 1989): an integer gcd at a large point x,
+    interpolated in balanced base-x digits.  It is accepted only after it
+    divides both sides exactly, which proves it is the gcd, and those
+    quotients are the canonical sides.  After six rejected points the
+    primitive remainder sequence (`_pl_gcd_prs`) decides instead.
 
 Laurent polynomials are dicts {exponent: coefficient} with no zero entries.
 No floating point is used anywhere.
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 
@@ -68,12 +81,6 @@ def lp_mul(a, b):
     return r
 
 
-def lp_shift(a, s):
-    if s == 0:
-        return dict(a)
-    return {e + s: c for e, c in a.items()}
-
-
 def lp_bar(a):
     return {-e: c for e, c in a.items()}
 
@@ -95,12 +102,8 @@ def _pl_strip(a):
     return a
 
 
-def _pl_content(a):
-    return math.gcd(*a) or 1
-
-
 def _pl_primitive(a):
-    g = _pl_content(a)
+    g = math.gcd(*a) or 1
     if a and a[-1] < 0:
         g = -g
     if g != 1:
@@ -123,7 +126,7 @@ def _pl_pseudo_rem(a, b):
     return a
 
 
-def _pl_gcd(a, b):
+def _pl_gcd_prs(a, b):
     a = _pl_primitive(_pl_strip(list(a)))
     b = _pl_primitive(_pl_strip(list(b)))
     if not a:
@@ -138,33 +141,74 @@ def _pl_gcd(a, b):
 
 
 def _pl_div_exact(a, b):
-    # exact division of integer polynomials, raises if not exact
+    # exact quotient of integer polynomials, None if b does not divide a
     a = list(a)
     q = [0] * (len(a) - len(b) + 1)
     lb = b[-1]
     for i in range(len(q) - 1, -1, -1):
         c = a[i + len(b) - 1]
         if c % lb:
-            raise ScalarError("inexact polynomial division")
+            return None
         q[i] = c // lb
         if q[i]:
             for j, bc in enumerate(b):
                 a[i + j] -= q[i] * bc
     if any(a):
-        raise ScalarError("inexact polynomial division")
+        return None
     return _pl_strip(q)
 
 
-def _lp_to_list(a):
-    n = max(a) + 1
-    r = [0] * n
+def _pl_eval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _pl_interpolate(v, x):
+    # the polynomial with balanced base-x digits (|digit| <= x/2) of v
+    out = []
+    while v:
+        d = v % x
+        if d > x // 2:
+            d -= x
+        out.append(d)
+        v = (v - d) // x
+    return out
+
+
+def _pl_gcd_heu(a, b):
+    """Cofactors (a/g, b/g) of g = gcd(a, b) by GCDHEU, or None.
+
+    With x >= 2*min(|a|, |b|) + 2 (max norms), the primitive part of the
+    interpolated gcd(a(x), b(x)) is gcd(a, b) as soon as it divides both
+    (Char, Geddes & Gonnet, JSC 1989); the two divisions are that check.
+    x starts 27 above it: at a tiny x, spurious integer factors of a(x)
+    and b(x) would reject more candidates.
+    """
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        va, vb = _pl_eval(a, x), _pl_eval(b, x)
+        if va and vb:
+            h = _pl_interpolate(math.gcd(va, vb), x)
+            if len(h) == 1:
+                return a, b
+            if len(h) <= min(len(a), len(b)):
+                cont = math.gcd(*h)
+                h = [c // cont for c in h]
+                ca = _pl_div_exact(a, h)
+                cb = None if ca is None else _pl_div_exact(b, h)
+                if cb is not None:
+                    return ca, cb
+        x = 2 * x + 7
+    return None
+
+
+def _lp_to_list(a, shift, g):
+    r = [0] * (max(a) + shift + 1)
     for e, c in a.items():
-        r[e] = c
+        r[e + shift] = c // g
     return r
-
-
-def _list_to_lp(a):
-    return {e: c for e, c in enumerate(a) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +234,26 @@ class QScalar:
             self.den = {0: 1}
             return
         shift = -min(min(num), min(den))
-        if shift:
-            num = lp_shift(num, shift)
-            den = lp_shift(den, shift)
-        ln, ld = _lp_to_list(num), _lp_to_list(den)
+        g = math.gcd(*num.values(), *den.values())
         if len(num) > 1 and len(den) > 1:
-            # a single-term side leaves a constant gcd (module docstring)
-            g = _pl_gcd(ln, ld)
-            if len(g) > 1 or g[0] != 1:
-                ln = _pl_div_exact(ln, g)
-                ld = _pl_div_exact(ld, g)
-        cg = math.gcd(*ln, *ld)
-        if cg > 1:
-            ln = [c // cg for c in ln]
-            ld = [c // cg for c in ld]
-        low = next(c for c in ld if c)
-        if low < 0:
-            ln = [-c for c in ln]
-            ld = [-c for c in ld]
-        self.num = _list_to_lp(ln)
-        self.den = _list_to_lp(ld)
+            ln, ld = _lp_to_list(num, shift, g), _lp_to_list(den, shift, g)
+            r = _pl_gcd_heu(ln, ld)
+            if r is None:  # the heuristic gave up: the PRS gcd decides
+                h = _pl_gcd_prs(ln, ld)
+                r = _pl_div_exact(ln, h), _pl_div_exact(ld, h)
+            ln, ld = r
+            s = -1 if next(c for c in ld if c) < 0 else 1
+            self.num = {e: s * c for e, c in enumerate(ln) if c}
+            self.den = {e: s * c for e, c in enumerate(ld) if c}
+            return
+        # a single-term side leaves a constant gcd (module docstring)
+        if den[min(den)] < 0:
+            g = -g
+        if shift or g != 1:
+            num = {e + shift: c // g for e, c in num.items()}
+            den = {e + shift: c // g for e, c in den.items()}
+        self.num = num
+        self.den = den
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -283,17 +327,21 @@ class QScalar:
     def inv(self):
         if not self.num:
             raise ScalarError("inverse of zero")
-        return QScalar(dict(self.den), dict(self.num))
+        # swapping the sides of a canonical form only needs the sign fix
+        s = -1 if self.num[min(self.num)] < 0 else 1
+        return QScalar({e: s * c for e, c in self.den.items()},
+                       {e: s * c for e, c in self.num.items()}, _canonical=True)
 
     def __pow__(self, n):
         if n == 0:
             return _ONE
         if n < 0:
             return self.inv() ** (-n)
-        r = self
+        # num^n and den^n of a canonical form are canonical (module docstring)
+        num, den = self.num, self.den
         for _ in range(n - 1):
-            r = r * self
-        return r
+            num, den = lp_mul(num, self.num), lp_mul(den, self.den)
+        return QScalar(num, den, _canonical=True)
 
     def bar(self):
         """The involution q -> q^-1."""
@@ -372,15 +420,11 @@ def scalar_to_text(a):
     return f"{n} / {d}"
 
 
-_TERM_RE = None
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(?:(\d+)|q(?:\^(-?\d+))?)")
 
 
 def _lp_from_text(s):
-    import re
-    global _TERM_RE
-    if _TERM_RE is None:
-        _TERM_RE = re.compile(
-            r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(?:(\d+)|q(?:\^(-?\d+))?)")
     s = s.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
