@@ -84,7 +84,9 @@ def _from_certificate(name, parameters, cert_fn):
         cert = cert_fn()
         if cert.ok:
             return "pass", "0", None, None
-        return "fail", "; ".join(cert.failures()), None, None
+        residual = "; ".join(f"{label}: {detail}" if detail else label
+                             for label, detail in cert.failures())
+        return "fail", residual, None, None
     return _timed(name, parameters, run)
 
 
@@ -107,7 +109,10 @@ def run_rmatrix(k, checks, seed=0):
         count = prime_count()
 
         def run():
-            got, tag = rmatrix.height(ctx, seed=seed, prime_count=count)
+            try:
+                got, tag = rmatrix.height(ctx, seed=seed, prime_count=count)
+            except rmatrix.GuardError as exc:
+                return "fail", str(exc), None, None
             detail = f"height={got} ({tag})"
             if got != k:
                 return "fail", detail, None, None

@@ -29,7 +29,6 @@ class QDomain:
     name = "Q(q)"
     exact = True
     can_pivot = True
-    point = None
 
     def zero(self):
         return scalar.ZERO

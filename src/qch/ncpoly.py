@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 
-from .scalar import scalar_from_text
 from .sparse import add_into, product
 
 
@@ -40,9 +39,6 @@ class NCPoly:
     @staticmethod
     def generator(dom, a, b):
         return NCPoly(dom, {((a, b),): dom.one()})
-
-    def copy(self):
-        return NCPoly(self.dom, dict(self.terms))
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self):
@@ -134,51 +130,6 @@ class NCPoly:
         return f"NCPoly({len(self.terms)} terms, deg {self.degree()})"
 
 
-def _split_terms(text):
-    """Split on top-level ' + ' only (coefficients may contain sums)."""
-    parts, cur, depth, i = [], [], 0, 0
-    while i < len(text):
-        ch = text[i]
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0 and text.startswith(" + ", i):
-            parts.append("".join(cur))
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
-    return parts
-
-
-def poly_from_text(dom, text, name="M"):
-    """Parse the `(coeff) * M[a,b] M[c,d]` textual form (1-based)."""
-    text = text.strip()
-    if text == "0":
-        return NCPoly.zero(dom)
-    out = NCPoly.zero(dom)
-    for chunk in _split_terms(text):
-        chunk = chunk.strip()
-        if chunk.startswith("("):
-            depth, pos = 0, 0
-            for pos, ch in enumerate(chunk):
-                depth += (ch == "(") - (ch == ")")
-                if depth == 0:
-                    break
-            coeff_text, rest = chunk[1:pos], chunk[pos + 1:]
-        else:
-            coeff_text, rest = "1", chunk
-        coeff = dom.from_scalar(scalar_from_text(coeff_text))
-        word = []
-        for gen in rest.replace("*", " ").split():
-            if not gen.startswith(f"{name}["):
-                raise ValueError(f"unexpected generator token {gen!r}")
-            a, b = gen[len(name) + 1:-1].split(",")
-            word.append((int(a) - 1, int(b) - 1))
-        out = out + NCPoly(dom, {tuple(word): coeff})
-    return out
-
-
 class NCDomain:
     """NCPoly viewed as a coefficient domain for tensor operators."""
 
@@ -186,7 +137,6 @@ class NCDomain:
         self.base = base
         self.name = f"NC({base.name})"
         self.exact = base.exact
-        self.point = getattr(base, "point", None)
 
     def zero(self):
         return NCPoly.zero(self.base)
@@ -248,13 +198,6 @@ class QMatrix:
         """The matrix of generators: entry (a, b) is the generator M^a_b."""
         return QMatrix(dom, [[NCPoly.generator(dom, a, b) for b in range(n)]
                              for a in range(n)])
-
-    @staticmethod
-    def scalar(dom, n, c):
-        m = QMatrix.zero(dom, n)
-        for i in range(n):
-            m.rows[i][i] = NCPoly.constant(dom, c)
-        return m
 
     def __getitem__(self, ab):
         a, b = ab

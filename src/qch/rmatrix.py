@@ -76,14 +76,6 @@ class RMatrixContext:
         return self.dom.from_scalar(s)
 
     @property
-    def q(self):
-        return self.coeff(Q)
-
-    @property
-    def mu(self):
-        return self.coeff(self.mu_scalar)
-
-    @property
     def r_inv(self):
         if self._r_inv is None:
             self._r_inv = tensor.invert_arity2(self.r)
@@ -325,30 +317,25 @@ def sigma_minus(ctx, i, x, arity):
     return _sigma_local(ctx, i, x, -1).embed(i, arity)
 
 
-def sigma_plus(ctx, i, x, arity):
-    return _sigma_local(ctx, i, x, +1).embed(i, arity)
+def _tower(ctx, n, sign):
+    """The tower of `antisymmetrizer_tower` (sign -1) or
+    `symmetrizer_tower` (sign +1)."""
+    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
+    for i in range(1, n):
+        sig = _sigma_local(ctx, i, QScalar.q_power(2 * sign * i), sign)
+        c = QScalar.q_power(-sign * i) / q_int(i + 1)
+        out.append(height_probe(ctx, out, i, sig).scale(ctx.coeff(c)))
+    return out
 
 
 def antisymmetrizer_tower(ctx, n):
     """[a^(1), ..., a^(n)] with a^(i+1) = q^i/(i+1)_q a^(i) sigma_i^-(q^-2i) a^(i)."""
-    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
-    for i in range(1, n):
-        prev = out[-1].embed(1, i + 1)
-        sig = sigma_minus(ctx, i, QScalar.q_power(-2 * i), i + 1)
-        c = QScalar.q_power(i) / q_int(i + 1)
-        out.append((prev @ sig @ prev).scale(ctx.coeff(c)))
-    return out
+    return _tower(ctx, n, -1)
 
 
 def symmetrizer_tower(ctx, n):
-    """[s^(1), ..., s^(n)] via the mirrored recursion with sigma^+."""
-    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
-    for i in range(1, n):
-        prev = out[-1].embed(1, i + 1)
-        sig = sigma_plus(ctx, i, QScalar.q_power(2 * i), i + 1)
-        c = QScalar.q_power(-i) / q_int(i + 1)
-        out.append((prev @ sig @ prev).scale(ctx.coeff(c)))
-    return out
+    """[s^(1), ..., s^(n)] with s^(i+1) = q^-i/(i+1)_q s^(i) sigma_i^+(q^2i) s^(i)."""
+    return _tower(ctx, n, +1)
 
 
 def _probe_sigma(ctx, i):
@@ -357,8 +344,9 @@ def _probe_sigma(ctx, i):
 
 
 def height_probe(ctx, tower, i, sig=None):
-    """a^(i) sigma_i^-(q^-2i) a^(i); its vanishing ends the height search.
-    sig is sigma_i^-(q^-2i) on its two factors, if already built."""
+    """The tower step a^(i) sigma_i a^(i), with a^(i) = tower[i - 1] and
+    sig sigma_i on its two factors, by default sigma_i^-(q^-2i); with that
+    default its vanishing ends the height search."""
     if sig is None:
         sig = _probe_sigma(ctx, i)
     a_i = tower[i - 1].embed(1, i + 1)

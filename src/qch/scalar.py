@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from fractions import Fraction
 
 
@@ -418,51 +417,6 @@ def scalar_to_text(a):
     if len(a.den) > 1:
         d = f"({d})"
     return f"{n} / {d}"
-
-
-_TERM_RE = re.compile(
-    r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(?:(\d+)|q(?:\^(-?\d+))?)")
-
-
-def _lp_from_text(s):
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1].strip()
-    if s in ("0", ""):
-        return {}
-    out = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ScalarError(f"cannot parse scalar text: {s!r} at offset {pos}")
-        sign_s, cmul, cint, exp = m.groups()
-        if not first and sign_s == "":
-            raise ScalarError(f"missing sign in scalar text: {s!r}")
-        sign = -1 if sign_s == "-" else 1
-        if cint is not None:
-            c, e = int(cint), 0
-        else:
-            c = int(cmul) if cmul is not None else 1
-            e = 1 if exp is None else int(exp)
-        out[e] = out.get(e, 0) + sign * c
-        pos = m.end()
-        first = False
-    return {e: c for e, c in out.items() if c}
-
-
-def scalar_from_text(s):
-    s = s.strip()
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return QScalar(_lp_from_text(s[:i]), _lp_from_text(s[i + 1:]))
-    return QScalar(_lp_from_text(s))
 
 
 # ---------------------------------------------------------------------------

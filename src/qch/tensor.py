@@ -2,7 +2,7 @@
 
 An operator on V^(⊗n) is a sparse map {(input multi-index, output
 multi-index): coefficient}; multi-indices are tuples of 0-based factor
-indices.  The JSON dump format uses 1-based indices.
+indices.
 
 The product A @ B is the usual operator product (apply B, then A); for
 noncommutative coefficient domains the entry products keep A's
@@ -12,11 +12,9 @@ coefficients on the left, matching matrix-product component order.
 from __future__ import annotations
 
 import itertools
-import json
 
 from . import linalg
-from .domains import QQ, FpDomain
-from .scalar import sample_points, scalar_from_text
+from .domains import FpDomain
 from .sparse import add_into, axpy_into
 
 
@@ -55,9 +53,6 @@ class TensorOperator:
     # -- basic structure -----------------------------------------------------
     def add_to_entry(self, tin, tout, coeff):
         add_into(self.data, (((tin, tout), coeff),), self.dom)
-
-    def entry(self, tin, tout):
-        return self.data.get((tin, tout), self.dom.zero())
 
     def is_zero(self):
         return not self.data
@@ -283,85 +278,12 @@ def verify_skew_inverse(r_op, psi):
 
 
 # ---------------------------------------------------------------------------
-# Rank certification.
-
-EXACT_RANK_LIMIT = 4096  # most columns (dim ** arity) also ranked exactly
-
-
-class RankCertificate:
-    def __init__(self, rank, kind, point_ranks=None, points=None):
-        self.rank = rank
-        self.kind = kind              # "exact" | "modular" | "both"
-        self.point_ranks = point_ranks or []
-        self.points = points or []
-
-    def __repr__(self):
-        return f"RankCertificate(rank={self.rank}, kind={self.kind})"
-
+# Rank.  perfbench/tracer.py wraps both names.
 
 def rank_certificate(x):
-    """Rank over the exact field, certified at modular points.
-
-    For exact-domain operators: modular ranks at three sampled points must
-    agree; an exact elimination also runs up to EXACT_RANK_LIMIT columns
-    (or whenever the modular ranks disagree), and wins.
-    """
-    if not x.dom.exact:
-        r = x.rank_in_domain()
-        return RankCertificate(r, "modular", [r], [x.dom.point])
-    points = sample_points(0, 3, 4 * x.dim + 4)
-    pranks = [x.reduce_at(pt).rank_in_domain() for pt in points]
-    feasible = x.dim ** x.arity <= EXACT_RANK_LIMIT
-    if len(set(pranks)) == 1 and not feasible:
-        return RankCertificate(pranks[0], "modular", pranks, points)
-    er = x.rank_in_domain()
-    kind = "both" if len(set(pranks)) == 1 and er == pranks[0] else "exact"
-    return RankCertificate(er, kind, pranks, points)
+    """The rank of x over its own coefficient domain: exact over Q(q)."""
+    return x.rank_in_domain()
 
 
 def exact_rank(x):
-    return rank_certificate(x).rank
-
-
-# ---------------------------------------------------------------------------
-# JSON dump format: array of {in: [...], out: [...], coeff: "..."} with
-# 1-based indices and textual scalars.
-
-def dump_operator(x):
-    entries = []
-    for (tin, tout) in sorted(x.data):
-        entries.append({
-            "in": [i + 1 for i in tin],
-            "out": [i + 1 for i in tout],
-            "coeff": x.dom.to_text(x.data[(tin, tout)]),
-        })
-    return entries
-
-
-def dump_operator_json(x):
-    return json.dumps(dump_operator(x))
-
-
-def load_operator(entries, dim=None):
-    """Load an exact-domain operator from parsed dump records."""
-    data = {}
-    arity = None
-    maxidx = 0
-    for rec in entries:
-        tin = tuple(i - 1 for i in rec["in"])
-        tout = tuple(i - 1 for i in rec["out"])
-        if arity is None:
-            arity = len(tin)
-        if len(tin) != arity or len(tout) != arity:
-            raise ValueError("inconsistent arity in operator dump")
-        maxidx = max(maxidx, *tin, *tout)
-        c = scalar_from_text(rec["coeff"])
-        if not c.is_zero():
-            data[(tin, tout)] = c
-    if dim is None:
-        dim = maxidx + 1
-    return TensorOperator(QQ, dim, arity or 0, data)
-
-
-def load_operator_json(text, dim=None):
-    return load_operator(json.loads(text), dim=dim)
+    return rank_certificate(x)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qch import cli
+from qch import cli, rmatrix
 from qch.ideal import FAILURE_TARGET, MembershipCertificate, QuadraticIdeal
 
 
@@ -122,6 +122,37 @@ def test_failure_exit_1_with_json_detail(capsys, monkeypatch):
     assert code == 1
     detail = json.loads(captured.err.strip())
     assert detail["status"] == "fail" and detail["check"] == "rmatrix.fake"
+
+
+def test_failing_certificate_reports_fail(capsys, monkeypatch):
+    def failing(r_op, name="ybe"):
+        cert = rmatrix.Certificate(name)
+        cert.record("braid relation", False, "3 nonzero entries")
+        cert.record("bare label", False)
+        return cert
+    monkeypatch.setattr(rmatrix, "check_ybe", failing)
+    code, reports, err = run_json(capsys, ["rmatrix", "--k", "1", "--checks",
+                                           "ybe", "--json"])
+    assert code == 1
+    assert reports[0]["status"] == "fail"
+    assert reports[0]["residual"] == \
+        "braid relation: 3 nonzero entries; bare label"
+    detail = json.loads(err.strip())
+    assert detail["check"] == "rmatrix.ybe" and detail["status"] == "fail"
+
+
+def test_height_guard_error_reports_fail(capsys, monkeypatch):
+    def disagree(ctx, mode="auto", seed=0, prime_count=3):
+        raise rmatrix.GuardError("modular height scans disagree: [1, 2, 1]")
+    monkeypatch.setattr(rmatrix, "height", disagree)
+    code, reports, err = run_json(capsys, ["rmatrix", "--k", "1", "--checks",
+                                           "height", "--json"])
+    assert code == 1
+    assert reports[0]["status"] == "fail"
+    assert reports[0]["residual"] == \
+        "modular height scans disagree: [1, 2, 1]"
+    detail = json.loads(err.strip())
+    assert detail["check"] == "rmatrix.height" and detail["status"] == "fail"
 
 
 def test_prime_count_env(capsys, monkeypatch):

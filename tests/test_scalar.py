@@ -6,7 +6,7 @@ import pytest
 from qch import scalar as sc
 from qch.scalar import (
     ONE, ZERO, Q, QINV, LAMBDA, QScalar, InadmissiblePointError, PrimePoint,
-    q_int, sample_points, scalar_from_text, scalar_to_text,
+    q_int, sample_points, scalar_to_text,
 )
 
 
@@ -103,16 +103,19 @@ def test_prime_point_guards():
     assert [(a.p, a.qhat) for a in pts] == [(b.p, b.qhat) for b in pts2]
 
 
-def test_text_round_trip():
-    rng = random.Random(3)
-    for _ in range(60):
-        a = _rand_scalar(rng)
-        assert scalar_from_text(scalar_to_text(a)) == a
+def test_text_form():
+    assert scalar_to_text(QScalar({2: 1, 0: -2, -1: 3})) == \
+        "(q^3 - 2*q + 3) / q"
+    assert scalar_to_text(QScalar({1: 1, 0: -1}, {1: 1, 0: 1})) == \
+        "(q - 1) / (q + 1)"
+    assert scalar_to_text(QScalar({3: 2}, {0: 3, 2: -1})) == \
+        "2*q^3 / (-q^2 + 3)"
+    assert scalar_to_text(LAMBDA) == "(q^2 - 1) / q"
+    assert scalar_to_text(QScalar.from_int(-2) * QINV) == "-2 / q"
+    assert scalar_to_text(QScalar.from_fraction("3/4")) == "3 / 4"
+    assert scalar_to_text(Q) == "q"
+    assert scalar_to_text(ONE) == "1"
     assert scalar_to_text(ZERO) == "0"
-    assert scalar_from_text("q^2 - 2 + 3*q^-1") == \
-        QScalar({2: 1, 0: -2, -1: 3})
-    assert scalar_from_text("(q - 1) / (q + 1)") == \
-        QScalar({1: 1, 0: -1}, {1: 1, 0: 1})
 
 
 def test_pow_and_inverse():
@@ -223,3 +226,20 @@ def test_multi_term_canonical_form_against_sympy():
         assert sympy.gcd(n, d) == 1
         assert sympy.cancel(expr(num) / expr(den) - n / d) == 0
         assert a.den[min(a.den)] > 0
+
+
+def test_text_form_parses_back_with_sympy():
+    # the text is `num / den`, each side an ordinary polynomial
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def parse(text):
+        return sympy.sympify(text.replace("^", "**"), locals={"q": q})
+
+    rng = random.Random(3)
+    for _ in range(60):
+        a = _rand_scalar(rng)
+        num, _, den = scalar_to_text(a).partition(" / ")
+        value = sum(c * q ** e for e, c in a.num.items()) / \
+            sum(c * q ** e for e, c in a.den.items())
+        assert sympy.cancel(parse(num) / parse(den or "1") - value) == 0

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from qch import rmatrix, tensor
 from qch.domains import QQ
 from qch.linalg import SingularMatrixError
-from qch.scalar import ONE, QScalar
+from qch.scalar import ONE, QScalar, sample_points
 from qch.tensor import TensorOperator
 
 
@@ -100,8 +98,9 @@ def test_exact_rank_examples():
     assert tensor.exact_rank(ctx.k_op) == 1
     a2 = rmatrix.antisymmetrizer_tower(ctx, 2)[1]
     assert tensor.exact_rank(a2) == 0
-    cert = tensor.rank_certificate(ctx.k_op)
-    assert cert.kind == "both" and cert.point_ranks == [1, 1, 1]
+    # the rank in the operator's own domain, here F_p at a prime point
+    pt = sample_points(0, 1, 12)[0]
+    assert tensor.rank_certificate(ctx.k_op.reduce_at(pt)) == 1
 
 
 def test_singular_skew_inverse_reports_kernel():
@@ -109,15 +108,6 @@ def test_singular_skew_inverse_reports_kernel():
     with pytest.raises(SingularMatrixError) as err:
         tensor.solve_skew_inverse(x)
     assert err.value.kernel
-
-
-def test_dump_load_round_trip():
-    ctx = rmatrix.build_standard_sp(1)
-    text = tensor.dump_operator_json(ctx.r)
-    records = json.loads(text)
-    assert all(min(rec["in"] + rec["out"]) >= 1 for rec in records)
-    back = tensor.load_operator_json(text, dim=2)
-    assert back == ctx.r
 
 
 def test_r_trace_matches_component_formula():
