@@ -10,10 +10,9 @@ import time
 from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
-from .domains import QQ, SpanDomain
+from .domains import QQ
 from .ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
-                    MembershipCertificate, MixedVerdictError, QuadraticIdeal,
-                    prime_count)
+                    MembershipCertificate, QuadraticIdeal, prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 
@@ -110,14 +109,13 @@ def run_rmatrix(k, checks, seed=0):
 
         def run():
             try:
-                got, tag = rmatrix.height(ctx, seed=seed, prime_count=count)
+                got, tag, bound = rmatrix.height(ctx, seed=seed,
+                                                 prime_count=count)
             except rmatrix.GuardError as exc:
                 return "fail", str(exc), None, None
             detail = f"height={got} ({tag})"
             if got != k:
                 return "fail", detail, None, None
-            _, bound = rmatrix.height_points(ctx, seed=seed,
-                                             prime_count=count)
             if bound is None:
                 return "pass", "0", detail, None
             return "probable-pass", "0", detail, bound
@@ -142,39 +140,12 @@ def _certificate_verdict(cert):
     return "probable-pass", cert.bound
 
 
-def _identity_certificate(ideal, ctx, build, degree, seed, primes):
-    """Membership of every entry of the matrix identity build(ctx) of the
-    given degree; None when it is 0 in the free algebra.
-
-    When the verdict will be modular (`QuadraticIdeal.needs_modular`) the
-    identity is built evaluate-first: only at the prime points, with its
-    degree, coefficient span and nonzero entries bounded by one SpanDomain
-    build.  Mixed modular verdicts fall back to the exact build.
-    """
-    if ideal.needs_modular(degree):
-        shape = [p for p in build(ctx.over(SpanDomain())).entries() if p]
-        if shape:
-            try:
-                return ideal.membership_family(
-                    lambda pt: build(ctx.at_point(pt)),
-                    max(p.degree() for p in shape),
-                    max(c.degree_span() for p in shape
-                        for c in p.terms.values()),
-                    entries=len(shape), seed=seed, min_points=primes)
-            except MixedVerdictError:
-                pass
-    mat = build(ctx)
-    if mat.is_zero():
-        return None
-    return ideal.membership_matrix(mat, seed=seed, witness=True,
-                                   min_points=primes)
-
-
 def _identity_check(ideal, ctx, build, degree, seed, primes, suffix=""):
     """The report of a matrix identity check (qma.parent, qma.ch);
     suffix follows the witness size of an exact pass."""
     def run():
-        cert = _identity_certificate(ideal, ctx, build, degree, seed, primes)
+        cert = ideal.identity_membership(ctx, build, degree, seed=seed,
+                                         min_points=primes)
         if cert is None:
             return "pass", "0 (free algebra)", None, None
         status, bound = _certificate_verdict(cert)

@@ -18,7 +18,7 @@ import heapq
 import os
 from collections import Counter
 
-from .domains import FpDomain
+from .domains import FpDomain, SpanDomain
 from .linalg import Echelon
 from .ncpoly import NCPoly, QMatrix
 from .scalar import PRIME_POOL_SIZE, InadmissiblePointError, sample_points
@@ -28,6 +28,8 @@ DEFAULT_PRIME_COUNT = 3
 # fewest prime points a modular verdict may rest on, and most
 MIN_PRIME_COUNT = 3
 MAX_PRIME_COUNT = PRIME_POOL_SIZE
+# points a modular verdict takes, at most, to bring its bound to target
+POINT_LIMIT = 12
 
 
 def prime_count():
@@ -381,8 +383,9 @@ class QuadraticIdeal:
         """Decide p ∈ ideal.  Inhomogeneous p splits into graded parts.
 
         mode: exact | modular | auto (exact over an exact domain unless
-        `needs_modular`).  A modular verdict samples points until its
-        failure bound is at most target (or 12 points are used).
+        `needs_modular`).  A modular verdict (`_membership_modular`) takes
+        points until its failure bound is at most target; mixed verdicts
+        fall back to the exact route over an exact domain.
         """
         if p.is_zero():
             return MembershipCertificate("member", "exact", witness=[])
@@ -426,6 +429,34 @@ class QuadraticIdeal:
             candidate_span=candidate_span, target=FAILURE_TARGET / entries)
         cert.bound *= entries
         return cert
+
+    def identity_membership(self, ctx, build, degree, seed=0,
+                            min_points=None):
+        """Membership of every entry of the matrix identity build(ctx) of
+        the given degree; None when it is 0 in the free algebra.
+
+        When the verdict will be modular (`needs_modular`) the identity is
+        built evaluate-first: only at the prime points, with its degree,
+        coefficient span and nonzero entries bounded by one SpanDomain
+        build.  Mixed modular verdicts fall back to the exact build.
+        """
+        if self.needs_modular(degree):
+            shape = [p for p in build(ctx.over(SpanDomain())).entries() if p]
+            if shape:
+                try:
+                    return self.membership_family(
+                        lambda pt: build(ctx.at_point(pt)),
+                        max(p.degree() for p in shape),
+                        max(c.degree_span() for p in shape
+                            for c in p.terms.values()),
+                        entries=len(shape), seed=seed, min_points=min_points)
+                except MixedVerdictError:
+                    pass
+        mat = build(ctx)
+        if mat.is_zero():
+            return None
+        return self.membership_matrix(mat, seed=seed, witness=True,
+                                      min_points=min_points)
 
     def _split_blocks(self, part):
         """{block: {word code: coefficient}} of a homogeneous part."""
@@ -505,54 +536,44 @@ class QuadraticIdeal:
                 blocks.values(), default=0)
         return self._block_span_max[degree] + max(candidate_span, 1)
 
-    def _collect_verdicts(self, candidate_at, want, seed, used):
-        pts, verdicts = [], []
-        for attempt in range(40):
-            fresh = sample_points(seed + attempt, count=want + attempt,
-                                  bound=self._point_bound())
-            for pt in fresh:
-                if len(pts) == want:
-                    return pts, verdicts
-                key = (pt.p, pt.qhat)
-                if key in used:
-                    continue
-                used.add(key)
-                try:
-                    verdicts.append(self._vanishes_at(pt, candidate_at))
-                    pts.append(pt)
-                except InadmissiblePointError:
-                    continue
-            if len(pts) == want:
-                return pts, verdicts
-        raise IdealError("could not collect enough admissible points")
-
     def _membership_modular(self, candidate_at, degree, seed, min_points,
                             candidate_span, target=FAILURE_TARGET):
+        """One pass over the prime pool, in `sample_points` order.
+
+        A point whose build raises InadmissiblePointError is skipped.
+        Points are added past min_points while the failure bound is above
+        target, up to POINT_LIMIT.  Every point must give the same
+        verdict; mixed verdicts raise MixedVerdictError at once.
+        """
         want = prime_count() if min_points is None else min_points
         if not MIN_PRIME_COUNT <= want <= MAX_PRIME_COUNT:
             raise ValueError(
                 f"min_points must be >= {MIN_PRIME_COUNT} and "
                 f"<= {MAX_PRIME_COUNT}, got {want}")
         d_max = self._degree_dmax(degree, candidate_span)
-        for batch in range(4):
-            used = set()
-            pts, verdicts = self._collect_verdicts(
-                candidate_at, want, seed + 104729 * batch, used)
-            while modular_bound(pts, d_max) > target and len(pts) < 12:
-                more_p, more_v = self._collect_verdicts(
-                    candidate_at, 1, seed + 104729 * batch + 31 * len(pts),
-                    used)
-                pts += more_p
-                verdicts += more_v
-            bound = modular_bound(pts, d_max)
-            if all(verdicts):
-                return MembershipCertificate("probable-member", "modular",
-                                             points=pts, bound=bound)
-            if not any(verdicts):
-                return MembershipCertificate(
-                    "non-member", "modular", points=pts, bound=bound,
-                    detail="nonzero residual at every sampled point")
-        raise MixedVerdictError("membership undecided: mixed modular verdicts")
+        pts, verdict = [], None
+        for pt in sample_points(seed, PRIME_POOL_SIZE, self._point_bound()):
+            try:
+                got = self._vanishes_at(pt, candidate_at)
+            except InadmissiblePointError:
+                continue
+            if pts and got != verdict:
+                raise MixedVerdictError(
+                    "membership undecided: mixed modular verdicts")
+            pts.append(pt)
+            verdict = got
+            if len(pts) >= want and (len(pts) >= POINT_LIMIT or
+                                     modular_bound(pts, d_max) <= target):
+                break
+        if len(pts) < want:
+            raise IdealError("could not collect enough admissible points")
+        bound = modular_bound(pts, d_max)
+        if verdict:
+            return MembershipCertificate("probable-member", "modular",
+                                         points=pts, bound=bound)
+        return MembershipCertificate(
+            "non-member", "modular", points=pts, bound=bound,
+            detail="nonzero residual at every sampled point")
 
     def membership_matrix(self, qmat, target=FAILURE_TARGET, **kw):
         """Entrywise membership, as one `MembershipCertificate.union`.

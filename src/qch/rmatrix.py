@@ -313,10 +313,6 @@ def _sigma_local(ctx, i, x, sign):
             + ctx.k_op.scale(ctx.coeff(c_k)))
 
 
-def sigma_minus(ctx, i, x, arity):
-    return _sigma_local(ctx, i, x, -1).embed(i, arity)
-
-
 def _tower(ctx, n, sign):
     """The tower of `antisymmetrizer_tower` (sign -1) or
     `symmetrizer_tower` (sign +1)."""
@@ -413,36 +409,28 @@ def _height_scan(ctx, bound):
     return None
 
 
-def height_points(ctx, mode="auto", seed=0, prime_count=3):
-    """The prime points of a modular height scan with its failure bound,
-    or (None, None) for an exact scan; "auto" scans exactly for dim <= 4."""
+def height(ctx, mode="auto", seed=0, prime_count=3):
+    """(height, type tag, failure bound) of the R-matrix.
+
+    mode "exact" runs the tower over the exact field, with bound None;
+    "modular" runs it at prime_count admissible points, requires
+    agreement and bounds the chance that the points all misjudge a
+    level; "auto" scans exactly for dim <= 4.
+    """
     if mode == "auto":
         mode = "exact" if ctx.dim <= 4 else "modular"
-    if mode == "exact":
-        return None, None
-    points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
-    return points, modular_bound(points, 8 * ctx.dim + 8)
-
-
-def height(ctx, mode="auto", seed=0, prime_count=3):
-    """Height of the R-matrix, with its type tag.
-
-    mode "exact" runs the tower over the exact field; "modular" runs it
-    at prime_count admissible points and requires agreement; "auto"
-    picks as `height_points` does.
-    """
     bound = (ctx.height_hint or 4) + 2
-    points, _ = height_points(ctx, mode, seed, prime_count)
-    if points is None:
-        k = _height_scan(ctx, bound)
+    if mode == "exact":
+        k, failure = _height_scan(ctx, bound), None
     else:
+        points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
         ks = [_height_scan(ctx.at_point(pt), bound) for pt in points]
         if len(set(ks)) != 1:
             raise GuardError(f"modular height scans disagree: {ks}")
-        k = ks[0]
+        k, failure = ks[0], modular_bound(points, 8 * ctx.dim + 8)
     if k is None:
         raise GuardError(f"height > bound {bound}")
-    return k, _type_tag(ctx, k)
+    return k, _type_tag(ctx, k), failure
 
 
 def _type_tag(ctx, k):

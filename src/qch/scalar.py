@@ -414,7 +414,8 @@ def scalar_to_text(a):
     d = _lp_to_text(a.den)
     if len(a.num) > 1:
         n = f"({n})"
-    if len(a.den) > 1:
+    # a sum, or a coefficient times a power of q
+    if len(a.den) > 1 or "*" in d:
         d = f"({d})"
     return f"{n} / {d}"
 

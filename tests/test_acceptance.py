@@ -101,13 +101,15 @@ def test_criterion_1_rmatrix_relations():
 def test_criterion_2_height_detection():
     for k in (1, 2):
         ctx = build_standard_sp(k)
-        assert height(ctx, mode="exact") == (k, f"Sp({2 * k})")
+        assert height(ctx, mode="exact") == (k, f"Sp({2 * k})", None)
         tower = antisymmetrizer_tower(ctx, k)
         assert height_probe(ctx, tower, k).is_zero()
         assert delta(ctx.mu_scalar, k + 1).is_zero()
         assert big_delta(ctx.mu_scalar, k + 1).is_zero()
     ctx3 = build_standard_sp(3)
-    assert height(ctx3, mode="modular", seed=7, prime_count=3) == (3, "Sp(6)")
+    got, tag, height_bound = height(ctx3, mode="modular", seed=7,
+                                    prime_count=3)
+    assert (got, tag) == (3, "Sp(6)")
     points = sample_points(7, 3, 2 * ctx3.dim + 4)
     bound = 1.0
     for pt in points:
@@ -116,7 +118,7 @@ def test_criterion_2_height_detection():
         assert height_probe(ctx_pt, tower, 3).is_zero()
         bound *= (8 * ctx3.dim + 8) / pt.p
     assert delta(ctx3.mu_scalar, 4).is_zero()
-    assert bound < FAILURE_TARGET
+    assert height_bound == bound < FAILURE_TARGET
 
 
 def test_criterion_3_sp2_exact_identities(rtt2, re2, ideal2, ideal2_re):

@@ -124,6 +124,21 @@ def test_wedge_trace_against_minor_oracle():
         assert cl.wedge_trace(m, i) == minor_sum(m, i)
 
 
+def test_char_coefficients_against_sympy_charpoly():
+    # det(x I - M) = sum_i (-1)^i e_i x^(n - i)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(53)
+    for n in (1, 2, 3, 4, 5):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(n)] for _ in range(n)]
+        coeffs = sympy.Matrix(rows).charpoly(x).all_coeffs()
+        got = cl.char_coefficients(cl.RationalMatrix(rows))
+        assert len(got) == len(coeffs) == n + 1
+        for i, (e, c) in enumerate(zip(got, coeffs)):
+            assert sympy.Rational(e.numerator, e.denominator) == (-1) ** i * c
+
+
 @pytest.mark.parametrize("g", [Fraction(7, 3), Fraction(0), Fraction(-5, 2)])
 def test_similitude_determinant(g):
     for k in (1, 2):

@@ -95,5 +95,7 @@ def test_zero_pivot_in_point_build_resamples():
     cert = ideal.membership_family(candidate_at, 2, ideal._poly_span(entry),
                                    seed=9)
     assert cert.is_member and cert.kind == "modular"
-    assert (bad.p, bad.qhat) not in {(pt.p, pt.qhat) for pt in cert.points}
-    assert len(cert.points) >= 3
+    # the next pool points take its place
+    assert [(pt.p, pt.qhat) for pt in cert.points] == [
+        (pt.p, pt.qhat)
+        for pt in sample_points(9, 4, ideal._point_bound())[1:]]

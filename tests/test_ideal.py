@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from qch.domains import QQ
-from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, BudgetError,
-                       MembershipCertificate, QuadraticIdeal, default_weights,
-                       generator_order, prime_count, witness_to_json)
-from qch.ncpoly import NCPoly
+from qch.domains import QQ, FpDomain, SpanDomain
+from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, POINT_LIMIT,
+                       BudgetError, MembershipCertificate, MixedVerdictError,
+                       QuadraticIdeal, default_weights, generator_order,
+                       modular_bound, prime_count, witness_to_json)
+from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import ONE, QScalar, sample_points
@@ -226,6 +227,69 @@ def test_membership_family(rtt2, ideal2):
                                     ideal2._poly_span(entry), seed=9)
     assert cert.is_member
     assert cert.bound < 1e-12
+
+
+def test_mixed_verdicts_raise_at_once(rtt2, ideal2):
+    entry = rtt2.ch_identity(1).rows[1][0]
+    outsider = word_poly([(0, 0), (0, 0)])
+    assert not ideal2.membership(outsider, mode="exact").is_member
+    first, second = sample_points(9, 2, ideal2._point_bound())
+    seen = []
+
+    def candidate_at(pt):
+        seen.append(pt.p)
+        return (outsider if pt.p == second.p else entry).reduce_at(pt)
+
+    with pytest.raises(MixedVerdictError):
+        ideal2.membership_family(candidate_at, 2, ideal2._poly_span(entry),
+                                 seed=9)
+    assert seen == [first.p, second.p]
+
+
+def test_small_target_takes_next_pool_points(rtt2, ideal2):
+    entry = rtt2.ch_identity(1).rows[1][0]
+    pool = [(pt.p, pt.qhat)
+            for pt in sample_points(9, POINT_LIMIT, ideal2._point_bound())]
+    assert len({p for p, _ in pool}) == POINT_LIMIT
+    d_max = ideal2._degree_dmax(2, ideal2._poly_span(entry))
+    least = ideal2.membership(entry, mode="modular", seed=9)
+    assert len(least.points) == 3
+    target = least.bound * 1e-20
+    cert = ideal2.membership(entry, mode="modular", seed=9, target=target)
+    n = len(cert.points)
+    assert 3 < n < POINT_LIMIT
+    assert [(pt.p, pt.qhat) for pt in cert.points] == pool[:n]
+    assert cert.bound <= target < modular_bound(cert.points[:-1], d_max)
+    # a target no bound reaches stops at POINT_LIMIT points
+    capped = ideal2.membership(entry, mode="modular", seed=9, target=0.0)
+    assert capped.is_member
+    assert [(pt.p, pt.qhat) for pt in capped.points] == pool
+
+
+def _relation_times_generator(ctx):
+    """A degree-3 ideal member, as a 1 x 1 matrix over ctx's domain."""
+    rel = ctx.defining_relations()[0][1]
+    return QMatrix(ctx.dom, [[rel * NCPoly.generator(ctx.dom, 0, 0)]])
+
+
+def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
+    # the second point build adds a non-member, so the verdicts are mixed
+    doms = []
+
+    def build(ctx):
+        doms.append(ctx.dom)
+        mat = _relation_times_generator(ctx)
+        if sum(isinstance(d, FpDomain) for d in doms) == 2 and \
+                isinstance(ctx.dom, FpDomain):
+            x = NCPoly.generator(ctx.dom, 0, 0)
+            mat.rows[0][0] = mat.rows[0][0] + x * x * x
+        return mat
+
+    assert ideal4.needs_modular(3)
+    cert = ideal4.identity_membership(rtt4, build, 3, seed=5, min_points=3)
+    assert [type(d) for d in doms[:3]] == [SpanDomain, FpDomain, FpDomain]
+    assert doms[3:] == [rtt4.dom]
+    assert (cert.status, cert.kind) == ("probable-member", "modular")
 
 
 def test_matrix_bound_is_union_over_entries(rtt2, ideal2):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qch import cli, qma
+from qch import qma
 from qch.domains import QQ, SpanDomain
 from qch.ideal import FAILURE_TARGET, QuadraticIdeal
 from qch.ncpoly import NCPoly, QMatrix
@@ -537,8 +537,8 @@ def test_mapped_contexts_keep_pair(rtt2):
 
 
 def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):
-    cert = cli._identity_certificate(ideal4, rtt4, K2_IDENTITIES["ch"], 4,
-                                     seed=3, primes=3)
+    cert = ideal4.identity_membership(rtt4, K2_IDENTITIES["ch"], 4, seed=3,
+                                      min_points=3)
     exact = ideal4.membership_matrix(exact_k2["ch"], seed=3, min_points=3)
     assert (cert.status, cert.kind) == (exact.status, exact.kind)
     assert cert.status == "probable-member"

@@ -135,19 +135,21 @@ def test_delta_values():
 
 def test_sigma_guard_fails_past_height():
     ctx = rmatrix.build_standard_sp(1)
-    with pytest.raises(rmatrix.GuardError):
-        rmatrix.sigma_minus(ctx, 2, qp(-4), 3)
+    with pytest.raises(rmatrix.GuardError, match="vanishes at level 2"):
+        rmatrix.antisymmetrizer_tower(ctx, 3)
 
 
 @pytest.mark.parametrize("k,tag", [(1, "Sp(2)"), (2, "Sp(4)")])
 def test_height_exact(k, tag):
     ctx = rmatrix.build_standard_sp(k)
-    assert rmatrix.height(ctx, mode="exact") == (k, tag)
+    assert rmatrix.height(ctx, mode="exact") == (k, tag, None)
 
 
 def test_height_modular_agrees_at_k2():
     ctx = rmatrix.build_standard_sp(2)
-    assert rmatrix.height(ctx, mode="modular", seed=11) == (2, "Sp(4)")
+    got, tag, bound = rmatrix.height(ctx, mode="modular", seed=11)
+    assert (got, tag) == (2, "Sp(4)")
+    assert 0 < bound < 1e-12
 
 
 def _assert_image_test_agrees(ctx, k):
