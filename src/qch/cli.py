@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ
-from .ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
-                    MembershipCertificate, QuadraticIdeal, prime_count)
+from .ideal import (MAX_PRIME_COUNT, MIN_PRIME_COUNT, QuadraticIdeal,
+                    prime_count)
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 
@@ -130,45 +130,23 @@ def _algebra(k, pair):
     return AlgebraContext(r, f, label=f"sp{2 * k}-{pair}")
 
 
-def _certificate_verdict(cert):
-    """(status, failure bound) of a membership certificate: an exact
-    member passes, a modular one probably passes with its bound."""
-    if not cert.is_member:
-        return "fail", cert.bound
-    if cert.kind == "exact":
-        return "pass", None
-    return "probable-pass", cert.bound
-
-
 def _identity_check(ideal, ctx, build, degree, seed, primes, suffix=""):
-    """The report of a matrix identity check (qma.parent, qma.ch);
-    suffix follows the witness size of an exact pass."""
+    """The report of a matrix identity check (qma.parent, qma.ch,
+    qma.recursions): build(ctx) lists the identity's entries, of maximal
+    degree `degree`; suffix follows the witness size of an exact pass."""
     def run():
         cert = ideal.identity_membership(ctx, build, degree, seed=seed,
                                          min_points=primes)
         if cert is None:
             return "pass", "0 (free algebra)", None, None
-        status, bound = _certificate_verdict(cert)
-        if status == "fail":
-            return status, cert.detail or cert.status, None, bound
-        if status == "pass":
-            return (status, "0",
+        if not cert.is_member:
+            return "fail", cert.detail or cert.status, None, cert.bound
+        if cert.kind == "exact":
+            return ("pass", "0",
                     f"witness:{len(cert.witness or [])}{suffix}", None)
-        return status, "0", f"points:{len(cert.points)}", bound
+        return ("probable-pass", "0", f"points:{len(cert.points)}",
+                cert.bound)
     return run
-
-
-def _recursion_residuals(ctx):
-    """(label, residual matrix) of each descendant recursion and
-    expansion checked by qma.recursions."""
-    for m in (0, 1, 2):
-        for i in (0, 1):
-            for res in ctx.recursion_residuals(m, i):
-                yield f"recursion m={m} i={i}", res
-    for m, i in ((-1, 1), (0, 2)):
-        yield f"expansion-a m={m} i={i}", ctx.expansion_residual_a(m, i)
-    for m, i in ((1, 1), (2, 2)):
-        yield f"expansion-b m={m} i={i}", ctx.expansion_residual_b(m, i)
 
 
 def run_qma(k, pair, verify, primes, seed):
@@ -179,11 +157,12 @@ def run_qma(k, pair, verify, primes, seed):
     reports = []
     if "parent" in verify:
         reports.append(_timed("qma.parent", params, _identity_check(
-            ideal, ctx, lambda c: c.parent_identity(k), k, seed, primes)))
+            ideal, ctx, lambda c: c.parent_identity(k).entries(), k, seed,
+            primes)))
     if "ch" in verify:
         reports.append(_timed("qma.ch", params, _identity_check(
-            ideal, ctx, lambda c: c.ch_identity(k), 2 * k, seed, primes,
-            suffix=" terms")))
+            ideal, ctx, lambda c: c.ch_identity(k).entries(), 2 * k, seed,
+            primes, suffix=" terms")))
     if "cutting" in verify:
         def run_cutting():
             if not ctx.boundary_a(k + 1).is_zero():
@@ -195,26 +174,9 @@ def run_qma(k, pair, verify, primes, seed):
             return "pass", "0", None, None
         reports.append(_timed("qma.cutting", params, run_cutting))
     if "recursions" in verify:
-        def run_recursions():
-            # one FAILURE_TARGET for the suite, shared by every nonzero
-            # entry of every residual
-            residuals = list(_recursion_residuals(ctx))
-            sizes = [sum(1 for p in res.entries() if p)
-                     for _, res in residuals]
-            total = max(sum(sizes), 1)
-            certs = []
-            for (label, res), size in zip(residuals, sizes):
-                cert = ideal.membership_matrix(
-                    res, target=FAILURE_TARGET * size / total, seed=seed,
-                    min_points=primes)
-                if not cert.is_member:
-                    return ("fail", f"{label}: {cert.status}", None,
-                            cert.bound)
-                certs.append(cert)
-            status, bound = _certificate_verdict(
-                MembershipCertificate.union(certs))
-            return status, "0", None, bound
-        reports.append(_timed("qma.recursions", params, run_recursions))
+        # 5: the largest residual degree (`recursion_entries`)
+        reports.append(_timed("qma.recursions", params, _identity_check(
+            ideal, ctx, lambda c: c.recursion_entries(), 5, seed, primes)))
     return reports
 
 
@@ -275,14 +237,16 @@ def run_spectral(k, max_n, seed=0):
     reports.append(_timed("spectral.factor", params, run_factor))
 
     def run_newton():
-        r = spectral.newton_check(k, max_n, seed=seed)
+        # built once for the largest degree; each check reads its prefix
+        data = spectral.chart_data(k, max(max_n, k), seed=seed)
+        r = spectral.newton_check(k, max_n, data)
         if not r["ok"]:
             return ("fail", f"{r['relation']} n={r['n']}: {r['residual']}",
                     None, None)
-        r2 = spectral.wronski_modified(k, max_n, seed=seed)
+        r2 = spectral.wronski_modified(k, max_n, data)
         if not r2["ok"]:
             return ("fail", f"{r2['relation']} n={r2['n']}", None, None)
-        r3 = spectral.newton_closure(k, seed=seed)
+        r3 = spectral.newton_closure(k, data)
         if not r3["ok"]:
             return "fail", f"closure n={r3['n']}", None, None
         # union bound of the two sampled relations; closure re-checks

@@ -3,10 +3,11 @@
 The relations are homogeneous of degree 2, so the ideal is graded and
 the degree-d component is spanned by {w1 * r * w2} over relations r and
 word pairs with |w1| + |w2| = d - 2.  Membership is decided by sparse
-elimination inside (degree, row-weight, column-weight) blocks, exactly
-over the rational function field for small cases and at >= 3 admissible
-prime points otherwise, with the failure probability of the modular
-route reported.  An echelon-oriented rewriting system provides a sound
+elimination inside (degree, row-weight, column-weight) blocks: for one
+polynomial exactly over the rational function field, and for a matrix
+identity of large degree at >= 3 admissible prime points shared by all
+its entries, with the failure probability of that modular route
+reported.  An echelon-oriented rewriting system provides a sound
 fast path (a zero normal form proves membership; a nonzero one decides
 nothing).  Words are coded once, on entry, as integers (`word_key`) that
 order words of one length as the generator order does.
@@ -20,7 +21,7 @@ from collections import Counter
 
 from .domains import FpDomain, SpanDomain
 from .linalg import Echelon
-from .ncpoly import NCPoly, QMatrix
+from .ncpoly import NCPoly
 from .scalar import PRIME_POOL_SIZE, InadmissiblePointError, sample_points
 
 FAILURE_TARGET = 1e-12
@@ -117,27 +118,17 @@ class MembershipCertificate:
 
     @staticmethod
     def union(certs):
-        """One certificate for the conjunction of certs (say, the entries
-        of a matrix): the first non-member if there is one, else the
-        weakest kind with the sum of the failure bounds and every point
-        sampled.  An exact union's witness is every certificate's, in
-        order, each item led by the index in certs of the certificate it
-        came from (the entry it certifies)."""
-        points, bound = {}, None
+        """One certificate for the conjunction of exact certs (say, the
+        entries of a matrix): the first non-member if there is one, else
+        a member whose witness is every certificate's, in order, each item
+        led by the index in certs of the certificate it came from (the
+        entry it certifies)."""
         for cert in certs:
             if not cert.is_member:
                 return cert
-            if cert.kind == "modular":
-                bound = (bound or 0.0) + cert.bound
-                for pt in cert.points:
-                    points.setdefault((pt.p, pt.qhat), pt)
-        if bound is None:
-            witness = [(entry, *item) for entry, c in enumerate(certs)
-                       for item in c.witness or ()]
-            return MembershipCertificate("member", "exact", witness=witness)
-        return MembershipCertificate("probable-member", "modular",
-                                     points=list(points.values()),
-                                     bound=bound)
+        witness = [(entry, *item) for entry, c in enumerate(certs)
+                   for item in c.witness or ()]
+        return MembershipCertificate("member", "exact", witness=witness)
 
     def __repr__(self):
         extra = f", bound={self.bound:.3g}" if self.bound is not None else ""
@@ -373,20 +364,14 @@ class QuadraticIdeal:
 
     # -- membership ----------------------------------------------------------------
     def needs_modular(self, degree):
-        """Whether membership in this degree is decided at prime points
-        (mode "auto"): exact elimination is kept to degree <= 2 or
-        dim <= 2."""
+        """Whether an identity of this degree is decided at prime points
+        (`identity_membership`): exact elimination is kept to degree <= 2
+        or dim <= 2."""
         return degree > 2 and self.dim > 2
 
-    def membership(self, p, mode="auto", seed=0, witness=False,
-                   min_points=None, target=FAILURE_TARGET):
-        """Decide p ∈ ideal.  Inhomogeneous p splits into graded parts.
-
-        mode: exact | modular | auto (exact over an exact domain unless
-        `needs_modular`).  A modular verdict (`_membership_modular`) takes
-        points until its failure bound is at most target; mixed verdicts
-        fall back to the exact route over an exact domain.
-        """
+    def membership(self, p, witness=False):
+        """Decide p ∈ ideal exactly; the domain must be exact.
+        Inhomogeneous p splits into graded parts."""
         if p.is_zero():
             return MembershipCertificate("member", "exact", witness=[])
         parts = p.graded_parts()
@@ -395,34 +380,22 @@ class QuadraticIdeal:
             return MembershipCertificate(
                 "non-member", "exact", residual=parts[min(low)],
                 detail="nonzero part of degree < 2")
-        if mode == "auto":
-            exact_ok = self.dom.exact and not self.needs_modular(max(parts))
-            mode = "exact" if exact_ok else "modular"
-        if mode == "exact":
-            if not self.dom.exact:
-                raise IdealError("exact membership needs an exact domain")
-            return self._membership_exact(parts, witness)
-        try:
-            return self._membership_modular(
-                lambda pt: p.reduce_at(pt), max(parts), seed=seed,
-                min_points=min_points, candidate_span=self._poly_span(p),
-                target=target)
-        except MixedVerdictError:
-            if not self.dom.exact:
-                raise
-            return self._membership_exact(parts, witness)
+        if not self.dom.exact:
+            raise IdealError("exact membership needs an exact domain")
+        return self._membership_exact(parts, witness)
 
     def membership_family(self, candidate_at, degree, candidate_span,
                           entries=1, seed=0, min_points=None):
         """Modular membership of a candidate that is only built at points.
 
-        candidate_at(pt) is the reduction at pt of one fixed exact
-        polynomial, or of every entry of one fixed exact QMatrix, built
-        once per point.  The caller vouches for the exact candidate: its
+        candidate_at(pt) is the list of entries of one fixed exact
+        candidate (say, a matrix identity), each reduced at pt, built once
+        per point.  The caller vouches for the exact candidate: its
         maximal degree, a bound on the Laurent degree span of its
         coefficients (say, from a SpanDomain build) and the number of its
-        nonzero entries.  Each entry gets an equal share of FAILURE_TARGET,
-        and the failure bound is the union bound over the entries.
+        nonzero entries.  Every entry is decided at the same points and
+        gets an equal share of FAILURE_TARGET; the failure bound is the
+        union bound over the entries.
         """
         cert = self._membership_modular(
             candidate_at, degree, seed=seed, min_points=min_points,
@@ -432,16 +405,18 @@ class QuadraticIdeal:
 
     def identity_membership(self, ctx, build, degree, seed=0,
                             min_points=None):
-        """Membership of every entry of the matrix identity build(ctx) of
-        the given degree; None when it is 0 in the free algebra.
+        """Membership of every entry of the identity build(ctx), a list of
+        polynomials of the given maximal degree; None when every entry is
+        0 in the free algebra.
 
         When the verdict will be modular (`needs_modular`) the identity is
         built evaluate-first: only at the prime points, with its degree,
         coefficient span and nonzero entries bounded by one SpanDomain
-        build.  Mixed modular verdicts fall back to the exact build.
+        build.  Mixed modular verdicts send the whole identity to the
+        exact build and exact membership.
         """
         if self.needs_modular(degree):
-            shape = [p for p in build(ctx.over(SpanDomain())).entries() if p]
+            shape = [p for p in build(ctx.over(SpanDomain())) if p]
             if shape:
                 try:
                     return self.membership_family(
@@ -452,11 +427,10 @@ class QuadraticIdeal:
                         entries=len(shape), seed=seed, min_points=min_points)
                 except MixedVerdictError:
                     pass
-        mat = build(ctx)
-        if mat.is_zero():
+        polys = build(ctx)
+        if not any(polys):
             return None
-        return self.membership_matrix(mat, seed=seed, witness=True,
-                                      min_points=min_points)
+        return self.membership_matrix(polys, witness=True)
 
     def _split_blocks(self, part):
         """{block: {word code: coefficient}} of a homogeneous part."""
@@ -503,10 +477,8 @@ class QuadraticIdeal:
     def _vanishes_at(self, pt, candidate_at):
         """Whether every entry of the candidate lies in the ideal at pt."""
         ideal_p = self.at_point(pt)
-        cand = candidate_at(pt)
-        entries = cand.entries() if isinstance(cand, QMatrix) else (cand,)
         return all(ideal_p._membership_exact(p.graded_parts()).is_member
-                   for p in entries)
+                   for p in candidate_at(pt))
 
     def _degree_dmax(self, degree, candidate_span):
         """Largest per-block sum of relation coefficient spans, plus the
@@ -575,15 +547,13 @@ class QuadraticIdeal:
             "non-member", "modular", points=pts, bound=bound,
             detail="nonzero residual at every sampled point")
 
-    def membership_matrix(self, qmat, target=FAILURE_TARGET, **kw):
-        """Entrywise membership, as one `MembershipCertificate.union`.
-        Each nonzero entry gets an equal share of target, the budget of
-        the whole matrix, so the union bound stays below it."""
-        polys = qmat.entries()
-        share = target / max(sum(1 for p in polys if p), 1)
+    def membership_matrix(self, entries, witness=False):
+        """Exact membership of every polynomial in entries (say, the
+        entries of a matrix identity), as one `MembershipCertificate.union`
+        that stops at the first non-member."""
         certs = []
-        for p in polys:
-            certs.append(self.membership(p, target=share, **kw))
+        for p in entries:
+            certs.append(self.membership(p, witness=witness))
             if not certs[-1].is_member:
                 break
         return MembershipCertificate.union(certs)

@@ -511,6 +511,17 @@ class AlgebraContext:
             acc = -acc
         return self.descendant_b(m, i) - acc
 
+    def recursion_entries(self):
+        """Entries of every descendant recursion and expansion residual
+        that qma.recursions checks, as one list: each is an ideal member.
+        The largest degree, 5, is that of the second recursion at m = 2,
+        i = 1."""
+        mats = [res for m in (0, 1, 2) for i in (0, 1)
+                for res in self.recursion_residuals(m, i)]
+        mats += [self.expansion_residual_a(m, i) for m, i in ((-1, 1), (0, 2))]
+        mats += [self.expansion_residual_b(m, i) for m, i in ((1, 1), (2, 2))]
+        return [p for mat in mats for p in mat.entries()]
+
     def cutting_dependency(self, m, k):
         """B^{(m+1,k+1)} + q A^{(m-1,k+1)} g, which vanishes at Sp(2k)."""
         a_part = self.descendant_a(m - 1, k + 1).mul_poly_right(self.g)

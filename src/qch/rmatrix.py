@@ -59,13 +59,12 @@ class RMatrixContext:
     still be designated.
     """
 
-    def __init__(self, r_op, mu_scalar, label="", height_hint=None):
+    def __init__(self, r_op, mu_scalar, label=""):
         self.r = r_op
         self.dom = r_op.dom
         self.dim = r_op.dim
         self.mu_scalar = mu_scalar
         self.label = label
-        self.height_hint = height_hint
         self._r_inv = None
         self._k_op = None
         self._psi = None
@@ -127,8 +126,7 @@ class RMatrixContext:
             # properties: reading them builds and caches them over Q(q)
             self.r_inv, self.d_r, self.d_rinv
         ctx = RMatrixContext(self.r.over(dom), self.mu_scalar,
-                             label=label or f"{self.label} over {dom.name}",
-                             height_hint=self.height_hint)
+                             label=label or f"{self.label} over {dom.name}")
         for attr in ("_r_inv", "_k_op", "_psi", "_d_r", "_d_rinv"):
             cached = getattr(self, attr)
             if cached is not None:
@@ -188,8 +186,7 @@ def build_standard_sp(k):
             put((j - 1, iprime[j] - 1), (iprime[i] - 1, i - 1), -c)
 
     mu = -QScalar.q_power(-1 - 2 * k)
-    return RMatrixContext(r_op, mu, label=f"standard Sp({dim})",
-                          height_hint=k)
+    return RMatrixContext(r_op, mu, label=f"standard Sp({dim})")
 
 
 def standard_sp_contractor(k):
@@ -273,8 +270,7 @@ def twist(r_ctx, f_ctx):
     """The twisted R-matrix F^-1 R F of a compatible pair."""
     r_f = f_ctx.r_inv @ r_ctx.r @ f_ctx.r
     return RMatrixContext(r_f, r_ctx.mu_scalar,
-                          label=f"twist({r_ctx.label}; {f_ctx.label})",
-                          height_hint=r_ctx.height_hint)
+                          label=f"twist({r_ctx.label}; {f_ctx.label})")
 
 
 def flip_context(dom, dim):
@@ -419,7 +415,8 @@ def height(ctx, mode="auto", seed=0, prime_count=3):
     """
     if mode == "auto":
         mode = "exact" if ctx.dim <= 4 else "modular"
-    bound = (ctx.height_hint or 4) + 2
+    # two levels past k = dim / 2, the height of an Sp(2k) R-matrix
+    bound = ctx.dim // 2 + 2
     if mode == "exact":
         k, failure = _height_scan(ctx, bound), None
     else:
@@ -430,14 +427,5 @@ def height(ctx, mode="auto", seed=0, prime_count=3):
         k, failure = ks[0], modular_bound(points, 8 * ctx.dim + 8)
     if k is None:
         raise GuardError(f"height > bound {bound}")
-    return k, _type_tag(ctx, k), failure
-
-
-def _type_tag(ctx, k):
-    if ctx.mu_scalar == -QScalar.q_power(-1 - 2 * k):
-        return f"Sp({2 * k})"
-    if ctx.mu_scalar == QScalar.q_power(1 - k):
-        tower = antisymmetrizer_tower(ctx, k)
-        if tensor.exact_rank(tower[-1]) == 1:
-            return f"O({k})"
-    return "custom"
+    sp = ctx.mu_scalar == -QScalar.q_power(-1 - 2 * k)
+    return k, f"Sp({2 * k})" if sp else "custom", failure

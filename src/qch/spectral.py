@@ -469,12 +469,18 @@ def spectral_values(k, chart):
     return nus
 
 
+def _chart_count(k, n):
+    """Chart points of a sampled check in degree n: one more than the
+    per-variable degree bound of its cleared denominators (4k from the
+    d_i, n from the power), with a margin."""
+    return 4 * k + 2 * n + 3
+
+
 def _charts(k, n, seed):
     """The chart points of a sampled check in degree n, drawn from
-    Random(seed): one more than the per-variable degree bound of its cleared
-    denominators (4k from the d_i, n from the power), with a margin."""
+    Random(seed); a lower degree's charts are a prefix of them."""
     rng = random.Random(seed)
-    return [sample_chart(k, rng) for _ in range(4 * k + 2 * n + 3)]
+    return [sample_chart(k, rng) for _ in range(_chart_count(k, n))]
 
 
 def _bound(charts, degree):
@@ -499,14 +505,21 @@ def _point_data(k, chart, n):
             "g": nus[0] * nus[0], "d": d_vals}
 
 
-def newton_check(k, n, seed=0):
+def chart_data(k, n, seed=0):
+    """`_point_data` in degree n at each chart of `_charts(k, n, seed)`:
+    the points shared by the Newton checks of degree <= n, each reading
+    the prefix its own degree needs."""
+    return [_point_data(k, chart, n) for chart in _charts(k, n, seed)]
+
+
+def newton_check(k, n, data):
     """Certify the two Newton relations at degrees 1..n with rational
-    power-sum images, by exact evaluation at admissible points."""
+    power-sum images, by exact evaluation at the points of `chart_data`
+    (degree >= n)."""
     mu = mu_of(k)
-    charts = _charts(k, n, seed)
-    for chart in charts:
-        data = _point_data(k, chart, n)
-        a, s, p, g = data["a"], data["s"], data["p"], data["g"]
+    pts = data[:_chart_count(k, n)]
+    for pt in pts:
+        a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
         for m in range(1, n + 1):
             lhs_a, c = _newton_a(m, a, p, g, mu)
             lhs_s = ZERO
@@ -524,18 +537,18 @@ def newton_check(k, n, seed=0):
                 if not res.is_zero():
                     return {"ok": False, "relation": relation, "n": m,
                             "residual": str(res)}
-    return {"ok": True, "n": n, "points": len(charts),
-            "bound": _bound(charts, 8 * k + 2 * n)}
+    return {"ok": True, "n": n, "points": len(pts),
+            "bound": _bound(pts, 8 * k + 2 * n)}
 
 
-def wronski_modified(k, n, seed=0):
+def wronski_modified(k, n, data):
     """Certify the modified Newton and Wronski relations built from the
-    auxiliary s' and p' iterations, by exact evaluation."""
+    auxiliary s' and p' iterations, by exact evaluation at the points of
+    `chart_data` (degree >= n)."""
     mu = mu_of(k)
-    charts = _charts(k, n, seed)
-    for chart in charts:
-        data = _point_data(k, chart, n)
-        a, s, p, g = data["a"], data["s"], data["p"], data["g"]
+    pts = data[:_chart_count(k, n)]
+    for pt in pts:
+        a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
         sp = [s[0]] + ([s[1]] if n >= 1 else [])
         for i in range(2, n + 1):
             sp.append(s[i] + sp[i - 2] * g)
@@ -559,24 +572,24 @@ def wronski_modified(k, n, seed=0):
             if not (lhs - target).is_zero():
                 return {"ok": False, "relation": "mod-w", "n": m,
                         "residual": str(lhs - target)}
-    return {"ok": True, "n": n, "points": len(charts),
-            "bound": _bound(charts, 8 * k + 2 * n)}
+    return {"ok": True, "n": n, "points": len(pts),
+            "bound": _bound(pts, 8 * k + 2 * n)}
 
 
-def newton_closure(k, seed=0):
-    """Solve the first Newton relation for a_n at sampled points and
-    match the elementary-symmetric images, n <= k."""
+def newton_closure(k, data):
+    """Solve the first Newton relation for a_n at the points of
+    `chart_data` (degree >= k) and match the elementary-symmetric images,
+    n <= k."""
     mu = mu_of(k)
-    charts = _charts(k, k, seed)
-    for chart in charts:
-        data = _point_data(k, chart, k)
-        a, p, g = data["a"], data["p"], data["g"]
+    pts = data[:_chart_count(k, k)]
+    for pt in pts:
+        a, p, g = pt["a"], pt["p"], pt["g"]
         for n in range(1, k + 1):
             lhs, c = _newton_a(n, a, p, g, mu)
             if not (lhs / c - a[n]).is_zero():
                 return {"ok": False, "n": n}
-    return {"ok": True, "points": len(charts),
-            "bound": _bound(charts, 8 * k + 2 * k)}
+    return {"ok": True, "points": len(pts),
+            "bound": _bound(pts, 8 * k + 2 * k)}
 
 
 def polynomiality_check(k, n, seed=0):

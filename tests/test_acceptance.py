@@ -81,8 +81,8 @@ def entries_of(qmat):
     return [p for row in qmat.rows for p in row]
 
 
-def assert_matrix_member(ideal, qmat, **kw):
-    cert = ideal.membership_matrix(qmat, **kw)
+def assert_matrix_member(ideal, qmat):
+    cert = ideal.membership_matrix(qmat.entries())
     assert cert.is_member, cert
     return cert
 
@@ -128,12 +128,12 @@ def test_criterion_3_sp2_exact_identities(rtt2, re2, ideal2, ideal2_re):
     # Characteristic identity entries are exact ideal members with witnesses.
     for ctx, ideal in ((rtt2, ideal2), (re2, ideal2_re)):
         for p in entries_of(ctx.ch_identity(1)):
-            cert = ideal.membership(p, mode="exact", witness=True)
+            cert = ideal.membership(p, witness=True)
             assert cert.is_member and cert.kind == "exact", cert
             assert p.is_zero() or cert.witness, cert
         for op in ctx.two_contraction_residuals():
             for val in op.data.values():
-                assert ideal.membership(val, mode="exact").is_member
+                assert ideal.membership(val).is_member
     # Both printed closed forms of g.
     half = ONE / (qp(2) + qp(-2))
     rtt_first = ((gen(0, 0) * gen(1, 1)).scale(qp(-2))
@@ -143,7 +143,7 @@ def test_criterion_3_sp2_exact_identities(rtt2, re2, ideal2, ideal2_re):
     rtt_second = (gen(0, 0) * gen(1, 1)
                   - (gen(0, 1) * gen(1, 0)).scale(qp(2))).scale(qp(-6))
     assert rtt2.g == rtt_first
-    assert ideal2.membership(rtt2.g - rtt_second, mode="exact").is_member
+    assert ideal2.membership(rtt2.g - rtt_second).is_member
     re_first = (gen(0, 0) * gen(1, 1) + gen(1, 1) * gen(0, 0)
                 - (gen(0, 0) * gen(0, 0)).scale(ONE - qp(-4))
                 - gen(0, 1) * gen(1, 0)
@@ -152,20 +152,27 @@ def test_criterion_3_sp2_exact_identities(rtt2, re2, ideal2, ideal2_re):
                  - (gen(0, 0) * gen(0, 0)).scale(ONE - qp(-4))
                  - gen(0, 1) * gen(1, 0)).scale(qp(-2))
     assert re2.g == re_first
-    assert ideal2_re.membership(re2.g - re_second, mode="exact").is_member
+    assert ideal2_re.membership(re2.g - re_second).is_member
 
 
 def test_criterion_4_sp4_identities(rtt4, ideal4):
     t0 = time.time()
     parent = rtt4.parent_identity(2)
     assert max(p.degree() for p in entries_of(parent)) == 2
-    assert_matrix_member(ideal4, parent, mode="exact")
+    assert_matrix_member(ideal4, parent)
     ch = rtt4.ch_identity(2)
     assert max(p.degree() for p in entries_of(ch)) == 4
-    cert = assert_matrix_member(ideal4, ch, mode="modular", min_points=3)
+    # degree 4: decided at prime points, every entry at the same points
+    cert = ideal4.identity_membership(
+        rtt4, lambda c: c.ch_identity(2).entries(), 4, min_points=3)
+    assert cert.is_member and cert.kind == "modular", cert
     assert len(cert.points) >= 3 and cert.bound < FAILURE_TARGET, cert
-    link = ch - rtt4.star_multiply(rtt4.star_power(2), parent)
-    cert = assert_matrix_member(ideal4, link, mode="modular", min_points=3)
+
+    def link(c):
+        return (c.ch_identity(2) - c.star_multiply(
+            c.star_power(2), c.parent_identity(2))).entries()
+    cert = ideal4.identity_membership(rtt4, link, 4, min_points=3)
+    assert cert.is_member and cert.kind == "modular", cert
     assert cert.bound < FAILURE_TARGET, cert
     assert time.time() - t0 < 600.0
 
@@ -225,9 +232,9 @@ def test_criterion_6_calibration(rtt2, rtt4, ideal4):
     assert catalogue.rank_of_degree(2)["rank"] == 130
     assert defining.rank_of_degree(2)["rank"] == 130
     for _, p in sp4_relations.all_relations(QQ):
-        assert defining.membership(p, mode="exact").is_member
+        assert defining.membership(p).is_member
     for _, p in rtt4.defining_relations():
-        assert catalogue.membership(p, mode="exact").is_member
+        assert catalogue.membership(p).is_member
 
 
 def test_criterion_7_spectral():
@@ -238,9 +245,9 @@ def test_criterion_7_spectral():
     for k in (1, 2, 3):
         assert sp.factor_check(k) == {"ok": True, "checked": 2 * k + 1}
     for k in (1, 2, 3):
-        r = sp.newton_check(k, 6, seed=3)
+        r = sp.newton_check(k, 6, sp.chart_data(k, 6, seed=3))
         assert r["ok"] and r["points"] >= 13, r
-        assert sp.wronski_modified(k, 6, seed=4)["ok"]
+        assert sp.wronski_modified(k, 6, sp.chart_data(k, 6, seed=4))["ok"]
         pr = sp.parameterization_checks(k, seed=5)
         for key in ("w1+", "w1-", "w2-zero", "d-ratio", "init-1", "init-2",
                     "init-3", "ok"):

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from qch import cli, rmatrix
+from qch.domains import SpanDomain
 from qch.ideal import FAILURE_TARGET, MembershipCertificate, QuadraticIdeal
+from qch.scalar import sample_points
 
 
 def run_json(capsys, argv):
@@ -234,37 +236,63 @@ def test_recursions_report_modular_certificates(capsys, monkeypatch):
                                          "recursions", "--json"])
     assert code == 0
     assert reports[0]["status"] == "pass"
+    assert reports[0]["witness"] == "witness:188"
     assert "failure_bound" not in reports[0]
 
-    def modular(self, qmat, **kw):
-        return MembershipCertificate("probable-member", "modular",
-                                     points=[], bound=1e-20)
-    monkeypatch.setattr(QuadraticIdeal, "membership_matrix", modular)
+    # decided at prime points, as at k >= 2: one certificate for all 16
+    # residuals, with their points and union bound
+    monkeypatch.setattr(QuadraticIdeal, "needs_modular",
+                        lambda self, degree: True)
     code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
                                          "recursions", "--json"])
     assert code == 0
-    # 12 recursion residuals and 4 expansion residuals, one bound each
     assert reports[0]["status"] == "probable-pass"
-    assert reports[0]["failure_bound"] == pytest.approx(16e-20, rel=1e-12, abs=0)
+    assert reports[0]["witness"].startswith("points:")
+    assert int(reports[0]["witness"][len("points:"):]) >= 3
+    assert 0 < reports[0]["failure_bound"] < FAILURE_TARGET
 
 
 def test_recursions_share_one_failure_budget(capsys, monkeypatch):
-    targets = []
+    calls = []
 
-    def modular(self, qmat, target=FAILURE_TARGET, **kw):
-        nonzero = sum(1 for p in qmat.entries() if p)
-        targets.append((target, nonzero))
+    def modular(self, candidate_at, degree, seed, min_points,
+                candidate_span, target=FAILURE_TARGET):
+        pt = sample_points(seed, 1, self._point_bound())[0]
+        calls.append((target, candidate_at(pt)))
         return MembershipCertificate("probable-member", "modular",
-                                     points=[], bound=target)
-    monkeypatch.setattr(QuadraticIdeal, "membership_matrix", modular)
+                                     points=[pt], bound=target)
+    monkeypatch.setattr(QuadraticIdeal, "needs_modular",
+                        lambda self, degree: True)
+    monkeypatch.setattr(QuadraticIdeal, "_membership_modular", modular)
     code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
                                          "recursions", "--json"])
     assert code == 0
     assert reports[0]["failure_bound"] == pytest.approx(FAILURE_TARGET,
                                                         rel=1e-9)
-    # every nonzero entry of every residual gets the same share
-    shares = {round(t / n / FAILURE_TARGET, 12) for t, n in targets if n}
-    assert len(shares) == 1
+    # one candidate: every entry of the 12 recursion and 4 expansion
+    # residuals, each nonzero one with the same share of the target
+    [(target, entries)] = calls
+    assert len(entries) == 16 * 4
+    shape = [p for p in cli._algebra(1, "rtt").over(SpanDomain())
+             .recursion_entries() if p]
+    assert target == pytest.approx(FAILURE_TARGET / len(shape), rel=1e-12)
+
+
+def test_recursions_degree_is_largest_residual_degree(capsys, monkeypatch):
+    seen = []
+
+    def record(self, ctx, build, degree, seed=0, min_points=None):
+        seen.append((build, degree))
+        return None
+    monkeypatch.setattr(QuadraticIdeal, "identity_membership", record)
+    code, _, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
+                                   "recursions", "--json"])
+    assert code == 0
+    [(build, degree)] = seen
+    # at k = 2: the second recursion at m = 2, i = 1
+    shape = [p for p in build(cli._algebra(2, "rtt").over(SpanDomain()))
+             if p]
+    assert max(p.degree() for p in shape) == degree == 5
 
 
 # Reports of fixed runs, elapsed aside.  A refactor must keep every field,

@@ -90,7 +90,7 @@ def test_zero_pivot_in_point_build_resamples():
     def candidate_at(pt):
         if (pt.p, pt.qhat) == (bad.p, bad.qhat):
             FpDomain(pt).inv(0)
-        return entry.reduce_at(pt)
+        return [entry.reduce_at(pt)]
 
     cert = ideal.membership_family(candidate_at, 2, ideal._poly_span(entry),
                                    seed=9)

@@ -9,7 +9,7 @@ from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, POINT_LIMIT,
                        BudgetError, MembershipCertificate, MixedVerdictError,
                        QuadraticIdeal, default_weights, generator_order,
                        modular_bound, prime_count, witness_to_json)
-from qch.ncpoly import NCPoly, QMatrix
+from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import ONE, QScalar, sample_points
@@ -25,6 +25,13 @@ def gen(a, b):
 
 def word_poly(w):
     return NCPoly(QQ, {tuple(w): ONE})
+
+
+def modular(ideal, p, **kw):
+    """Modular membership of one polynomial: `membership_family` of the
+    one-entry candidate [p], reduced at each point."""
+    return ideal.membership_family(lambda pt: [p.reduce_at(pt)], p.degree(),
+                                   ideal._poly_span(p), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +134,7 @@ def test_normal_order_congruent_mod_ideal(ideal2):
             terms[w] = terms.get(w, QScalar.from_int(0)) + c
         p = NCPoly(QQ, {w: c for w, c in terms.items() if not c.is_zero()})
         diff = ideal2.normal_order(p) - p
-        cert = ideal2.membership(diff, mode="exact", witness=True)
+        cert = ideal2.membership(diff, witness=True)
         assert cert.is_member, cert
 
 
@@ -174,7 +181,7 @@ def test_ch_entries_member_with_witness(rtt2, ideal2):
 
 
 def test_membership_matrix(rtt2, ideal2):
-    cert = ideal2.membership_matrix(rtt2.ch_identity(1))
+    cert = ideal2.membership_matrix(rtt2.ch_identity(1).entries())
     assert cert.is_member
 
 
@@ -187,7 +194,7 @@ def test_mixed_degree_member(ideal2):
 
 def test_modular_probable_member(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[0][0]
-    cert = ideal2.membership(entry, mode="modular", seed=3)
+    cert = modular(ideal2, entry, seed=3)
     assert cert.status == "probable-member" and cert.is_member
     assert cert.kind == "modular"
     assert len(cert.points) >= 3
@@ -196,7 +203,7 @@ def test_modular_probable_member(rtt2, ideal2):
 
 def test_modular_non_member(ideal2):
     p = gen(0, 0) * gen(0, 1) - gen(0, 1) * gen(0, 0)
-    cert = ideal2.membership(p, mode="modular", seed=5)
+    cert = modular(ideal2, p, seed=5)
     assert cert.status == "non-member"
 
 
@@ -204,12 +211,12 @@ def test_modular_prime_count_validated(rtt2, ideal2, monkeypatch):
     entry = rtt2.ch_identity(1).rows[0][0]
     monkeypatch.setenv("QCH_PRIME_COUNT", "x")
     with pytest.raises(ValueError, match="QCH_PRIME_COUNT"):
-        ideal2.membership(entry, mode="modular")
+        modular(ideal2, entry)
     monkeypatch.setenv("QCH_PRIME_COUNT", "4")
-    assert len(ideal2.membership(entry, mode="modular").points) >= 4
+    assert len(modular(ideal2, entry).points) >= 4
     for count in (1, 2, MAX_PRIME_COUNT + 1):
         with pytest.raises(ValueError, match="min_points"):
-            ideal2.membership(entry, mode="modular", min_points=count)
+            modular(ideal2, entry, min_points=count)
 
 
 def test_prime_count_capped_at_pool(monkeypatch):
@@ -223,7 +230,7 @@ def test_prime_count_capped_at_pool(monkeypatch):
 
 def test_membership_family(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
-    cert = ideal2.membership_family(lambda pt: entry.reduce_at(pt), 2,
+    cert = ideal2.membership_family(lambda pt: [entry.reduce_at(pt)], 2,
                                     ideal2._poly_span(entry), seed=9)
     assert cert.is_member
     assert cert.bound < 1e-12
@@ -232,13 +239,13 @@ def test_membership_family(rtt2, ideal2):
 def test_mixed_verdicts_raise_at_once(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
     outsider = word_poly([(0, 0), (0, 0)])
-    assert not ideal2.membership(outsider, mode="exact").is_member
+    assert not ideal2.membership(outsider).is_member
     first, second = sample_points(9, 2, ideal2._point_bound())
     seen = []
 
     def candidate_at(pt):
         seen.append(pt.p)
-        return (outsider if pt.p == second.p else entry).reduce_at(pt)
+        return [(outsider if pt.p == second.p else entry).reduce_at(pt)]
 
     with pytest.raises(MixedVerdictError):
         ideal2.membership_family(candidate_at, 2, ideal2._poly_span(entry),
@@ -251,72 +258,83 @@ def test_small_target_takes_next_pool_points(rtt2, ideal2):
     pool = [(pt.p, pt.qhat)
             for pt in sample_points(9, POINT_LIMIT, ideal2._point_bound())]
     assert len({p for p, _ in pool}) == POINT_LIMIT
-    d_max = ideal2._degree_dmax(2, ideal2._poly_span(entry))
-    least = ideal2.membership(entry, mode="modular", seed=9)
+    span = ideal2._poly_span(entry)
+    d_max = ideal2._degree_dmax(2, span)
+
+    def at_target(target):
+        return ideal2._membership_modular(lambda pt: [entry.reduce_at(pt)],
+                                          2, 9, None, span, target=target)
+
+    least = at_target(FAILURE_TARGET)
     assert len(least.points) == 3
     target = least.bound * 1e-20
-    cert = ideal2.membership(entry, mode="modular", seed=9, target=target)
+    cert = at_target(target)
     n = len(cert.points)
     assert 3 < n < POINT_LIMIT
     assert [(pt.p, pt.qhat) for pt in cert.points] == pool[:n]
     assert cert.bound <= target < modular_bound(cert.points[:-1], d_max)
     # a target no bound reaches stops at POINT_LIMIT points
-    capped = ideal2.membership(entry, mode="modular", seed=9, target=0.0)
+    capped = at_target(0.0)
     assert capped.is_member
     assert [(pt.p, pt.qhat) for pt in capped.points] == pool
 
 
 def _relation_times_generator(ctx):
-    """A degree-3 ideal member, as a 1 x 1 matrix over ctx's domain."""
+    """A degree-3 ideal member over ctx's domain, as a one-entry
+    identity."""
     rel = ctx.defining_relations()[0][1]
-    return QMatrix(ctx.dom, [[rel * NCPoly.generator(ctx.dom, 0, 0)]])
+    return [rel * NCPoly.generator(ctx.dom, 0, 0)]
 
 
 def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
     # the second point build adds a non-member, so the verdicts are mixed
+    # and the identity goes to the exact build and exact membership
     doms = []
 
     def build(ctx):
         doms.append(ctx.dom)
-        mat = _relation_times_generator(ctx)
+        entries = _relation_times_generator(ctx)
         if sum(isinstance(d, FpDomain) for d in doms) == 2 and \
                 isinstance(ctx.dom, FpDomain):
             x = NCPoly.generator(ctx.dom, 0, 0)
-            mat.rows[0][0] = mat.rows[0][0] + x * x * x
-        return mat
+            entries[0] = entries[0] + x * x * x
+        return entries
 
     assert ideal4.needs_modular(3)
     cert = ideal4.identity_membership(rtt4, build, 3, seed=5, min_points=3)
     assert [type(d) for d in doms[:3]] == [SpanDomain, FpDomain, FpDomain]
     assert doms[3:] == [rtt4.dom]
-    assert (cert.status, cert.kind) == ("probable-member", "modular")
+    assert (cert.status, cert.kind) == ("member", "exact")
+    assert cert.witness and all(item[0] == 0 for item in cert.witness)
 
 
 def test_matrix_bound_is_union_over_entries(rtt2, ideal2):
-    ch = rtt2.ch_identity(1)
-    cert = ideal2.membership_matrix(ch, mode="modular", seed=9)
-    polys = [p for p in ch.entries() if p]
-    singles = [ideal2.membership(p, mode="modular", seed=9,
-                                 target=FAILURE_TARGET / len(polys))
-               for p in polys]
+    ch = rtt2.ch_identity(1).entries()
+    polys = [p for p in ch if p]
+    span = max(ideal2._poly_span(p) for p in polys)
+    cert = ideal2.membership_family(
+        lambda pt: [p.reduce_at(pt) for p in ch], 2, span,
+        entries=len(polys), seed=9)
+    # each entry alone, with its equal share of the target
+    singles = [ideal2._membership_modular(
+        lambda pt, p=p: [p.reduce_at(pt)], 2, 9, None, span,
+        target=FAILURE_TARGET / len(polys)) for p in polys]
     assert (cert.status, cert.kind) == ("probable-member", "modular")
+    points = [(pt.p, pt.qhat) for pt in cert.points]
+    assert all([(pt.p, pt.qhat) for pt in c.points] == points
+               for c in singles)
     assert cert.bound == pytest.approx(
         sum(c.bound for c in singles), rel=1e-12, abs=0)
     assert cert.bound > max(c.bound for c in singles)
     assert cert.bound < FAILURE_TARGET
 
 
-def test_union_takes_weakest_kind():
-    pt = sample_points(1, 1, 8)[0]
+def test_union_is_first_non_member_or_exact_member():
     exact = MembershipCertificate("member", "exact", witness=[])
-    modular = MembershipCertificate("probable-member", "modular",
-                                    points=[pt], bound=2e-20)
     miss = MembershipCertificate("non-member", "exact")
-    assert MembershipCertificate.union([exact, exact]).kind == "exact"
-    both = MembershipCertificate.union([exact, modular, modular])
-    assert (both.status, both.kind) == ("probable-member", "modular")
-    assert both.bound == 4e-20 and both.points == [pt]
-    assert MembershipCertificate.union([modular, miss, exact]) is miss
+    both = MembershipCertificate.union([exact, exact])
+    assert (both.status, both.kind) == ("member", "exact")
+    assert MembershipCertificate.union([exact, miss, exact]) is miss
 
 
 def test_degree_bound_per_degree(rtt2):
@@ -336,7 +354,7 @@ def test_degree_bound_per_degree(rtt2):
 
 def test_sp4_parent_entry_exact_member(rtt4, ideal4):
     parent = rtt4.parent_identity(2)
-    cert = ideal4.membership(parent.rows[0][0], mode="exact")
+    cert = ideal4.membership(parent.rows[0][0])
     assert cert.is_member
 
 
@@ -378,7 +396,7 @@ def test_sp4_parent_witness_replays(pair):
     ideal = QuadraticIdeal(QQ, 4, ctx.defining_relations())
     rels = dict(ideal.relations)
     parent = ctx.parent_identity(2)
-    cert = ideal.membership_matrix(parent, witness=True)
+    cert = ideal.membership_matrix(parent.entries(), witness=True)
     assert cert.kind == "exact" and cert.is_member
     assert len(cert.witness) == 187
     sums = {}
@@ -399,13 +417,13 @@ def test_non_member_residual_decodes_to_words(ideal2, ideal4):
         free = [(g, h) for g in gens for h in gens if (g, h) not in leads]
         for w in free[:3] + free[-3:]:
             p = word_poly(w).scale(qp(1))
-            cert = ideal.membership(p, mode="exact")
+            cert = ideal.membership(p)
             assert cert.status == "non-member"
             assert cert.residual == p
     # any residual differs from its polynomial by an ideal member
     p = gen(0, 0) * gen(0, 1) * gen(1, 1) - gen(1, 1) * gen(0, 1) * gen(0, 0)
-    cert = ideal2.membership(p, mode="exact", witness=True)
+    cert = ideal2.membership(p, witness=True)
     assert cert.status == "non-member"
     assert all(len(w) == 3 and all(g in ideal2.order for g in w)
                for w in cert.residual.terms)
-    assert ideal2.membership(p - cert.residual, mode="exact").is_member
+    assert ideal2.membership(p - cert.residual).is_member

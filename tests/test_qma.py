@@ -501,8 +501,10 @@ def test_at_point_reduction(rtt2):
 
 # -- evaluate first: k = 2 identities at points and as span bounds -----------------
 
-K2_IDENTITIES = {"ch": lambda ctx: ctx.ch_identity(2),
-                 "parent": lambda ctx: ctx.parent_identity(2)}
+# each identity as the list of its entries, as the CLI builds it
+K2_IDENTITIES = {"ch": lambda ctx: ctx.ch_identity(2).entries(),
+                 "parent": lambda ctx: ctx.parent_identity(2).entries(),
+                 "recursions": lambda ctx: ctx.recursion_entries()}
 
 
 @pytest.fixture(scope="module")
@@ -514,20 +516,20 @@ def exact_k2(rtt4):
 def test_span_build_bounds_exact_identity(rtt4, ideal4, exact_k2, name):
     exact = exact_k2[name]
     bound = K2_IDENTITIES[name](rtt4.over(SpanDomain()))
-    for exact_p, bound_p in zip(exact.entries(), bound.entries()):
+    assert len(bound) == len(exact)
+    for exact_p, bound_p in zip(exact, bound):
         assert bound_p.degree() >= exact_p.degree()
         for w, c in exact_p.terms.items():
             assert bound_p.terms[w].degree_span() >= c.degree_span()
-    span = max(c.degree_span() for p in bound.entries()
-               for c in p.terms.values())
-    assert span >= max(ideal4._poly_span(p) for p in exact.entries())
+    span = max(c.degree_span() for p in bound for c in p.terms.values())
+    assert span >= max(ideal4._poly_span(p) for p in exact)
 
 
 @pytest.mark.parametrize("name", sorted(K2_IDENTITIES))
 def test_point_build_is_reduction_of_exact_identity(rtt4, exact_k2, name):
     pt = sample_points(5, count=1, bound=40)[0]
     at_point = K2_IDENTITIES[name](rtt4.at_point(pt))
-    assert at_point == exact_k2[name].map_entries(lambda p: p.reduce_at(pt))
+    assert at_point == [p.reduce_at(pt) for p in exact_k2[name]]
 
 
 def test_mapped_contexts_keep_pair(rtt2):
@@ -539,7 +541,11 @@ def test_mapped_contexts_keep_pair(rtt2):
 def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):
     cert = ideal4.identity_membership(rtt4, K2_IDENTITIES["ch"], 4, seed=3,
                                       min_points=3)
-    exact = ideal4.membership_matrix(exact_k2["ch"], seed=3, min_points=3)
+    polys = [p for p in exact_k2["ch"] if p]
+    exact = ideal4.membership_family(
+        lambda pt: [p.reduce_at(pt) for p in polys], 4,
+        max(ideal4._poly_span(p) for p in polys), entries=len(polys),
+        seed=3, min_points=3)
     assert (cert.status, cert.kind) == (exact.status, exact.kind)
     assert cert.status == "probable-member"
     assert len(cert.points) == len(exact.points) == 3

@@ -53,9 +53,9 @@ def test_span_rank_matches(defining, catalogue):
 
 def test_span_coincidence(rtt4, defining, catalogue):
     for label, p in all_relations(QQ):
-        assert defining.membership(p, mode="exact").is_member, label
+        assert defining.membership(p).is_member, label
     for rid, p in rtt4.defining_relations():
-        assert catalogue.membership(p, mode="exact").is_member, rid
+        assert catalogue.membership(p).is_member, rid
 
 
 def test_quotient_dimension(catalogue):
@@ -66,16 +66,16 @@ def test_quotient_dimension(catalogue):
 def test_bc_commutator_sign_pinned_by_span(defining):
     rels = dict(permutation_relations(QQ))
     rel = rels["BC:long"]
-    assert defining.membership(rel, mode="exact").is_member
+    assert defining.membership(rel).is_member
     sq = (NCPoly.generator(QQ, 3, 0) * NCPoly.generator(QQ, 0, 3)).scale(
         LAMBDA * LAMBDA)
     flipped = rel - sq - sq
-    assert defining.membership(flipped, mode="exact").status == "non-member"
+    assert defining.membership(flipped).status == "non-member"
 
 
 def test_g_closed_forms_congruent(rtt4, defining):
     g1, g2 = g_closed_forms(QQ)
-    assert defining.membership(g1 - rtt4.g, mode="exact").is_member
-    assert defining.membership(g2 - rtt4.g, mode="exact").is_member
+    assert defining.membership(g1 - rtt4.g).is_member
+    assert defining.membership(g2 - rtt4.g).is_member
     assert not (g1 - g2).is_zero()
-    assert defining.membership(g1 - g2, mode="exact").is_member
+    assert defining.membership(g1 - g2).is_member

@@ -211,20 +211,20 @@ def test_pprime0_closed_form():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_newton_relations(k):
-    r = sp.newton_check(k, 6, seed=3)
+    r = sp.newton_check(k, 6, sp.chart_data(k, 6, seed=3))
     assert r["ok"], r
     assert r["points"] >= 2 * 6 + 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_modified_newton_wronski(k):
-    r = sp.wronski_modified(k, 6, seed=4)
+    r = sp.wronski_modified(k, 6, sp.chart_data(k, 6, seed=4))
     assert r["ok"], r
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_newton_closure(k):
-    assert sp.newton_closure(k, seed=5)["ok"]
+    assert sp.newton_closure(k, sp.chart_data(k, k, seed=5))["ok"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
