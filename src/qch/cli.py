@@ -11,13 +11,13 @@ from fractions import Fraction
 
 from . import classical, rmatrix, sp4_relations, spectral
 from .domains import QQ
-from .ideal import (MAX_PRIME_COUNT, MIN_PRIME_COUNT, QuadraticIdeal,
-                    prime_count)
+from .ideal import MAX_PRIME_COUNT, MIN_PRIME_COUNT, QuadraticIdeal
 from .qma import AlgebraContext
 from .rmatrix import build_standard_sp, flip_context
 
 # qma verify targets; recursions run by default only at k = 1
 QMA_TARGETS = ("ch", "parent", "cutting", "recursions")
+RMATRIX_CHECKS = ("ybe", "cubic", "bmw", "height")
 
 
 def default_verify(k):
@@ -105,12 +105,10 @@ def run_rmatrix(k, checks, seed=0):
         reports.append(_from_certificate(
             "rmatrix.bmw", params, lambda: rmatrix.check_bmw(ctx)))
     if "height" in checks:
-        count = prime_count()
-
         def run():
             try:
                 got, tag, bound = rmatrix.height(ctx, seed=seed,
-                                                 prime_count=count)
+                                                 min_points=MIN_PRIME_COUNT)
             except rmatrix.GuardError as exc:
                 return "fail", str(exc), None, None
             detail = f"height={got} ({tag})"
@@ -120,7 +118,8 @@ def run_rmatrix(k, checks, seed=0):
                 return "pass", "0", detail, None
             return "probable-pass", "0", detail, bound
         reports.append(_timed(
-            "rmatrix.height", {"k": k, "seed": seed, "primes": count}, run))
+            "rmatrix.height",
+            {"k": k, "seed": seed, "primes": MIN_PRIME_COUNT}, run))
     return reports
 
 
@@ -236,9 +235,15 @@ def run_spectral(k, max_n, seed=0):
         return "pass", "0", None, None
     reports.append(_timed("spectral.factor", params, run_factor))
 
+    poly_data = None
+
     def run_newton():
+        nonlocal poly_data
         # built once for the largest degree; each check reads its prefix
         data = spectral.chart_data(k, max(max_n, k), seed=seed)
+        if k <= 2:
+            # kept only where polynomiality, below, reads it too
+            poly_data = data
         r = spectral.newton_check(k, max_n, data)
         if not r["ok"]:
             return ("fail", f"{r['relation']} n={r['n']}: {r['residual']}",
@@ -266,7 +271,7 @@ def run_spectral(k, max_n, seed=0):
 
     if k <= 2:
         def run_poly():
-            r = spectral.polynomiality_check(k, max_n, seed=seed)
+            r = spectral.polynomiality_check(k, max_n, poly_data)
             if not r["ok"]:
                 return "fail", f"n={r['n']}", None, None
             return _sampled_verdict(r)
@@ -298,9 +303,9 @@ def appendix_lines():
 
 def run_all(k, seed):
     reports = []
-    reports += run_rmatrix(k, ("ybe", "cubic", "bmw", "height"), seed=seed)
-    reports += run_qma(k, "rtt", default_verify(k), prime_count(), seed)
-    reports += run_qma(k, "re", ("ch", "parent"), prime_count(), seed)
+    reports += run_rmatrix(k, RMATRIX_CHECKS, seed=seed)
+    reports += run_qma(k, "rtt", default_verify(k), MIN_PRIME_COUNT, seed)
+    reports += run_qma(k, "re", ("ch", "parent"), MIN_PRIME_COUNT, seed)
     reports += run_ideal(k, "rtt", 2)
     reports += run_spectral(k, 4, seed=seed)
     reports += run_classical(k, 20, None, seed)
@@ -318,7 +323,7 @@ def build_parser():
 
     p = sub.add_parser("rmatrix", help="R-matrix relations and height")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--checks", default="ybe,cubic,bmw,height")
+    p.add_argument("--checks", default=",".join(RMATRIX_CHECKS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
@@ -326,8 +331,8 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--pair", choices=("rtt", "re"), default="rtt")
     p.add_argument("--verify", default=None,
-                   help="comma list from ch,parent,cutting,recursions")
-    p.add_argument("--primes", type=int, default=None)
+                   help=f"comma list from {','.join(QMA_TARGETS)}")
+    p.add_argument("--primes", type=int, default=MIN_PRIME_COUNT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
@@ -369,20 +374,26 @@ def _validate(args, parser):
         parser.error("--degree must be >= 2")
     if getattr(args, "max_n", 2) < 2:
         parser.error("--max-n must be >= 2")
-    if getattr(args, "primes", None) is not None \
-            and not MIN_PRIME_COUNT <= args.primes <= MAX_PRIME_COUNT:
+    primes = getattr(args, "primes", MIN_PRIME_COUNT)
+    if not MIN_PRIME_COUNT <= primes <= MAX_PRIME_COUNT:
         parser.error(f"--primes must be >= {MIN_PRIME_COUNT} and "
                      f"<= {MAX_PRIME_COUNT}")
-    if args.command in ("rmatrix", "qma", "all"):
-        try:
-            prime_count()
-        except ValueError as exc:
-            parser.error(str(exc))
     if getattr(args, "g", None) is not None:
         try:
             Fraction(args.g)
         except (ValueError, ZeroDivisionError):
             parser.error(f"--g must be a rational, got {args.g!r}")
+
+
+def _names(parser, text, known, what):
+    """The comma list text as a tuple; exits 2 naming, with repr, each
+    name not in known, and listing the known ones."""
+    names = tuple(text.split(","))
+    bad = [name for name in names if name not in known]
+    if bad:
+        parser.error(f"unknown {what}: {', '.join(map(repr, bad))} "
+                     f"(known: {','.join(known)})")
+    return names
 
 
 def main(argv=None):
@@ -402,22 +413,15 @@ def main(argv=None):
         return 0
 
     if args.command == "rmatrix":
-        checks = tuple(args.checks.split(","))
-        known = {"ybe", "cubic", "bmw", "height"}
-        bad = [c for c in checks if c not in known]
-        if bad:
-            parser.error(f"unknown checks: {','.join(bad)}")
+        checks = _names(parser, args.checks, RMATRIX_CHECKS, "checks")
         reports = run_rmatrix(args.k, checks, seed=args.seed)
     elif args.command == "qma":
-        primes = args.primes if args.primes is not None else prime_count()
         if args.verify is None:
             verify = default_verify(args.k)
         else:
-            verify = tuple(args.verify.split(","))
-            bad = [v for v in verify if v not in QMA_TARGETS]
-            if bad:
-                parser.error(f"unknown verify targets: {','.join(bad)}")
-        reports = run_qma(args.k, args.pair, verify, primes, args.seed)
+            verify = _names(parser, args.verify, QMA_TARGETS,
+                            "verify targets")
+        reports = run_qma(args.k, args.pair, verify, args.primes, args.seed)
     elif args.command == "ideal":
         reports = run_ideal(args.k, args.pair, args.degree)
     elif args.command == "spectral":

@@ -7,7 +7,9 @@ elimination inside (degree, row-weight, column-weight) blocks: for one
 polynomial exactly over the rational function field, and for a matrix
 identity of large degree at >= 3 admissible prime points shared by all
 its entries, with the failure probability of that modular route
-reported.  An echelon-oriented rewriting system provides a sound
+reported.  `modular_verdict` is the one walk over the prime points that
+every modular verdict takes (membership here, the height in
+`qch.rmatrix`).  An echelon-oriented rewriting system provides a sound
 fast path (a zero normal form proves membership; a nonzero one decides
 nothing).  Words are coded once, on entry, as integers (`word_key`) that
 order words of one length as the generator order does.
@@ -16,7 +18,6 @@ order words of one length as the generator order does.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import Counter
 
 from .domains import FpDomain, SpanDomain
@@ -25,7 +26,6 @@ from .ncpoly import NCPoly
 from .scalar import PRIME_POOL_SIZE, InadmissiblePointError, sample_points
 
 FAILURE_TARGET = 1e-12
-DEFAULT_PRIME_COUNT = 3
 # fewest prime points a modular verdict may rest on, and most
 MIN_PRIME_COUNT = 3
 MAX_PRIME_COUNT = PRIME_POOL_SIZE
@@ -33,23 +33,11 @@ MAX_PRIME_COUNT = PRIME_POOL_SIZE
 POINT_LIMIT = 12
 
 
-def prime_count():
-    """Prime points per modular check: QCH_PRIME_COUNT, default 3.
-
-    Raises ValueError unless the variable is an integer from
-    MIN_PRIME_COUNT to MAX_PRIME_COUNT.
-    """
-    raw = os.environ.get("QCH_PRIME_COUNT", str(DEFAULT_PRIME_COUNT))
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"QCH_PRIME_COUNT must be an integer, got {raw!r}") from None
-    if not MIN_PRIME_COUNT <= count <= MAX_PRIME_COUNT:
-        raise ValueError(
-            f"QCH_PRIME_COUNT must be >= {MIN_PRIME_COUNT} and "
-            f"<= {MAX_PRIME_COUNT}, got {count}")
-    return count
+def point_bound(dim):
+    """The guard of the prime points of a check in dimension dim (q^2 has
+    multiplicative order above it at each point), and the degree the
+    height's failure bound takes."""
+    return 8 * dim + 8
 
 
 def modular_bound(points, d_max):
@@ -71,6 +59,37 @@ class BudgetError(IdealError):
 
 class MixedVerdictError(IdealError):
     pass
+
+
+def modular_verdict(decide, d_max, guard, seed, min_points, target):
+    """(verdict, points, bound) of decide(pt), taken at prime points.
+
+    One pass over the prime pool, in `sample_points(seed, ..., guard)`
+    order.  A point where decide raises InadmissiblePointError is skipped.
+    Points are added past min_points while `modular_bound(points, d_max)`
+    is above target, up to POINT_LIMIT.  Every point must give the same
+    verdict; mixed verdicts raise MixedVerdictError at once.
+    """
+    if not MIN_PRIME_COUNT <= min_points <= MAX_PRIME_COUNT:
+        raise ValueError(
+            f"min_points must be >= {MIN_PRIME_COUNT} and "
+            f"<= {MAX_PRIME_COUNT}, got {min_points}")
+    pts, verdicts = [], []
+    for pt in sample_points(seed, PRIME_POOL_SIZE, guard):
+        try:
+            got = decide(pt)
+        except InadmissiblePointError:
+            continue
+        verdicts.append(got)
+        if got != verdicts[0]:
+            raise MixedVerdictError(f"mixed modular verdicts: {verdicts}")
+        pts.append(pt)
+        if len(pts) >= min_points and (len(pts) >= POINT_LIMIT or
+                                       modular_bound(pts, d_max) <= target):
+            break
+    if len(pts) < min_points:
+        raise IdealError("could not collect enough admissible points")
+    return verdicts[0], pts, modular_bound(pts, d_max)
 
 
 def generator_order(dim):
@@ -385,7 +404,7 @@ class QuadraticIdeal:
         return self._membership_exact(parts, witness)
 
     def membership_family(self, candidate_at, degree, candidate_span,
-                          entries=1, seed=0, min_points=None):
+                          entries=1, seed=0, min_points=MIN_PRIME_COUNT):
         """Modular membership of a candidate that is only built at points.
 
         candidate_at(pt) is the list of entries of one fixed exact
@@ -397,14 +416,20 @@ class QuadraticIdeal:
         gets an equal share of FAILURE_TARGET; the failure bound is the
         union bound over the entries.
         """
-        cert = self._membership_modular(
-            candidate_at, degree, seed=seed, min_points=min_points,
-            candidate_span=candidate_span, target=FAILURE_TARGET / entries)
-        cert.bound *= entries
-        return cert
+        verdict, points, bound = modular_verdict(
+            lambda pt: self._vanishes_at(pt, candidate_at),
+            self._degree_dmax(degree, candidate_span), point_bound(self.dim),
+            seed, min_points, FAILURE_TARGET / entries)
+        bound *= entries
+        if verdict:
+            return MembershipCertificate("probable-member", "modular",
+                                         points=points, bound=bound)
+        return MembershipCertificate(
+            "non-member", "modular", points=points, bound=bound,
+            detail="nonzero residual at every sampled point")
 
     def identity_membership(self, ctx, build, degree, seed=0,
-                            min_points=None):
+                            min_points=MIN_PRIME_COUNT):
         """Membership of every entry of the identity build(ctx), a list of
         polynomials of the given maximal degree; None when every entry is
         0 in the free algebra.
@@ -471,9 +496,6 @@ class QuadraticIdeal:
         return MembershipCertificate("member", "exact",
                                      witness=items if witness else None)
 
-    def _point_bound(self):
-        return 8 * self.dim + 8
-
     def _vanishes_at(self, pt, candidate_at):
         """Whether every entry of the candidate lies in the ideal at pt."""
         ideal_p = self.at_point(pt)
@@ -507,45 +529,6 @@ class QuadraticIdeal:
             self._block_span_max[degree] = max(degree - 1, 0) * max(
                 blocks.values(), default=0)
         return self._block_span_max[degree] + max(candidate_span, 1)
-
-    def _membership_modular(self, candidate_at, degree, seed, min_points,
-                            candidate_span, target=FAILURE_TARGET):
-        """One pass over the prime pool, in `sample_points` order.
-
-        A point whose build raises InadmissiblePointError is skipped.
-        Points are added past min_points while the failure bound is above
-        target, up to POINT_LIMIT.  Every point must give the same
-        verdict; mixed verdicts raise MixedVerdictError at once.
-        """
-        want = prime_count() if min_points is None else min_points
-        if not MIN_PRIME_COUNT <= want <= MAX_PRIME_COUNT:
-            raise ValueError(
-                f"min_points must be >= {MIN_PRIME_COUNT} and "
-                f"<= {MAX_PRIME_COUNT}, got {want}")
-        d_max = self._degree_dmax(degree, candidate_span)
-        pts, verdict = [], None
-        for pt in sample_points(seed, PRIME_POOL_SIZE, self._point_bound()):
-            try:
-                got = self._vanishes_at(pt, candidate_at)
-            except InadmissiblePointError:
-                continue
-            if pts and got != verdict:
-                raise MixedVerdictError(
-                    "membership undecided: mixed modular verdicts")
-            pts.append(pt)
-            verdict = got
-            if len(pts) >= want and (len(pts) >= POINT_LIMIT or
-                                     modular_bound(pts, d_max) <= target):
-                break
-        if len(pts) < want:
-            raise IdealError("could not collect enough admissible points")
-        bound = modular_bound(pts, d_max)
-        if verdict:
-            return MembershipCertificate("probable-member", "modular",
-                                         points=pts, bound=bound)
-        return MembershipCertificate(
-            "non-member", "modular", points=pts, bound=bound,
-            detail="nonzero residual at every sampled point")
 
     def membership_matrix(self, entries, witness=False):
         """Exact membership of every polynomial in entries (say, the

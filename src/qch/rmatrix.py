@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from . import tensor
 from .domains import QQ, FpDomain
-from .ideal import modular_bound
+from .ideal import (FAILURE_TARGET, MIN_PRIME_COUNT, IdealError,
+                    modular_verdict, point_bound)
 from .linalg import Echelon
-from .scalar import LAMBDA, ONE, Q, QScalar, q_int, sample_points
+from .scalar import LAMBDA, ONE, Q, QScalar, q_int
 from .tensor import TensorOperator
 
 
@@ -296,9 +297,11 @@ def compute_g_operator(r_ctx, f_ctx):
 # ---------------------------------------------------------------------------
 # Projector towers.
 
-def _sigma_local(ctx, i, x, sign):
-    """sigma_i^+-(x) = 1 + (x-1)/(q-q^-1) R + mu(x-1)/(mu -+ q^-+1 x) K on
-    the two factors it acts on."""
+def _sigma(ctx, i, sign=-1):
+    """sigma_i^+-(x) = 1 + (x-1)/(q-q^-1) R + mu(x-1)/(mu -+ q^-+1 x) K at
+    x = q^(2 sign i), on the two factors it acts on: the sigma of the tower
+    step from level i, by default the antisymmetrizer's."""
+    x = QScalar.q_power(2 * sign * i)
     den = ctx.mu_scalar - QScalar.from_int(sign) * QScalar.q_power(-sign) * x
     if den.is_zero():
         raise GuardError(f"tower denominator mu - q^{-sign} x vanishes "
@@ -309,14 +312,22 @@ def _sigma_local(ctx, i, x, sign):
             + ctx.k_op.scale(ctx.coeff(c_k)))
 
 
+def _next_level(ctx, tower, i, sign, sig=None):
+    """Level i + 1 of a tower, q^(-sign i)/(i+1)_q a^(i) sigma_i a^(i),
+    from a^(i) = tower[i - 1]; sig is sigma_i = `_sigma(ctx, i, sign)`,
+    computed here unless the caller already has it."""
+    if sig is None:
+        sig = _sigma(ctx, i, sign)
+    c = QScalar.q_power(-sign * i) / q_int(i + 1)
+    return height_probe(ctx, tower, i, sig).scale(ctx.coeff(c))
+
+
 def _tower(ctx, n, sign):
     """The tower of `antisymmetrizer_tower` (sign -1) or
     `symmetrizer_tower` (sign +1)."""
     out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
     for i in range(1, n):
-        sig = _sigma_local(ctx, i, QScalar.q_power(2 * sign * i), sign)
-        c = QScalar.q_power(-sign * i) / q_int(i + 1)
-        out.append(height_probe(ctx, out, i, sig).scale(ctx.coeff(c)))
+        out.append(_next_level(ctx, out, i, sign))
     return out
 
 
@@ -330,17 +341,12 @@ def symmetrizer_tower(ctx, n):
     return _tower(ctx, n, +1)
 
 
-def _probe_sigma(ctx, i):
-    """sigma_i^-(q^-2i) of the height probe, on its two factors."""
-    return _sigma_local(ctx, i, QScalar.q_power(-2 * i), -1)
-
-
 def height_probe(ctx, tower, i, sig=None):
     """The tower step a^(i) sigma_i a^(i), with a^(i) = tower[i - 1] and
     sig sigma_i on its two factors, by default sigma_i^-(q^-2i); with that
     default its vanishing ends the height search."""
     if sig is None:
-        sig = _probe_sigma(ctx, i)
+        sig = _sigma(ctx, i)
     a_i = tower[i - 1].embed(1, i + 1)
     return a_i @ sig.embed(i, i + 1) @ a_i
 
@@ -356,7 +362,7 @@ def probe_vanishes(ctx, tower, i, sig=None):
     zero.  The test is exact in ctx's domain.
     """
     if sig is None:
-        sig = _probe_sigma(ctx, i)
+        sig = _sigma(ctx, i)
     a_i = tower[i - 1]
     ech = Echelon(ctx.dom)
     for col in a_i.columns().values():
@@ -395,36 +401,35 @@ def _height_scan(ctx, bound):
     """
     tower = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
     for i in range(1, bound + 1):
-        sig = _probe_sigma(ctx, i)
+        sig = _sigma(ctx, i)
         if probe_vanishes(ctx, tower, i, sig):
             if any(a.is_zero() for a in tower):
                 return None
             return i
-        c = QScalar.q_power(i) / q_int(i + 1)
-        tower.append(height_probe(ctx, tower, i, sig).scale(ctx.coeff(c)))
+        tower.append(_next_level(ctx, tower, i, -1, sig))
     return None
 
 
-def height(ctx, mode="auto", seed=0, prime_count=3):
+def height(ctx, seed=0, min_points=MIN_PRIME_COUNT):
     """(height, type tag, failure bound) of the R-matrix.
 
-    mode "exact" runs the tower over the exact field, with bound None;
-    "modular" runs it at prime_count admissible points, requires
-    agreement and bounds the chance that the points all misjudge a
-    level; "auto" scans exactly for dim <= 4.
+    For dim <= 4 the tower runs over the exact field, with bound None.
+    Above that it runs at the prime points of `modular_verdict`, which
+    skips inadmissible points, requires agreement and bounds the chance
+    that the points all misjudge a level; mixed scans raise GuardError.
     """
-    if mode == "auto":
-        mode = "exact" if ctx.dim <= 4 else "modular"
     # two levels past k = dim / 2, the height of an Sp(2k) R-matrix
     bound = ctx.dim // 2 + 2
-    if mode == "exact":
+    if ctx.dim <= 4:
         k, failure = _height_scan(ctx, bound), None
     else:
-        points = sample_points(seed, prime_count, 2 * ctx.dim + 4)
-        ks = [_height_scan(ctx.at_point(pt), bound) for pt in points]
-        if len(set(ks)) != 1:
-            raise GuardError(f"modular height scans disagree: {ks}")
-        k, failure = ks[0], modular_bound(points, 8 * ctx.dim + 8)
+        try:
+            k, _, failure = modular_verdict(
+                lambda pt: _height_scan(ctx.at_point(pt), bound),
+                point_bound(ctx.dim), point_bound(ctx.dim), seed, min_points,
+                FAILURE_TARGET)
+        except IdealError as exc:
+            raise GuardError(f"height undecided: {exc}") from None
     if k is None:
         raise GuardError(f"height > bound {bound}")
     sp = ctx.mu_scalar == -QScalar.q_power(-1 - 2 * k)

@@ -592,20 +592,20 @@ def newton_closure(k, data):
             "bound": _bound(pts, 8 * k + 2 * k)}
 
 
-def polynomiality_check(k, n, seed=0):
+def polynomiality_check(k, n, data):
     """Stretch check: the rational power-sum images p_1..p_min(n,4) agree
-    with the polynomials solved from the Newton recursion.  The bound takes
-    the degree of p_min(n,4), the largest one checked."""
+    with the polynomials solved from the Newton recursion, at the points of
+    `chart_data` (degree >= min(n, 4)).  The bound takes the degree of
+    p_min(n,4), the largest one checked."""
     top = min(n, 4)
-    charts = _charts(k, top, seed)
+    pts = data[:_chart_count(k, top)]
     polys = _newton_powersums(k, top)
-    for chart in charts:
-        data = _point_data(k, chart, top)
+    for pt in pts:
         for m in range(1, top + 1):
-            if not (polys[m].evaluate(data["nus"]) - data["p"][m]).is_zero():
+            if not (polys[m].evaluate(pt["nus"]) - pt["p"][m]).is_zero():
                 return {"ok": False, "n": m}
-    return {"ok": True, "n": top, "points": len(charts),
-            "bound": _bound(charts, 8 * k + 2 * top)}
+    return {"ok": True, "n": top, "points": len(pts),
+            "bound": _bound(pts, 8 * k + 2 * top)}
 
 
 def _init_residuals(k, nus, init1, init2):

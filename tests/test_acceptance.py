@@ -25,7 +25,7 @@ from qch import classical, qma
 from qch import spectral as sp
 from qch import sp4_relations
 from qch.domains import QQ
-from qch.ideal import QuadraticIdeal
+from qch.ideal import QuadraticIdeal, point_bound
 from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import (antisymmetrizer_tower, big_delta, build_standard_sp,
@@ -101,22 +101,21 @@ def test_criterion_1_rmatrix_relations():
 def test_criterion_2_height_detection():
     for k in (1, 2):
         ctx = build_standard_sp(k)
-        assert height(ctx, mode="exact") == (k, f"Sp({2 * k})", None)
+        assert height(ctx) == (k, f"Sp({2 * k})", None)
         tower = antisymmetrizer_tower(ctx, k)
         assert height_probe(ctx, tower, k).is_zero()
         assert delta(ctx.mu_scalar, k + 1).is_zero()
         assert big_delta(ctx.mu_scalar, k + 1).is_zero()
     ctx3 = build_standard_sp(3)
-    got, tag, height_bound = height(ctx3, mode="modular", seed=7,
-                                    prime_count=3)
+    got, tag, height_bound = height(ctx3, seed=7)
     assert (got, tag) == (3, "Sp(6)")
-    points = sample_points(7, 3, 2 * ctx3.dim + 4)
+    points = sample_points(7, 3, point_bound(ctx3.dim))
     bound = 1.0
     for pt in points:
         ctx_pt = ctx3.at_point(pt)
         tower = antisymmetrizer_tower(ctx_pt, 3)
         assert height_probe(ctx_pt, tower, 3).is_zero()
-        bound *= (8 * ctx3.dim + 8) / pt.p
+        bound *= point_bound(ctx3.dim) / pt.p
     assert delta(ctx3.mu_scalar, 4).is_zero()
     assert height_bound == bound < FAILURE_TARGET
 

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from qch import cli, rmatrix
+from qch import cli, ideal, rmatrix
 from qch.domains import SpanDomain
-from qch.ideal import FAILURE_TARGET, MembershipCertificate, QuadraticIdeal
+from qch.ideal import FAILURE_TARGET, QuadraticIdeal
 from qch.scalar import sample_points
 
 
@@ -144,7 +144,7 @@ def test_failing_certificate_reports_fail(capsys, monkeypatch):
 
 
 def test_height_guard_error_reports_fail(capsys, monkeypatch):
-    def disagree(ctx, mode="auto", seed=0, prime_count=3):
+    def disagree(ctx, seed=0, min_points=3):
         raise rmatrix.GuardError("modular height scans disagree: [1, 2, 1]")
     monkeypatch.setattr(rmatrix, "height", disagree)
     code, reports, err = run_json(capsys, ["rmatrix", "--k", "1", "--checks",
@@ -157,12 +157,21 @@ def test_height_guard_error_reports_fail(capsys, monkeypatch):
     assert detail["check"] == "rmatrix.height" and detail["status"] == "fail"
 
 
-def test_prime_count_env(capsys, monkeypatch):
-    monkeypatch.setenv("QCH_PRIME_COUNT", "4")
-    code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
-                                         "ch", "--json"])
-    assert code == 0
-    assert reports[0]["parameters"]["primes"] == 4
+def test_mixed_height_scans_report_fail(capsys, monkeypatch):
+    # scans that disagree at the prime points: GuardError, and a fail report
+    ctx = rmatrix.build_standard_sp(3)
+    scans = iter([3, 3, 2])
+    monkeypatch.setattr(rmatrix, "_height_scan",
+                        lambda ctx_pt, bound: next(scans))
+    with pytest.raises(rmatrix.GuardError, match=r"\[3, 3, 2\]"):
+        rmatrix.height(ctx)
+    scans = iter([3, 2])
+    code, reports, _ = run_json(capsys, ["rmatrix", "--k", "3", "--checks",
+                                         "height", "--json"])
+    assert code == 1
+    assert reports[0]["status"] == "fail"
+    assert reports[0]["residual"] == \
+        "height undecided: mixed modular verdicts: [3, 2]"
 
 
 def test_primes_flag_sets_ch_points(capsys):
@@ -179,12 +188,15 @@ def _exit_code(argv, capsys):
     return err.value.code, capsys.readouterr().err
 
 
-def test_bad_prime_count_env_exit_2(capsys, monkeypatch):
-    for value, message in (("abc", "must be an integer"), ("2", ">= 3")):
-        monkeypatch.setenv("QCH_PRIME_COUNT", value)
-        code, err = _exit_code(["qma", "--k", "1", "--verify", "ch"], capsys)
-        assert code == 2
-        assert "QCH_PRIME_COUNT" in err and message in err
+def test_unknown_list_names_exit_2(capsys):
+    # an empty name (a trailing comma) is named too, with the known ones
+    code, err = _exit_code(["rmatrix", "--checks", "ybe,"], capsys)
+    assert code == 2
+    assert "unknown checks: '' (known: ybe,cubic,bmw,height)" in err
+    code, err = _exit_code(["qma", "--verify", "ch,,cut"], capsys)
+    assert code == 2
+    assert ("unknown verify targets: '', 'cut' "
+            "(known: ch,parent,cutting,recursions)") in err
 
 
 def test_primes_flag_below_3_exit_2(capsys):
@@ -195,17 +207,12 @@ def test_primes_flag_below_3_exit_2(capsys):
         assert "--primes must be >= 3" in err
 
 
-def test_prime_count_above_pool_exit_2(capsys, monkeypatch):
+def test_prime_count_above_pool_exit_2(capsys):
     # sample_points has 24 primes, one point each
     code, err = _exit_code(["qma", "--k", "2", "--verify", "ch", "--primes",
                             "25"], capsys)
     assert code == 2
     assert "--primes must be >= 3 and <= 24" in err
-    monkeypatch.setenv("QCH_PRIME_COUNT", "30")
-    code, err = _exit_code(["rmatrix", "--k", "3", "--checks", "height"],
-                           capsys)
-    assert code == 2
-    assert "QCH_PRIME_COUNT must be >= 3 and <= 24, got 30" in err
 
 
 def test_ideal_degree_below_2_exit_2(capsys):
@@ -255,15 +262,18 @@ def test_recursions_report_modular_certificates(capsys, monkeypatch):
 def test_recursions_share_one_failure_budget(capsys, monkeypatch):
     calls = []
 
-    def modular(self, candidate_at, degree, seed, min_points,
-                candidate_span, target=FAILURE_TARGET):
-        pt = sample_points(seed, 1, self._point_bound())[0]
-        calls.append((target, candidate_at(pt)))
-        return MembershipCertificate("probable-member", "modular",
-                                     points=[pt], bound=target)
+    def verdict(decide, d_max, guard, seed, min_points, target):
+        pt = sample_points(seed, 1, guard)[0]
+        calls.append(target)
+        return decide(pt), [pt], target
+
+    def vanishes_at(self, pt, candidate_at):
+        calls.append(candidate_at(pt))
+        return True
     monkeypatch.setattr(QuadraticIdeal, "needs_modular",
                         lambda self, degree: True)
-    monkeypatch.setattr(QuadraticIdeal, "_membership_modular", modular)
+    monkeypatch.setattr(ideal, "modular_verdict", verdict)
+    monkeypatch.setattr(QuadraticIdeal, "_vanishes_at", vanishes_at)
     code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
                                          "recursions", "--json"])
     assert code == 0
@@ -271,7 +281,7 @@ def test_recursions_share_one_failure_budget(capsys, monkeypatch):
                                                         rel=1e-9)
     # one candidate: every entry of the 12 recursion and 4 expansion
     # residuals, each nonzero one with the same share of the target
-    [(target, entries)] = calls
+    [target, entries] = calls
     assert len(entries) == 16 * 4
     shape = [p for p in cli._algebra(1, "rtt").over(SpanDomain())
              .recursion_entries() if p]
@@ -364,8 +374,7 @@ PINNED_REPORTS = {
 
 
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS))
-def test_reports_pinned(capsys, monkeypatch, argv):
-    monkeypatch.delenv("QCH_PRIME_COUNT", raising=False)
+def test_reports_pinned(capsys, argv):
     code, reports, _ = run_json(capsys, list(argv) + ["--json"])
     assert code == 0
     for r in reports:

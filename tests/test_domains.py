@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from qch.domains import QQ, FpDomain, SpanDomain
-from qch.ideal import QuadraticIdeal
+from qch.ideal import QuadraticIdeal, point_bound
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import (InadmissiblePointError, PrimePoint, QScalar,
@@ -85,7 +85,7 @@ def test_zero_pivot_in_point_build_resamples():
     ctx = AlgebraContext(build_standard_sp(1), flip_context(QQ, 2))
     ideal = QuadraticIdeal(QQ, 2, ctx.defining_relations())
     entry = ctx.ch_identity(1).rows[0][0]
-    bad = sample_points(9, 1, ideal._point_bound())[0]
+    bad = sample_points(9, 1, point_bound(2))[0]
 
     def candidate_at(pt):
         if (pt.p, pt.qhat) == (bad.p, bad.qhat):
@@ -98,4 +98,4 @@ def test_zero_pivot_in_point_build_resamples():
     # the next pool points take its place
     assert [(pt.p, pt.qhat) for pt in cert.points] == [
         (pt.p, pt.qhat)
-        for pt in sample_points(9, 4, ideal._point_bound())[1:]]
+        for pt in sample_points(9, 4, point_bound(2))[1:]]

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from qch.domains import QQ, FpDomain, SpanDomain
-from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, POINT_LIMIT,
-                       BudgetError, MembershipCertificate, MixedVerdictError,
-                       QuadraticIdeal, default_weights, generator_order,
-                       modular_bound, prime_count, witness_to_json)
+from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
+                       POINT_LIMIT, BudgetError, MembershipCertificate,
+                       MixedVerdictError, QuadraticIdeal, default_weights,
+                       generator_order, modular_bound, modular_verdict,
+                       point_bound, witness_to_json)
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
@@ -104,7 +105,7 @@ def test_rank_dim4_degree2(ideal4):
 def test_rank_dim2_degree3_exact_vs_modular(ideal2):
     stats = ideal2.rank_of_degree(3)
     assert stats == {"degree": 3, "rank": 44, "blocks": 12, "spanning": 96}
-    for pt in sample_points(11, count=3, bound=ideal2._point_bound()):
+    for pt in sample_points(11, count=3, bound=point_bound(2)):
         assert ideal2.at_point(pt).rank_of_degree(3) == stats
 
 
@@ -207,25 +208,19 @@ def test_modular_non_member(ideal2):
     assert cert.status == "non-member"
 
 
-def test_modular_prime_count_validated(rtt2, ideal2, monkeypatch):
+def test_modular_prime_count_validated(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[0][0]
-    monkeypatch.setenv("QCH_PRIME_COUNT", "x")
-    with pytest.raises(ValueError, match="QCH_PRIME_COUNT"):
-        modular(ideal2, entry)
-    monkeypatch.setenv("QCH_PRIME_COUNT", "4")
-    assert len(modular(ideal2, entry).points) >= 4
+    assert len(modular(ideal2, entry, min_points=4).points) >= 4
     for count in (1, 2, MAX_PRIME_COUNT + 1):
         with pytest.raises(ValueError, match="min_points"):
             modular(ideal2, entry, min_points=count)
 
 
-def test_prime_count_capped_at_pool(monkeypatch):
-    monkeypatch.setenv("QCH_PRIME_COUNT", str(MAX_PRIME_COUNT))
-    assert prime_count() == MAX_PRIME_COUNT
+def test_prime_count_capped_at_pool():
     assert len(sample_points(0, MAX_PRIME_COUNT, 40)) == MAX_PRIME_COUNT
-    monkeypatch.setenv("QCH_PRIME_COUNT", str(MAX_PRIME_COUNT + 1))
     with pytest.raises(ValueError, match=f"<= {MAX_PRIME_COUNT}"):
-        prime_count()
+        modular_verdict(lambda pt: True, 2, 40, 0, MAX_PRIME_COUNT + 1,
+                        FAILURE_TARGET)
 
 
 def test_membership_family(rtt2, ideal2):
@@ -240,7 +235,7 @@ def test_mixed_verdicts_raise_at_once(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
     outsider = word_poly([(0, 0), (0, 0)])
     assert not ideal2.membership(outsider).is_member
-    first, second = sample_points(9, 2, ideal2._point_bound())
+    first, second = sample_points(9, 2, point_bound(2))
     seen = []
 
     def candidate_at(pt):
@@ -256,27 +251,29 @@ def test_mixed_verdicts_raise_at_once(rtt2, ideal2):
 def test_small_target_takes_next_pool_points(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
     pool = [(pt.p, pt.qhat)
-            for pt in sample_points(9, POINT_LIMIT, ideal2._point_bound())]
+            for pt in sample_points(9, POINT_LIMIT, point_bound(2))]
     assert len({p for p, _ in pool}) == POINT_LIMIT
     span = ideal2._poly_span(entry)
     d_max = ideal2._degree_dmax(2, span)
 
     def at_target(target):
-        return ideal2._membership_modular(lambda pt: [entry.reduce_at(pt)],
-                                          2, 9, None, span, target=target)
+        return modular_verdict(
+            lambda pt: ideal2._vanishes_at(pt, lambda pt: [
+                entry.reduce_at(pt)]),
+            d_max, point_bound(2), 9, MIN_PRIME_COUNT, target)
 
-    least = at_target(FAILURE_TARGET)
-    assert len(least.points) == 3
-    target = least.bound * 1e-20
-    cert = at_target(target)
-    n = len(cert.points)
+    _, least, least_bound = at_target(FAILURE_TARGET)
+    assert len(least) == 3
+    target = least_bound * 1e-20
+    _, points, bound = at_target(target)
+    n = len(points)
     assert 3 < n < POINT_LIMIT
-    assert [(pt.p, pt.qhat) for pt in cert.points] == pool[:n]
-    assert cert.bound <= target < modular_bound(cert.points[:-1], d_max)
+    assert [(pt.p, pt.qhat) for pt in points] == pool[:n]
+    assert bound <= target < modular_bound(points[:-1], d_max)
     # a target no bound reaches stops at POINT_LIMIT points
-    capped = at_target(0.0)
-    assert capped.is_member
-    assert [(pt.p, pt.qhat) for pt in capped.points] == pool
+    member, capped, _ = at_target(0.0)
+    assert member
+    assert [(pt.p, pt.qhat) for pt in capped] == pool
 
 
 def _relation_times_generator(ctx):
@@ -316,16 +313,17 @@ def test_matrix_bound_is_union_over_entries(rtt2, ideal2):
         lambda pt: [p.reduce_at(pt) for p in ch], 2, span,
         entries=len(polys), seed=9)
     # each entry alone, with its equal share of the target
-    singles = [ideal2._membership_modular(
-        lambda pt, p=p: [p.reduce_at(pt)], 2, 9, None, span,
-        target=FAILURE_TARGET / len(polys)) for p in polys]
+    singles = [modular_verdict(
+        lambda pt, p=p: ideal2._vanishes_at(pt, lambda pt: [p.reduce_at(pt)]),
+        ideal2._degree_dmax(2, span), point_bound(2), 9, MIN_PRIME_COUNT,
+        FAILURE_TARGET / len(polys)) for p in polys]
     assert (cert.status, cert.kind) == ("probable-member", "modular")
     points = [(pt.p, pt.qhat) for pt in cert.points]
-    assert all([(pt.p, pt.qhat) for pt in c.points] == points
-               for c in singles)
+    assert all([(pt.p, pt.qhat) for pt in pts] == points
+               for _, pts, _ in singles)
     assert cert.bound == pytest.approx(
-        sum(c.bound for c in singles), rel=1e-12, abs=0)
-    assert cert.bound > max(c.bound for c in singles)
+        sum(bound for _, _, bound in singles), rel=1e-12, abs=0)
+    assert cert.bound > max(bound for _, _, bound in singles)
     assert cert.bound < FAILURE_TARGET
 
 

@@ -6,7 +6,10 @@ import pytest
 
 from qch import rmatrix, tensor
 from qch.domains import QQ
-from qch.scalar import LAMBDA, ONE, Q, QScalar, sample_points
+from qch.ideal import (FAILURE_TARGET, modular_bound, modular_verdict,
+                       point_bound)
+from qch.scalar import (LAMBDA, ONE, Q, InadmissiblePointError, QScalar,
+                        sample_points)
 from qch.tensor import TensorOperator
 
 
@@ -142,14 +145,38 @@ def test_sigma_guard_fails_past_height():
 @pytest.mark.parametrize("k,tag", [(1, "Sp(2)"), (2, "Sp(4)")])
 def test_height_exact(k, tag):
     ctx = rmatrix.build_standard_sp(k)
-    assert rmatrix.height(ctx, mode="exact") == (k, tag, None)
+    assert rmatrix.height(ctx) == (k, tag, None)
 
 
 def test_height_modular_agrees_at_k2():
+    # the prime-point walk of the height above dim 4, run at dim 4
     ctx = rmatrix.build_standard_sp(2)
-    got, tag, bound = rmatrix.height(ctx, mode="modular", seed=11)
-    assert (got, tag) == (2, "Sp(4)")
+    got, points, bound = modular_verdict(
+        lambda pt: rmatrix._height_scan(ctx.at_point(pt), 4),
+        point_bound(4), point_bound(4), 11, 3, FAILURE_TARGET)
+    assert got == 2 and len(points) == 3
     assert 0 < bound < 1e-12
+
+
+def test_height_skips_an_inadmissible_point(monkeypatch):
+    # the first pool point fails to reduce the context; the next three
+    # pool primes decide the height and carry the bound
+    ctx = rmatrix.build_standard_sp(3)
+    pool = sample_points(0, 4, point_bound(ctx.dim))
+    at_point = rmatrix.RMatrixContext.at_point
+    tried = []
+
+    def at_point_or_fail(self, pt):
+        tried.append(pt.p)
+        if pt.p == pool[0].p:
+            raise InadmissiblePointError("denominator vanishes")
+        return at_point(self, pt)
+    monkeypatch.setattr(rmatrix.RMatrixContext, "at_point",
+                        at_point_or_fail)
+    got, tag, bound = rmatrix.height(ctx, seed=0)
+    assert (got, tag) == (3, "Sp(6)")
+    assert tried == [pt.p for pt in pool]
+    assert bound == modular_bound(pool[1:], point_bound(ctx.dim))
 
 
 def _assert_image_test_agrees(ctx, k):

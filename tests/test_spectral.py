@@ -249,7 +249,14 @@ def test_init3_symbolic_k1():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_powersum_polynomiality(k):
-    assert sp.polynomiality_check(k, 4, seed=6)["ok"]
+    assert sp.polynomiality_check(k, 4, sp.chart_data(k, 4, seed=6))["ok"]
+
+
+def test_polynomiality_reads_a_prefix_of_newton_data():
+    # the CLI passes the chart data built for newton, of a larger degree
+    own = sp.polynomiality_check(2, 4, sp.chart_data(2, 4, seed=6))
+    assert own["ok"]
+    assert sp.polynomiality_check(2, 4, sp.chart_data(2, 6, seed=6)) == own
 
 
 def test_newton_powersum_polynomials_low_degree():
