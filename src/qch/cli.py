@@ -315,6 +315,7 @@ def run_all(k, seed):
 # -- argument parsing and dispatch --------------------------------------------
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qch",
         description="Exact verification suites for symplectic quantum "
@@ -362,7 +363,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    return parser
+    return parser, sub.choices
 
 
 def _validate(args, parser):
@@ -397,8 +398,10 @@ def _names(parser, text, known, what):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
+    # errors found after parsing print the subcommand's usage line
+    parser = commands[args.command]
     _validate(args, parser)
 
     if args.command == "appendix":

@@ -8,7 +8,7 @@ coefficients, kept in a canonical form so that equality is structural:
   * their polynomial gcd and common integer content are removed,
   * the lowest-degree nonzero coefficient of the denominator is positive.
 
-Three shortcuts reach that form without a full polynomial gcd:
+Four shortcuts reach that form without a full polynomial gcd:
 
   * A single-term side c*q^e needs none.  After the q-shift at least one
     side has a nonzero constant term.  If the single term has e > 0, the
@@ -21,6 +21,13 @@ Three shortcuts reach that form without a full polynomial gcd:
     num^n and den^n stay coprime, their joint content is 1 by Gauss's
     lemma, the lowest coefficient of den^n is a power of a positive one and
     one side still has a constant term, so `__pow__` needs nothing.
+  * A product by exactly 1 or -1 is the other operand or its negation.
+    A canonical single-term m = c*q^e / (d*q^f) (gcd(c, d) = 1, d > 0,
+    min(e, f) = 0) times a canonical N/D: N and D are coprime, so c*q^e*N
+    and d*q^f*D share only a power of q, the shift
+    s = -min(min N + e, min D + f), and the joint content
+    g = gcd(c, cont D) * gcd(d, cont N), as no prime divides both c and d
+    or both cont N and cont D.  Division is multiplication by `inv`.
   * With several terms on both sides, the gcd comes from GCDHEU (Char,
     Geddes & Gonnet, JSC 1989): an integer gcd at a large point x,
     interpolated in balanced base-x digits.  It is accepted only after it
@@ -312,16 +319,22 @@ class QScalar:
         return QScalar(lp_neg(self.num), dict(self.den), _canonical=True)
 
     def __mul__(self, other):
-        if not self.num or not other.num:
+        a, b = self.num, other.num
+        if not a or not b:
             return _ZERO
-        return QScalar(lp_mul(self.num, other.num), lp_mul(self.den, other.den))
+        # shortcuts that skip the canonicalization (module docstring)
+        if len(b) == 1 and len(other.den) == 1:
+            return _times_term(self, other)
+        if len(a) == 1 and len(self.den) == 1:
+            return _times_term(other, self)
+        return QScalar(lp_mul(a, b), lp_mul(self.den, other.den))
 
     def __truediv__(self, other):
         if not other.num:
             raise ScalarError(f"division by zero: ({self}) / ({other})")
         if not self.num:
             return _ZERO
-        return QScalar(lp_mul(self.num, other.den), lp_mul(self.den, other.num))
+        return self * other.inv()
 
     def inv(self):
         if not self.num:
@@ -363,6 +376,25 @@ class QScalar:
         return scalar_to_text(self)
 
 
+def _times_term(x, m):
+    """x * m for a canonical x and a canonical single-term
+    m = c*q^e / (d*q^f), in closed form (module docstring)."""
+    (e, c), = m.num.items()
+    (f, d), = m.den.items()
+    if e == f == 0 and d == 1 and (c == 1 or c == -1):
+        return x if c == 1 else -x
+    num, den = x.num, x.den
+    if den == _POLY_DEN and num in _UNITS:
+        return m if num[0] == 1 else -m
+    s = -min(min(num) + e, min(den) + f)
+    g = math.gcd(c, *den.values()) * math.gcd(d, *num.values())
+    return QScalar({k + e + s: v * c // g for k, v in num.items()},
+                   {k + f + s: v * d // g for k, v in den.items()},
+                   _canonical=True)
+
+
+_POLY_DEN = {0: 1}
+_UNITS = ({0: 1}, {0: -1})
 _ZERO = QScalar({}, {0: 1}, _canonical=True)
 _ONE = QScalar({0: 1}, {0: 1}, _canonical=True)
 

@@ -33,6 +33,8 @@ from qch.rmatrix import (antisymmetrizer_tower, big_delta, build_standard_sp,
                          flip_context, height, height_probe)
 from qch.scalar import ONE, Q, QINV, QScalar, sample_points
 
+import qma_blocks as qmb
+
 FAILURE_TARGET = 1e-12
 
 
@@ -216,9 +218,9 @@ def test_criterion_6_calibration(rtt2, rtt4, ideal4):
     assert rtt2.a_elem(1) == gen(0, 0).scale(qp(-5)) + gen(1, 1).scale(qp(-1))
     # Block-map identities for the 4x4 pair.
     x = [[gen(0, 0), gen(0, 1)], [gen(1, 0), gen(1, 1)]]
-    assert qma.block_sigma(qma.block_sigma(x, Q), QINV) == x
-    lhs = qma.block_beta(qma.block_alpha(x, QINV, +1), Q)
-    rhs = qma.block_scale(qma.block_alpha(qma.block_beta(x, QINV), Q, +1),
+    assert qmb.block_sigma(qmb.block_sigma(x, Q), QINV) == x
+    lhs = qmb.block_beta(qmb.block_alpha(x, QINV, +1), Q)
+    rhs = qmb.block_scale(qmb.block_alpha(qmb.block_beta(x, QINV), Q, +1),
                           qp(-4))
     assert lhs == rhs
     m = rtt4.m_matrix

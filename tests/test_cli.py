@@ -193,6 +193,8 @@ def test_unknown_list_names_exit_2(capsys):
     code, err = _exit_code(["rmatrix", "--checks", "ybe,"], capsys)
     assert code == 2
     assert "unknown checks: '' (known: ybe,cubic,bmw,height)" in err
+    # the subcommand's usage line, not the top-level one
+    assert err.startswith("usage: qch rmatrix ")
     code, err = _exit_code(["qma", "--verify", "ch,,cut"], capsys)
     assert code == 2
     assert ("unknown verify targets: '', 'cut' "
@@ -205,6 +207,7 @@ def test_primes_flag_below_3_exit_2(capsys):
                                capsys)
         assert code == 2
         assert "--primes must be >= 3" in err
+        assert err.startswith("usage: qch qma ")
 
 
 def test_prime_count_above_pool_exit_2(capsys):

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from qch import qma
 from qch.domains import QQ, SpanDomain
 from qch.ideal import FAILURE_TARGET, QuadraticIdeal
 from qch.ncpoly import NCPoly, QMatrix
-from qch.qma import AlgebraContext, star_word
+from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import LAMBDA, ONE, Q, QINV, QScalar, sample_points
 from qch.tensor import matrix_unit
+
+import qma_blocks as qmb
+from qma_blocks import star_word
 
 
 def qp(e):
@@ -561,61 +563,61 @@ def generic_block():
 
 def test_sigma_alpha_beta_identities():
     x = generic_block()
-    assert qma.block_sigma(qma.block_sigma(x, Q), QINV) == x
-    assert qma.block_alpha(qma.block_alpha(x, Q, +1), QINV, +1) == x
-    assert qma.block_alpha(qma.block_alpha(x, Q, -1), QINV, -1) == x
-    lhs = qma.block_beta(qma.block_alpha(x, QINV, +1), Q)
-    rhs = qma.block_scale(qma.block_alpha(qma.block_beta(x, QINV), Q, +1),
+    assert qmb.block_sigma(qmb.block_sigma(x, Q), QINV) == x
+    assert qmb.block_alpha(qmb.block_alpha(x, Q, +1), QINV, +1) == x
+    assert qmb.block_alpha(qmb.block_alpha(x, Q, -1), QINV, -1) == x
+    lhs = qmb.block_beta(qmb.block_alpha(x, QINV, +1), Q)
+    rhs = qmb.block_scale(qmb.block_alpha(qmb.block_beta(x, QINV), Q, +1),
                           qp(-4))
     assert lhs == rhs
 
 
 def test_sp4_xi_block_display(rtt4):
     m = rtt4.m_matrix
-    blk = {c: qma.block_of(m, c) for c in "ABCD"}
-    expect = qma.assemble_blocks(QQ, [
-        [qma.block_scale(qma.block_sigma(blk["D"], Q), -qp(-5)),
-         qma.block_scale(qma.block_sigma(blk["B"], Q), qp(-8))],
-        [qma.block_scale(qma.block_sigma(blk["C"], Q), qp(-2)),
-         qma.block_scale(qma.block_sigma(blk["A"], Q), -qp(-5))],
+    blk = {c: qmb.block_of(m, c) for c in "ABCD"}
+    expect = qmb.assemble_blocks(QQ, [
+        [qmb.block_scale(qmb.block_sigma(blk["D"], Q), -qp(-5)),
+         qmb.block_scale(qmb.block_sigma(blk["B"], Q), qp(-8))],
+        [qmb.block_scale(qmb.block_sigma(blk["C"], Q), qp(-2)),
+         qmb.block_scale(qmb.block_sigma(blk["A"], Q), -qp(-5))],
     ])
     assert rtt4.xi(m) == expect
 
 
 def test_sp4_phi_block_display(rtt4):
     m = rtt4.m_matrix
-    blk = {c: qma.block_of(m, c) for c in "ABCD"}
-    top_left = qma.block_add(
-        qma.block_scale(qma.block_alpha(blk["A"], Q, +1), qp(-6)),
-        qma.block_scale(qma.block_beta(blk["D"], Q), ONE - qp(-2)))
-    expect = qma.assemble_blocks(QQ, [
-        [top_left, qma.block_scale(qma.block_alpha(blk["B"], Q, -1), qp(-7))],
-        [qma.block_scale(qma.block_alpha(blk["C"], Q, -1), qp(-1)),
-         qma.block_alpha(blk["D"], Q, +1)],
+    blk = {c: qmb.block_of(m, c) for c in "ABCD"}
+    top_left = qmb.block_add(
+        qmb.block_scale(qmb.block_alpha(blk["A"], Q, +1), qp(-6)),
+        qmb.block_scale(qmb.block_beta(blk["D"], Q), ONE - qp(-2)))
+    expect = qmb.assemble_blocks(QQ, [
+        [top_left, qmb.block_scale(qmb.block_alpha(blk["B"], Q, -1), qp(-7))],
+        [qmb.block_scale(qmb.block_alpha(blk["C"], Q, -1), qp(-1)),
+         qmb.block_alpha(blk["D"], Q, +1)],
     ])
     assert rtt4.phi(m) == expect
 
 
 def test_sp4_pi_block_display(rtt4):
     m = rtt4.m_matrix
-    blk = {c: qma.block_of(m, c) for c in "ABCD"}
+    blk = {c: qmb.block_of(m, c) for c in "ABCD"}
 
     def a_plus(x):
-        return qma.block_alpha(qma.block_sigma(x, Q), QINV, +1)
+        return qmb.block_alpha(qmb.block_sigma(x, Q), QINV, +1)
 
     def a_minus(x):
-        return qma.block_alpha(qma.block_sigma(x, Q), QINV, -1)
+        return qmb.block_alpha(qmb.block_sigma(x, Q), QINV, -1)
 
     def b_comp(x):
-        return qma.block_beta(qma.block_sigma(x, Q), QINV)
+        return qmb.block_beta(qmb.block_sigma(x, Q), QINV)
 
-    expect = qma.assemble_blocks(QQ, [
-        [qma.block_add(qma.block_scale(a_plus(blk["D"]), qp(-4)),
-                       qma.block_scale(b_comp(blk["A"]),
+    expect = qmb.assemble_blocks(QQ, [
+        [qmb.block_add(qmb.block_scale(a_plus(blk["D"]), qp(-4)),
+                       qmb.block_scale(b_comp(blk["A"]),
                                        -(ONE - qp(-2)) * qp(-8))),
-         qma.block_scale(a_minus(blk["B"]), -qp(-6))],
-        [qma.block_scale(a_minus(blk["C"]), -qp(-6)),
-         qma.block_scale(a_plus(blk["A"]), qp(-10))],
+         qmb.block_scale(a_minus(blk["B"]), -qp(-6))],
+        [qmb.block_scale(a_minus(blk["C"]), -qp(-6)),
+         qmb.block_scale(a_plus(blk["A"]), qp(-10))],
     ])
     assert rtt4.pi(m) == expect
 

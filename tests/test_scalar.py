@@ -245,3 +245,71 @@ def test_text_form_parses_back_with_sympy():
         value = sum(c * q ** e for e, c in a.num.items()) / \
             sum(c * q ** e for e, c in a.den.items())
         assert sympy.cancel(parse(scalar_to_text(a)) - value) == 0
+
+
+# -- closed-form products in QScalar.__mul__ and __truediv__ -------------------
+
+def _general_product(a, b):
+    return QScalar(sc.lp_mul(a.num, b.num), sc.lp_mul(a.den, b.den))
+
+
+def _with_content(rng):
+    """A random canonical scalar whose numerator and denominator carry
+    coprime integer contents, for a single-term factor to cancel."""
+    a = _rand_scalar(rng)
+    fn, fd = rng.choice(((1, 1), (2, 3), (4, 9), (6, 1), (1, 12), (5, 4)))
+    return QScalar({e: fn * c for e, c in a.num.items()},
+                   {e: fd * c for e, c in a.den.items()})
+
+
+def _rand_term(rng):
+    """A single-term scalar c*q^e / (d*q^f), exponents of both signs."""
+    c = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 9, 12, 18))
+    d = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 8, 12))
+    return QScalar({rng.randrange(-4, 5): c}, {rng.randrange(-4, 5): d})
+
+
+def _rand_polynomial(rng):
+    return QScalar.laurent({rng.randrange(0, 6): rng.randrange(-9, 10)
+                            for _ in range(rng.randrange(1, 4))})
+
+
+def _assert_general(r, a, b):
+    t = _general_product(a, b)
+    assert (r.num, r.den) == (t.num, t.den)
+
+
+def test_product_by_unit_is_the_operand():
+    rng = random.Random(41)
+    for _ in range(200):
+        a = _with_content(rng)
+        for u in (ONE, -ONE):
+            for r in (a * u, u * a):
+                _assert_general(r, a, u)
+        if a.num:
+            assert a * ONE is a and ONE * a is a
+
+
+def test_single_term_products_match_general_path():
+    rng = random.Random(43)
+    terms = [QScalar({0: 6}, {3: 4}), QScalar({-2: -6}, {1: 4}),
+             QScalar({0: 9}, {0: 12}), QScalar({-3: 1}, {0: 1})]
+    for i in range(2000):
+        a = (_rand_term, _with_content, _rand_polynomial)[i % 3](rng)
+        m = terms[i % len(terms)] if i % 5 == 0 else _rand_term(rng)
+        _assert_general(a * m, a, m)
+        _assert_general(m * a, m, a)
+
+
+def test_quotients_match_general_path():
+    rng = random.Random(53)
+    for i in range(1000):
+        a = _with_content(rng)
+        b = (_rand_term(rng), _with_content(rng), _rand_polynomial(rng),
+             -ONE)[i % 4]
+        if not a.num or not b.num:
+            continue
+        for x, y in ((a, b), (b, a)):
+            r = x / y
+            t = QScalar(sc.lp_mul(x.num, y.den), sc.lp_mul(x.den, y.num))
+            assert (r.num, r.den) == (t.num, t.den)
