@@ -1,5 +1,6 @@
-"""Coefficient domains: the exact field Q(q), prime fields at a point, and
-degree-span bounds.
+"""Coefficient domains: the exact field Q(q), Z/m at a point (a prime
+field, or the product of several at a joint point), and degree-span
+bounds.
 
 Every higher layer (tensor operators, noncommutative polynomials, the
 elimination routines) is generic over this small protocol, so the same
@@ -18,17 +19,27 @@ it cannot pivot: objects that need elimination are built over Q(q) first
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import scalar
-from .scalar import InadmissiblePointError
+from .scalar import InadmissiblePointError, QScalar
 
 
 class QDomain:
-    """Q(q) with QScalar elements."""
+    """Q(q) with QScalar elements.  Each operation is QScalar's own, with
+    no wrapper call: the generic sparse loops call them once per term."""
 
     name = "Q(q)"
     exact = True
     can_pivot = True
+
+    is_zero = staticmethod(QScalar.is_zero)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    inv = staticmethod(QScalar.inv)
+    to_text = staticmethod(scalar.scalar_to_text)
 
     def zero(self):
         return scalar.ZERO
@@ -36,33 +47,14 @@ class QDomain:
     def one(self):
         return scalar.ONE
 
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inv()
-
     def from_scalar(self, a):
         return a
 
-    def to_text(self, a):
-        return scalar.scalar_to_text(a)
-
 
 class FpDomain:
-    """F_p with q evaluated at a PrimePoint; elements are plain ints."""
+    """Z/m with q evaluated at a PrimePoint, m = point.p: a prime, so F_p,
+    or at a joint point the product of a batch of pool primes.  Elements
+    are plain ints in [0, m).  Only units have inverses."""
 
     exact = False
     can_pivot = True
@@ -70,7 +62,7 @@ class FpDomain:
     def __init__(self, point):
         self.point = point
         self.p = point.p
-        self.name = f"F_{point.p}(qhat={point.qhat})"
+        self.name = f"Z/{point.p}(qhat={point.qhat})"
 
     def zero(self):
         return 0
@@ -94,11 +86,14 @@ class FpDomain:
         return a * b % self.p
 
     def inv(self, a):
-        # a pivot that is nonzero over Q(q) but vanishes here: the point
-        # is not admissible for this computation
-        if a % self.p == 0:
-            raise InadmissiblePointError("inverse of 0 in " + self.name)
-        return pow(a, -1, self.p)
+        # a pivot that is nonzero over Q(q) but vanishes here (at a joint
+        # point: at one of its primes): the point is not admissible for
+        # this computation
+        try:
+            return pow(a, -1, self.p)
+        except ValueError:
+            raise InadmissiblePointError(
+                f"{a} is not a unit in {self.name}") from None
 
     def from_scalar(self, a):
         return self.point.reduce(a)

@@ -9,10 +9,12 @@ identity of large degree at >= 3 admissible prime points shared by all
 its entries, with the failure probability of that modular route
 reported.  `modular_verdict` is the one walk over the prime points that
 every modular verdict takes (membership here, the height in
-`qch.rmatrix`).  An echelon-oriented rewriting system provides a sound
-fast path (a zero normal form proves membership; a nonzero one decides
-nothing).  Words are coded once, on entry, as integers (`word_key`) that
-order words of one length as the generator order does.
+`qch.rmatrix`); membership first tries the walk's points all at once, at
+their joint point modulo the product of their primes.  An
+echelon-oriented rewriting system provides a sound fast path (a zero
+normal form proves membership; a nonzero one decides nothing).  Words
+are coded once, on entry, as integers (`word_key`) that order words of
+one length as the generator order does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from collections import Counter
 from .domains import FpDomain, SpanDomain
 from .linalg import Echelon
 from .ncpoly import NCPoly
-from .scalar import PRIME_POOL_SIZE, InadmissiblePointError, sample_points
+from .scalar import (PRIME_POOL_SIZE, InadmissiblePointError, joint_point,
+                     sample_points)
 
 FAILURE_TARGET = 1e-12
 # fewest prime points a modular verdict may rest on, and most
@@ -61,19 +64,29 @@ class MixedVerdictError(IdealError):
     pass
 
 
+def _check_min_points(min_points):
+    if not MIN_PRIME_COUNT <= min_points <= MAX_PRIME_COUNT:
+        raise ValueError(
+            f"min_points must be >= {MIN_PRIME_COUNT} and "
+            f"<= {MAX_PRIME_COUNT}, got {min_points}")
+
+
+def _enough(pts, d_max, min_points, target):
+    """The stop rule of a modular verdict: min_points points, and then
+    POINT_LIMIT of them or `modular_bound(pts, d_max)` at target."""
+    return len(pts) >= min_points and (len(pts) >= POINT_LIMIT or
+                                       modular_bound(pts, d_max) <= target)
+
+
 def modular_verdict(decide, d_max, guard, seed, min_points, target):
     """(verdict, points, bound) of decide(pt), taken at prime points.
 
     One pass over the prime pool, in `sample_points(seed, ..., guard)`
     order.  A point where decide raises InadmissiblePointError is skipped.
-    Points are added past min_points while `modular_bound(points, d_max)`
-    is above target, up to POINT_LIMIT.  Every point must give the same
+    Points are added until `_enough`.  Every point must give the same
     verdict; mixed verdicts raise MixedVerdictError at once.
     """
-    if not MIN_PRIME_COUNT <= min_points <= MAX_PRIME_COUNT:
-        raise ValueError(
-            f"min_points must be >= {MIN_PRIME_COUNT} and "
-            f"<= {MAX_PRIME_COUNT}, got {min_points}")
+    _check_min_points(min_points)
     pts, verdicts = [], []
     for pt in sample_points(seed, PRIME_POOL_SIZE, guard):
         try:
@@ -84,8 +97,7 @@ def modular_verdict(decide, d_max, guard, seed, min_points, target):
         if got != verdicts[0]:
             raise MixedVerdictError(f"mixed modular verdicts: {verdicts}")
         pts.append(pt)
-        if len(pts) >= min_points and (len(pts) >= POINT_LIMIT or
-                                       modular_bound(pts, d_max) <= target):
+        if _enough(pts, d_max, min_points, target):
             break
     if len(pts) < min_points:
         raise IdealError("could not collect enough admissible points")
@@ -415,11 +427,35 @@ class QuadraticIdeal:
         nonzero entries.  Every entry is decided at the same points and
         gets an equal share of FAILURE_TARGET; the failure bound is the
         union bound over the entries.
+
+        The candidate is first built and decided once, at the joint point
+        (`scalar.joint_point`) of the batch of pool points that
+        `modular_verdict` takes when it skips none.  Z/P -> F_p_i is a
+        ring homomorphism for each prime p_i of P, and every step of that
+        run is a ring operation, an inverse of a unit or the subtraction
+        of an element of the ideal, so a residual that is 0 mod P is 0 at
+        every point of the batch: the certificate is the walk's, with the
+        same points and bound.  A nonzero residual mod P proves nothing at
+        any one point, and a non-unit (a pivot or denominator vanishing at
+        some p_i) stops the run; either way `modular_verdict` walks the
+        points one by one.
         """
-        verdict, points, bound = modular_verdict(
-            lambda pt: self._vanishes_at(pt, candidate_at),
-            self._degree_dmax(degree, candidate_span), point_bound(self.dim),
-            seed, min_points, FAILURE_TARGET / entries)
+        _check_min_points(min_points)
+        d_max = self._degree_dmax(degree, candidate_span)
+        guard, target = point_bound(self.dim), FAILURE_TARGET / entries
+        pool = sample_points(seed, PRIME_POOL_SIZE, guard)
+        batch = next(pool[:n] for n in range(1, len(pool) + 1)
+                     if _enough(pool[:n], d_max, min_points, target))
+        try:
+            joint = self._vanishes_at(joint_point(batch), candidate_at)
+        except InadmissiblePointError:
+            joint = False
+        if joint:
+            verdict, points, bound = True, batch, modular_bound(batch, d_max)
+        else:
+            verdict, points, bound = modular_verdict(
+                lambda pt: self._vanishes_at(pt, candidate_at), d_max, guard,
+                seed, min_points, target)
         bound *= entries
         if verdict:
             return MembershipCertificate("probable-member", "modular",
@@ -497,7 +533,8 @@ class QuadraticIdeal:
                                      witness=items if witness else None)
 
     def _vanishes_at(self, pt, candidate_at):
-        """Whether every entry of the candidate lies in the ideal at pt."""
+        """Whether every entry of the candidate lies in the ideal at pt (at
+        a joint point: whether each residual is 0 mod its modulus)."""
         ideal_p = self.at_point(pt)
         return all(ideal_p._membership_exact(p.graded_parts()).is_member
                    for p in candidate_at(pt))

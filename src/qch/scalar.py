@@ -91,11 +91,12 @@ def lp_bar(a):
     return {-e: c for e, c in a.items()}
 
 
-def lp_eval_mod(a, qhat, p):
+def lp_eval_mod(a, qhat, m):
+    """a(qhat) mod m.  m need not be prime (`joint_point`), so exponents
+    are not reduced mod m - 1; a negative one needs qhat to be a unit."""
     v = 0
-    m = p - 1  # exponents reduce mod p-1 for qhat != 0
     for e, c in a.items():
-        v = (v + c * pow(qhat, e % m, p)) % p
+        v = (v + c * pow(qhat, e, m)) % m
     return v
 
 
@@ -499,6 +500,9 @@ class PrimePoint:
     The guard requires qhat^(2j) != 1 mod p for 1 <= j <= bound, which keeps
     every q-integer up to the bound and every tower/recursion denominator of
     the symplectic family invertible at the point.
+
+    A joint point (`joint_point`) has for p the product of several pool
+    primes; it evaluates at all of their points at once.
     """
 
     __slots__ = ("p", "qhat", "bound")
@@ -524,18 +528,41 @@ class PrimePoint:
         return None
 
     def reduce(self, a):
-        """Reduce a QScalar at this point; a ring homomorphism into F_p."""
+        """Reduce a QScalar at this point; a ring homomorphism into Z/p
+        (F_p for a prime p).  A denominator that is not a unit mod p, at
+        a prime p one that vanishes, makes the point inadmissible."""
         d = lp_eval_mod(a.den, self.qhat, self.p)
-        if d == 0:
+        try:
+            d = pow(d, -1, self.p)
+        except ValueError:
             raise InadmissiblePointError(
-                f"denominator of {a} vanishes at (p={self.p}, qhat={self.qhat})")
+                f"denominator of {a} is not a unit at "
+                f"(p={self.p}, qhat={self.qhat})") from None
         if not a.num:
             return 0
-        n = lp_eval_mod(a.num, self.qhat, self.p)
-        return n * pow(d, -1, self.p) % self.p
+        return lp_eval_mod(a.num, self.qhat, self.p) * d % self.p
 
     def __repr__(self):
         return f"PrimePoint(p={self.p}, qhat={self.qhat}, bound={self.bound})"
+
+
+def joint_point(points):
+    """One point standing for a batch of points of distinct primes: p is
+    the product P of their primes and qhat the CRT lift of their qhats,
+    built in Garner's mixed-radix form (IRE Trans. 1959).
+
+    Z/P -> F_p_i is a ring homomorphism that sends qhat to qhat_i, so a
+    value computed at the joint point by ring operations reduces mod p_i
+    to the value at point i.  Each qhat_i is a unit, so qhat is a unit mod
+    P; `check` is not run on the composite P (each point passed it).
+    """
+    m, x = 1, 0
+    for pt in points:
+        x += (pt.qhat - x) * pow(m, -1, pt.p) % pt.p * m
+        m *= pt.p
+    joint = PrimePoint.__new__(PrimePoint)
+    joint.p, joint.qhat, joint.bound = m, x, points[0].bound
+    return joint
 
 
 def sample_points(seed, count, bound):

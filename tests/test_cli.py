@@ -263,32 +263,51 @@ def test_recursions_report_modular_certificates(capsys, monkeypatch):
 
 
 def test_recursions_share_one_failure_budget(capsys, monkeypatch):
-    calls = []
+    # the joint attempt and the walk both give each nonzero entry of the
+    # one candidate (every entry of the 12 recursion and 4 expansion
+    # residuals) the same share of the target
+    targets, built = [], []
+    enough = ideal._enough
+
+    def record(pts, d_max, min_points, target):
+        targets.append(target)
+        return enough(pts, d_max, min_points, target)
 
     def verdict(decide, d_max, guard, seed, min_points, target):
         pt = sample_points(seed, 1, guard)[0]
-        calls.append(target)
+        targets.append(target)
         return decide(pt), [pt], target
 
     def vanishes_at(self, pt, candidate_at):
-        calls.append(candidate_at(pt))
-        return True
+        built.append((pt, candidate_at(pt)))
+        return pt.p < 2 ** 31 or not walk
     monkeypatch.setattr(QuadraticIdeal, "needs_modular",
                         lambda self, degree: True)
+    monkeypatch.setattr(ideal, "_enough", record)
     monkeypatch.setattr(ideal, "modular_verdict", verdict)
     monkeypatch.setattr(QuadraticIdeal, "_vanishes_at", vanishes_at)
-    code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
-                                         "recursions", "--json"])
-    assert code == 0
-    assert reports[0]["failure_bound"] == pytest.approx(FAILURE_TARGET,
-                                                        rel=1e-9)
-    # one candidate: every entry of the 12 recursion and 4 expansion
-    # residuals, each nonzero one with the same share of the target
-    [target, entries] = calls
-    assert len(entries) == 16 * 4
     shape = [p for p in cli._algebra(1, "rtt").over(SpanDomain())
              .recursion_entries() if p]
-    assert target == pytest.approx(FAILURE_TARGET / len(shape), rel=1e-12)
+    share = FAILURE_TARGET / len(shape)
+    for walk in (False, True):
+        targets.clear()
+        built.clear()
+        code, reports, _ = run_json(capsys, ["qma", "--k", "1", "--verify",
+                                             "recursions", "--json"])
+        assert code == 0
+        assert targets and all(t == pytest.approx(share, rel=1e-12)
+                               for t in targets)
+        # one build of all 64 entries at the joint point, and one more at
+        # the walk's point when the joint run hands over
+        assert [len(entries) for _, entries in built] == [16 * 4] * (1 + walk)
+        assert built[0][0].p > 2 ** 31
+        if walk:
+            # the walk's bound is the target: the summed shares
+            assert reports[0]["failure_bound"] == pytest.approx(
+                FAILURE_TARGET, rel=1e-9)
+        else:
+            assert reports[0]["witness"] == "points:3"
+            assert 0 < reports[0]["failure_bound"] < FAILURE_TARGET
 
 
 def test_recursions_degree_is_largest_residual_degree(capsys, monkeypatch):
@@ -372,6 +391,32 @@ PINNED_REPORTS = {
          "residual": "0",
          "status": "probable-pass",
          "witness": "height=3 (Sp(6))"},
+    ],
+    # decided at the joint point of their prime points; the values are
+    # the per-point walk's, which the joint run must reproduce
+    ("qma", "--k", "2", "--verify", "ch", "--seed", "1"): [
+        {"check": "qma.ch",
+         "failure_bound": 1.29783280472904e-15,
+         "parameters": {"k": 2, "pair": "rtt", "primes": 3, "seed": 1},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:3"},
+    ],
+    ("qma", "--k", "2", "--verify", "ch", "--seed", "3"): [
+        {"check": "qma.ch",
+         "failure_bound": 1.29783280472904e-15,
+         "parameters": {"k": 2, "pair": "rtt", "primes": 3, "seed": 3},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:3"},
+    ],
+    ("qma", "--k", "2", "--verify", "recursions"): [
+        {"check": "qma.recursions",
+         "failure_bound": 1.0507566199128507e-15,
+         "parameters": {"k": 2, "pair": "rtt", "primes": 3, "seed": 0},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:4"},
     ],
 }
 

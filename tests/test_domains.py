@@ -8,7 +8,7 @@ from qch.ideal import QuadraticIdeal, point_bound
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import (InadmissiblePointError, PrimePoint, QScalar,
-                        sample_points)
+                        joint_point, sample_points)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -79,16 +79,28 @@ def test_fp_zero_pivot_is_inadmissible_point():
             dom.inv(zero)
 
 
+def test_fp_non_unit_at_joint_point_is_inadmissible():
+    pts = sample_points(3, 3, 12)
+    dom = FpDomain(joint_point(pts))
+    assert dom.inv(5) * 5 % dom.p == 1
+    # nonzero mod the product, zero mod one of its primes
+    for non_unit in (pts[0].p, 7 * pts[1].p, dom.p - pts[2].p):
+        with pytest.raises(InadmissiblePointError):
+            dom.inv(non_unit)
+
+
 def test_zero_pivot_in_point_build_resamples():
     """A candidate whose point build hits a zero pivot at the first point
-    sampled costs that point, not the verdict."""
+    sampled costs that point, not the verdict: the joint point, whose
+    modulus is a multiple of that prime, hits it too and hands over to
+    the walk."""
     ctx = AlgebraContext(build_standard_sp(1), flip_context(QQ, 2))
     ideal = QuadraticIdeal(QQ, 2, ctx.defining_relations())
     entry = ctx.ch_identity(1).rows[0][0]
     bad = sample_points(9, 1, point_bound(2))[0]
 
     def candidate_at(pt):
-        if (pt.p, pt.qhat) == (bad.p, bad.qhat):
+        if pt.p % bad.p == 0:
             FpDomain(pt).inv(0)
         return [entry.reduce_at(pt)]
 

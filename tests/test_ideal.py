@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
-from qch.scalar import ONE, QScalar, sample_points
+from qch.scalar import ONE, InadmissiblePointError, QScalar, sample_points
 
 
 def qp(e):
@@ -231,21 +232,33 @@ def test_membership_family(rtt2, ideal2):
     assert cert.bound < 1e-12
 
 
+def q_minus(qhat):
+    """q - qhat, a polynomial over Z that vanishes at a point with that
+    qhat."""
+    return QScalar.laurent({1: 1, 0: -qhat})
+
+
 def test_mixed_verdicts_raise_at_once(rtt2, ideal2):
     entry = rtt2.ch_identity(1).rows[1][0]
     outsider = word_poly([(0, 0), (0, 0)])
     assert not ideal2.membership(outsider).is_member
     first, second = sample_points(9, 2, point_bound(2))
+    # one fixed exact candidate, a member only where q = qhat of the
+    # second point: not at the first point, nor at the joint point
+    candidate = entry + outsider.scale(q_minus(second.qhat))
     seen = []
 
     def candidate_at(pt):
         seen.append(pt.p)
-        return [(outsider if pt.p == second.p else entry).reduce_at(pt)]
+        return [candidate.reduce_at(pt)]
 
     with pytest.raises(MixedVerdictError):
-        ideal2.membership_family(candidate_at, 2, ideal2._poly_span(entry),
+        ideal2.membership_family(candidate_at, 2, ideal2._poly_span(candidate),
                                  seed=9)
-    assert seen == [first.p, second.p]
+    # the joint point of the batch, then the walk up to the second point
+    joint, *walk = seen
+    assert joint % first.p == joint % second.p == 0 and joint > second.p
+    assert walk == [first.p, second.p]
 
 
 def test_small_target_takes_next_pool_points(rtt2, ideal2):
@@ -276,6 +289,77 @@ def test_small_target_takes_next_pool_points(rtt2, ideal2):
     assert [(pt.p, pt.qhat) for pt in capped] == pool
 
 
+def walk(ideal, p, seed):
+    """The per-point walk's (verdict, points, bound) for one polynomial."""
+    return modular_verdict(
+        lambda pt: ideal._vanishes_at(pt, lambda pt: [p.reduce_at(pt)]),
+        ideal._degree_dmax(p.degree(), ideal._poly_span(p)),
+        point_bound(ideal.dim), seed, MIN_PRIME_COUNT, FAILURE_TARGET)
+
+
+def pairs(points):
+    return [(pt.p, pt.qhat) for pt in points]
+
+
+def test_member_decided_by_one_vanishes_call(rtt2, ideal2, rtt4, ideal4,
+                                             monkeypatch):
+    calls = []
+    vanishes_at = QuadraticIdeal._vanishes_at
+
+    def count(self, pt, candidate_at):
+        calls.append(pt)
+        return vanishes_at(self, pt, candidate_at)
+    monkeypatch.setattr(QuadraticIdeal, "_vanishes_at", count)
+    entry = rtt2.ch_identity(1).rows[1][0]
+    cert = modular(ideal2, entry, seed=9)
+    # the joint point of the walk's points
+    [joint] = calls
+    assert cert.is_member and cert.kind == "modular"
+    assert joint.p == math.prod(pt.p for pt in cert.points)
+    assert pairs(cert.points) == pairs(walk(ideal2, entry, 9)[1])
+    # the k = 2 characteristic identity, built at the joint point only
+    calls.clear()
+    cert = ideal4.identity_membership(
+        rtt4, lambda c: c.ch_identity(2).entries(), 4, seed=1)
+    assert (cert.status, len(cert.points), len(calls)) == (
+        "probable-member", 3, 1)
+
+
+def test_non_member_certificate_is_the_walks(ideal2):
+    p = gen(0, 0) * gen(0, 1) - gen(0, 1) * gen(0, 0)
+    cert = modular(ideal2, p, seed=5)
+    verdict, points, bound = walk(ideal2, p, 5)
+    assert not verdict
+    assert (cert.status, cert.kind) == ("non-member", "modular")
+    assert pairs(cert.points) == pairs(points)
+    assert cert.bound == bound
+
+
+def test_denominator_vanishing_at_a_batch_point_skips_it(rtt2, ideal2):
+    entry = rtt2.ch_identity(1).rows[1][0]
+    pool = sample_points(9, 4, point_bound(2))
+    # a member with the denominator q - qhat of the second point
+    candidate = entry.scale(ONE / q_minus(pool[1].qhat))
+    raised = []
+
+    def candidate_at(pt):
+        try:
+            return [candidate.reduce_at(pt)]
+        except InadmissiblePointError:
+            raised.append(pt.p)
+            raise
+
+    cert = ideal2.membership_family(candidate_at, 2,
+                                    ideal2._poly_span(candidate), seed=9)
+    # the joint run raises, and the walk skips that point only
+    assert raised == [math.prod(pt.p for pt in pool[:3]), pool[1].p]
+    verdict, points, bound = walk(ideal2, candidate, 9)
+    assert verdict and cert.is_member and cert.kind == "modular"
+    assert pairs(cert.points) == pairs(points) == pairs(
+        [pool[0], pool[2], pool[3]])
+    assert cert.bound == bound
+
+
 def _relation_times_generator(ctx):
     """A degree-3 ideal member over ctx's domain, as a one-entry
     identity."""
@@ -284,25 +368,25 @@ def _relation_times_generator(ctx):
 
 
 def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
-    # the second point build adds a non-member, so the verdicts are mixed
-    # and the identity goes to the exact build and exact membership
+    # a non-member that vanishes at the second point only, so the joint
+    # point and the first point reject it, the verdicts are mixed and the
+    # identity goes to the exact build and exact membership
+    second = sample_points(5, 2, point_bound(4))[1]
     doms = []
 
     def build(ctx):
         doms.append(ctx.dom)
-        entries = _relation_times_generator(ctx)
-        if sum(isinstance(d, FpDomain) for d in doms) == 2 and \
-                isinstance(ctx.dom, FpDomain):
-            x = NCPoly.generator(ctx.dom, 0, 0)
-            entries[0] = entries[0] + x * x * x
-        return entries
+        x = NCPoly.generator(ctx.dom, 0, 0)
+        c = ctx.dom.from_scalar(q_minus(second.qhat))
+        return [_relation_times_generator(ctx)[0] + (x * x * x).scale(c)]
 
     assert ideal4.needs_modular(3)
     cert = ideal4.identity_membership(rtt4, build, 3, seed=5, min_points=3)
-    assert [type(d) for d in doms[:3]] == [SpanDomain, FpDomain, FpDomain]
-    assert doms[3:] == [rtt4.dom]
-    assert (cert.status, cert.kind) == ("member", "exact")
-    assert cert.witness and all(item[0] == 0 for item in cert.witness)
+    assert [type(d) for d in doms[:4]] == [SpanDomain, FpDomain, FpDomain,
+                                           FpDomain]
+    assert doms[1].p > doms[3].p == second.p
+    assert doms[4:] == [rtt4.dom]
+    assert (cert.status, cert.kind) == ("non-member", "exact")
 
 
 def test_matrix_bound_is_union_over_entries(rtt2, ideal2):

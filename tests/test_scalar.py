@@ -103,6 +103,46 @@ def test_prime_point_guards():
     assert [(a.p, a.qhat) for a in pts] == [(b.p, b.qhat) for b in pts2]
 
 
+def test_joint_point_reduces_to_each_point():
+    pts = sample_points(4, 3, 12)
+    joint = sc.joint_point(pts)
+    assert joint.p == math.prod(pt.p for pt in pts)
+    assert [joint.qhat % pt.p for pt in pts] == [pt.qhat for pt in pts]
+    rng = random.Random(11)
+    xs = [_rand_scalar(rng, size=4) for _ in range(200)]
+    # a denominator q - qhat that vanishes at one point only
+    xs += [ONE / QScalar.laurent({1: 1, 0: -pt.qhat}) for pt in pts]
+    multi = raised = 0
+    for x in xs:
+        multi += len(x.den) > 1
+        at = []
+        for pt in pts:
+            try:
+                at.append(pt.reduce(x))
+            except InadmissiblePointError:
+                at.append(None)
+        try:
+            got = joint.reduce(x)
+        except InadmissiblePointError:
+            assert at.count(None) == 1
+            raised += 1
+            continue
+        assert [got % pt.p for pt in pts] == at
+    assert multi > 50 and raised == 3
+
+
+def test_lp_eval_mod_negative_exponents_at_composite_modulus():
+    pts = sample_points(2, 2, 12)
+    joint = sc.joint_point(pts)
+    m, qh = joint.p, joint.qhat
+    a = {-3: 5, -1: -2, 0: 7, 2: 1}
+    inv = pow(qh, -1, m)
+    want = (5 * inv ** 3 - 2 * inv + 7 + qh ** 2) % m
+    assert sc.lp_eval_mod(a, qh, m) == want
+    assert [want % pt.p for pt in pts] == [
+        sc.lp_eval_mod(a, pt.qhat, pt.p) for pt in pts]
+
+
 def test_text_form():
     assert scalar_to_text(QScalar({2: 1, 0: -2, -1: 3})) == \
         "(q^3 - 2*q + 3) / q"
