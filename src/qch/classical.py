@@ -5,9 +5,16 @@ A similitude matrix satisfies M^t Omega M = g Omega = M Omega M^t for
 the standard antidiagonal symplectic form Omega; samples are assembled
 from the explicit block solution M = [[A, AY], [XA, XAY + g A'^{-1}]]
 with A invertible and X' = X, Y' = Y (prime = antidiagonal transpose).
+
+A `RationalMatrix` is integer rows over one denominator in lowest terms,
+so products, sums and comparisons run on integers with one gcd per
+result.  The structured factors are applied by index, not multiplied:
+prime reverses indices, Omega M and pi(M) are signed permutations, and
+the parent identity reads every power it needs from one chain M .. M^k.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -15,52 +22,67 @@ from fractions import Fraction
 
 
 class RationalMatrix:
-    """Dense matrix with exact rational entries."""
+    """Dense square matrix of rationals: integer rows `num` over one
+    positive denominator `den`, in lowest terms (no prime divides `den`
+    and every entry of `num`), so equal matrices have equal parts."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
+        # over the lcm of lowest-term denominators the parts are coprime
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator)
+                               for x in row) for row in rows)
+        self.den = den
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)]
-                    for i in range(n)])
+        return _exact(tuple(tuple(int(i == j) for j in range(n))
+                            for i in range(n)), 1)
 
     @classmethod
     def zero(cls, n):
-        return cls([[0] * n for _ in range(n)])
+        return _exact(((0,) * n,) * n, 1)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.num)
+
+    @property
+    def rows(self):
+        """The entries as Fractions (a read-only view)."""
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
 
     def __add__(self, other):
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return _reduced(tuple(tuple(op(a * f, b * g) for a, b in zip(r1, r2))
+                              for r1, r2 in zip(self.num, other.num)), den)
 
     def __matmul__(self, other):
-        # rows of self and columns of other as integers over one
-        # denominator each; one Fraction per output entry
-        rows = [_cleared(row) for row in self.rows]
-        cols = [_cleared(col) for col in zip(*other.rows)]
-        return RationalMatrix([[Fraction(sum(map(operator.mul, r, c)),
-                                         dr * dc)
-                                for c, dc in cols] for r, dr in rows])
+        cols = tuple(zip(*other.num))
+        return _reduced(tuple(tuple(sum(map(operator.mul, r, c))
+                                    for c in cols) for r in self.num),
+                        self.den * other.den)
 
     def scale(self, c):
         c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.rows])
+        a = c.numerator
+        return _reduced(tuple(tuple(a * x for x in row) for row in self.num),
+                        self.den * c.denominator)
 
     def transpose(self):
-        return RationalMatrix(list(zip(*self.rows)))
+        return _exact(tuple(zip(*self.num)), self.den)
 
     def power(self, n):
         out = RationalMatrix.identity(self.dim)
@@ -73,33 +95,34 @@ class RationalMatrix:
         return out
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)),
+                        self.den)
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def __eq__(self, other):
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def det(self):
-        # Gaussian elimination with exact fractions.
+        # Bareiss fraction-free elimination on num: each division is
+        # exact, and the last pivot is det(num) = det * den^n.
         n = self.dim
-        a = [list(row) for row in self.rows]
-        out = Fraction(1)
+        a = [list(row) for row in self.num]
+        sign, prev = 1, 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
                 return Fraction(0)
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
-                out = -out
-            out *= a[col][col]
-            inv = 1 / a[col][col]
+                sign = -sign
+            p, top = a[col][col], a[col]
             for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return out
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+            prev = p
+        return Fraction(sign * prev, self.den ** n)
 
     def inverse(self):
         n = self.dim
@@ -122,38 +145,50 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _cleared(xs):
-    """(integers, d) with d the lcm of the denominators and xs = ints / d."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+def _exact(num, den):
+    """The matrix num / den, with (num, den) already in lowest terms."""
+    m = object.__new__(RationalMatrix)
+    m.num = num
+    m.den = den
+    return m
 
 
-def antidiagonal_unit(k):
-    return RationalMatrix([[1 if i + j == k - 1 else 0 for j in range(k)]
-                           for i in range(k)])
+def _reduced(num, den):
+    """The matrix num / den for den > 0, brought to lowest terms by one
+    gcd over den and every entry."""
+    g = math.gcd(den, *itertools.chain.from_iterable(num)) if den > 1 else 1
+    if g > 1:
+        num = tuple(tuple(x // g for x in row) for row in num)
+        den //= g
+    return _exact(num, den)
 
 
 def prime(x):
-    """Antidiagonal transpose X' = w X^t w."""
-    w = antidiagonal_unit(x.dim)
-    return w @ x.transpose() @ w
+    """Antidiagonal transpose X' = w X^t w by index: entry (i, j) is
+    X[n-1-j][n-1-i], so row i is column n-1-i of X read bottom-up."""
+    return _exact(tuple(zip(*x.num[::-1]))[::-1], x.den)
 
 
 def omega(k):
     """Block matrix [[0, w], [-w, 0]] of the symplectic form."""
-    w = antidiagonal_unit(k)
-    z = RationalMatrix.zero(k)
-    return assemble_blocks(z, w, w.scale(-1), z)
+    return _omega_times(RationalMatrix.identity(2 * k))
+
+
+def _omega_times(m):
+    """Omega M by index: row i is row n-1-i of M, negated in the bottom
+    half."""
+    k = m.dim // 2
+    rows = m.num[::-1]
+    return _exact(rows[:k] + tuple(tuple(-x for x in row) for row in rows[k:]),
+                  m.den)
 
 
 def assemble_blocks(a, b, c, d):
-    k = a.dim
-    rows = []
-    for i in range(k):
-        rows.append(list(a.rows[i]) + list(b.rows[i]))
-    for i in range(k):
-        rows.append(list(c.rows[i]) + list(d.rows[i]))
-    return RationalMatrix(rows)
+    den = math.lcm(a.den, b.den, c.den, d.den)
+    return _reduced(tuple(tuple(x * (den // m.den) for m in pair
+                                for x in m.num[i])
+                          for pair in ((a, b), (c, d)) for i in range(a.dim)),
+                    den)
 
 
 def block(m, corner):
@@ -161,8 +196,8 @@ def block(m, corner):
     k = m.dim // 2
     r0 = 0 if corner in ("a", "b") else k
     c0 = 0 if corner in ("a", "c") else k
-    return RationalMatrix([[m.rows[r0 + i][c0 + j] for j in range(k)]
-                           for i in range(k)])
+    return _reduced(tuple(row[c0:c0 + k] for row in m.num[r0:r0 + k]),
+                    m.den)
 
 
 class SimilitudeSample:
@@ -178,19 +213,20 @@ class SimilitudeSample:
         self.g = Fraction(g)
         if a.det() == 0:
             raise ValueError("block A must be invertible")
-        if not (prime(x) - x).is_zero():
+        if prime(x) != x:
             raise ValueError("block X must satisfy X' = X")
-        if not (prime(y) - y).is_zero():
+        if prime(y) != y:
             raise ValueError("block Y must satisfy Y' = Y")
 
     def matrix(self):
         """M = [[A, AY], [XA, XAY + g A'^{-1}]]; the g-term is dropped
         entirely when g = 0."""
         a, x, y = self.a, self.x, self.y
-        d = x @ a @ y
+        xa = x @ a
+        d = xa @ y
         if self.g:
             d = d + prime(a).inverse().scale(self.g)
-        return assemble_blocks(a, a @ y, x @ a, d)
+        return assemble_blocks(a, a @ y, xa, d)
 
     def triple_product(self):
         """The lower-diagonal-upper factorization of the sample."""
@@ -234,35 +270,34 @@ def sample_similitude(k, g, seed):
 
 def invariance_residuals(m, g):
     """Both sides of the similitude condition: M^t Om M - g Om and
-    M Om M^t - g Om."""
-    k = m.dim // 2
-    om = omega(k)
-    target = om.scale(g)
-    return (m.transpose() @ om @ m - target, m @ om @ m.transpose() - target)
+    M Om M^t - g Om, with Om applied by index."""
+    target = omega(m.dim // 2).scale(g)
+    mt = m.transpose()
+    return (mt @ _omega_times(m) - target, m @ _omega_times(mt) - target)
 
 
 def classical_pi(m):
-    """pi(M) = -Omega M^t Omega."""
-    om = omega(m.dim // 2)
-    return (om @ m.transpose() @ om).scale(-1)
+    """pi(M) = -Omega M^t Omega = (Omega (Omega M^t)^t)^t, by index.
+    pi reverses products (Omega^2 = -1), hence pi(M)^j = pi(M^j)."""
+    return _omega_times(_omega_times(m.transpose()).transpose()).transpose()
+
+
+def _elementary(psums):
+    """[e_0, .., e_m] from the power sums [p_1, .., p_m] by Newton's
+    identities; e_i needs only p_1 .. p_i."""
+    coeffs = [Fraction(1)]
+    for i in range(1, len(psums) + 1):
+        acc = Fraction(0)
+        for j in range(1, i + 1):
+            acc += (-1) ** (j - 1) * coeffs[i - j] * psums[j - 1]
+        coeffs.append(acc / i)
+    return coeffs
 
 
 def char_coefficients(m):
     """[e_0, .., e_n] with e_i the i-th wedge trace, via Newton's
     identities on the power-sum traces."""
-    n = m.dim
-    power = RationalMatrix.identity(n)
-    psums = [Fraction(n)]
-    for _ in range(n):
-        power = power @ m
-        psums.append(power.trace())
-    coeffs = [Fraction(1)]
-    for i in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += (-1) ** (j - 1) * coeffs[i - j] * psums[j]
-        coeffs.append(acc / i)
-    return coeffs
+    return _elementary([p.trace() for p in _powers(m, m.dim)[1:]])
 
 
 def wedge_trace(m, i):
@@ -275,16 +310,18 @@ def wedge_trace(m, i):
 def classical_parent_ch(m):
     """Residual of the classical parent trace identity
     sum_{i=0}^{k} (-1)^i M^{k-i} e_i + sum_{i=0}^{k-1} (-1)^i pi(M)^{k-i} e_i.
-    """
+
+    One power chain M^0 .. M^k serves all of it: e_0 .. e_k come from
+    the traces of M .. M^k, and pi(M)^j is pi(M^j)."""
     k = m.dim // 2
-    eps = char_coefficients(m)
-    pim = classical_pi(m)
+    powers = _powers(m, k)
+    eps = _elementary([p.trace() for p in powers[1:]])
     out = RationalMatrix.zero(m.dim)
-    for base, top in ((m, k), (pim, k - 1)):
-        powers = _powers(base, k)
-        for i in range(top + 1):
-            sign = 1 if i % 2 == 0 else -1
-            out = out + powers[k - i].scale(sign * eps[i])
+    for i in range(k + 1):
+        sign = 1 if i % 2 == 0 else -1
+        out = out + powers[k - i].scale(sign * eps[i])
+        if i < k:
+            out = out + classical_pi(powers[k - i]).scale(sign * eps[i])
     return out
 
 

@@ -117,9 +117,10 @@ class AlgebraContext:
         """M_{start}b ... M_nb; the empty product is the identity."""
         key = (n, start)
         if key not in self._chain:
-            ops = self.mbar_ops(n)[start - 1:]
-            prod = TensorOperator.identity(self.ncdom, self.dim, n)
-            for x in ops:
+            ops = (self.mbar_ops(n)[start - 1:]
+                   or [TensorOperator.identity(self.ncdom, self.dim, n)])
+            prod = ops[0]
+            for x in ops[1:]:
                 prod = prod @ x
             self._chain[key] = prod
         return self._chain[key]
@@ -168,9 +169,14 @@ class AlgebraContext:
             if i == 0:
                 self._wedges[i] = QMatrix.identity(self.dom, self.dim)
             else:
-                prod = self.chain_product(i) @ self.lift(self.antisymmetrizer(i))
-                traced = self.tr_r(prod, range(2, i + 1))
-                self._wedges[i] = self.matrix_from_operator(traced)
+                # a zero a^(i) (i above the height) needs no chain
+                a_i = self.lift(self.antisymmetrizer(i))
+                if a_i.is_zero():
+                    self._wedges[i] = QMatrix.zero(self.dom, self.dim)
+                else:
+                    prod = self.chain_product(i) @ a_i
+                    traced = self.tr_r(prod, range(2, i + 1))
+                    self._wedges[i] = self.matrix_from_operator(traced)
         return self._wedges[i]
 
     def a_elem(self, i):
@@ -363,7 +369,10 @@ class AlgebraContext:
         """A^{(-1,i)} = i_q phi^-1(Tr_{R(2..i)} M_2b ... M_ib rho(a^(i)))."""
         if i == 0:
             return QMatrix.zero(self.dom, self.dim)
-        prod = self.chain_product(i, start=2) @ self.lift(self.antisymmetrizer(i))
+        a_i = self.lift(self.antisymmetrizer(i))
+        if a_i.is_zero():  # i above the height: no chain needed
+            return QMatrix.zero(self.dom, self.dim)
+        prod = self.chain_product(i, start=2) @ a_i
         mat = self.matrix_from_operator(self.tr_r(prod, range(2, i + 1)))
         return self.phi_inv(mat).scale(self.dom.from_scalar(q_int(i)))
 

@@ -3,6 +3,8 @@ parent trace identity over exact rationals."""
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -176,6 +178,114 @@ def test_matmul_equals_naive_fraction_product():
         assert (a @ b).rows == _naive_matmul(a, b)
     z = cl.RationalMatrix.zero(3)
     assert (z @ _rand_matrix(rng, 3)).is_zero()
+
+
+def _entrywise(a, b, op):
+    return tuple(tuple(op(x, y) for x, y in zip(r1, r2))
+                 for r1, r2 in zip(a.rows, b.rows))
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    tot = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        tot += term
+    return tot
+
+
+def _assert_lowest_terms(m):
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+def test_operations_against_fraction_entries():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a, b = _rand_matrix(rng, n), _rand_matrix(rng, n)
+        c = Fraction(-rng.randint(1, 40), rng.randint(1, 40))
+        eye = tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                    for i in range(n))
+        results = {
+            "add": (a + b, _entrywise(a, b, operator.add)),
+            "sub": (a - b, _entrywise(a, b, operator.sub)),
+            "scale": (a.scale(c), tuple(tuple(c * x for x in row)
+                                        for row in a.rows)),
+            "scale0": (a.scale(0), cl.RationalMatrix.zero(n).rows),
+            "transpose": (a.transpose(), tuple(zip(*a.rows))),
+        }
+        for name, (got, want) in results.items():
+            assert got.rows == want, name
+            _assert_lowest_terms(got)
+            assert got == cl.RationalMatrix(want), name
+        assert a.trace() == sum(a.rows[i][i] for i in range(n))
+        det = _leibniz_det(a.rows)
+        assert a.det() == det
+        if det:
+            inv = a.inverse()
+            _assert_lowest_terms(inv)
+            assert _naive_matmul(a, inv) == eye
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        assert (a == b) == (a.rows == b.rows)
+    assert cl.RationalMatrix.zero(3).scale(Fraction(-2, 3)).den == 1
+
+
+def test_equal_matrices_by_different_paths():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a, b = _rand_matrix(rng, n), _rand_matrix(rng, n)
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        assert (a + b) - b == a
+        assert a - a == cl.RationalMatrix.zero(n)
+        assert (a - a).den == 1
+        assert a.scale(c).scale(1 / c) == a
+        assert a.transpose().transpose() == a
+        assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+        assert a @ cl.RationalMatrix.identity(n) == a
+    # a common factor of the entries moves into the denominator
+    m = cl.RationalMatrix([[Fraction(1, 2), Fraction(1, 2)],
+                           [Fraction(1, 2), Fraction(1, 2)]])
+    doubled = m + m
+    assert (doubled.num, doubled.den) == (((1, 1), (1, 1)), 1)
+
+
+def _dense_omega(k):
+    w = [[int(i + j == k - 1) for j in range(k)] for i in range(k)]
+    return cl.RationalMatrix([[0] * k + row for row in w]
+                             + [[-x for x in row] + [0] * k for row in w])
+
+
+def test_index_forms_equal_dense_products():
+    rng = random.Random(73)
+    for k in (1, 2, 3):
+        om = _dense_omega(k)
+        assert cl.omega(k) == om
+        w = cl.RationalMatrix([[int(i + j == k - 1) for j in range(k)]
+                               for i in range(k)])
+        for _ in range(6):
+            x = _rand_matrix(rng, k)
+            assert cl.prime(x) == w @ x.transpose() @ w
+            m = _rand_matrix(rng, 2 * k)
+            assert cl.classical_pi(m) == (om @ m.transpose() @ om).scale(-1)
+            assert cl._omega_times(m) == om @ m
+            # pi reverses products, so its powers are the pi of powers
+            for j in (2, 3):
+                assert cl.classical_pi(m).power(j) == cl.classical_pi(
+                    m.power(j))
+        g = Fraction(-7, 3)
+        m = cl.sample_similitude(k, g, seed=79 + k)
+        mt, target = m.transpose(), om.scale(g)
+        left, right = cl.invariance_residuals(m, g)
+        assert left == mt @ om @ m - target
+        assert right == m @ om @ mt - target
 
 
 def _parent_ch_by_power(m):

@@ -8,7 +8,7 @@ from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import LAMBDA, ONE, Q, QINV, QScalar, sample_points
-from qch.tensor import matrix_unit
+from qch.tensor import TensorOperator, matrix_unit
 
 import qma_blocks as qmb
 from qma_blocks import star_word
@@ -386,6 +386,37 @@ def test_cutting(rtt2):
     assert rtt2.boundary_a(2).is_zero()
     assert rtt2.cutting_dependency(0, 1).is_zero()
     assert rtt2.cutting_dependency(1, 1).is_zero()
+
+
+@pytest.fixture(scope="module")
+def re4():
+    r = build_standard_sp(2)
+    return AlgebraContext(r, r, label="sp4-re")
+
+
+@pytest.mark.parametrize("name,k", [("rtt2", 1), ("re2", 1), ("rtt4", 2),
+                                    ("re4", 2)])
+def test_boundary_above_height_needs_no_chain(request, monkeypatch, name, k):
+    # a^(k+1) vanishes for Sp(2k), so A^(-1,k+1) is zero before any chain
+    ctx = request.getfixturevalue(name)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("chain_product called")
+
+    monkeypatch.setattr(ctx, "chain_product", no_chain)
+    assert ctx.boundary_a(k + 1).is_zero()
+    assert ctx.wedge_power(k + 1).is_zero()
+
+
+@pytest.mark.parametrize("name", ["rtt2", "rtt4"])
+def test_chain_product_equals_identity_started(request, name):
+    ctx = request.getfixturevalue(name)
+    for n in (1, 2, 3):
+        for start in range(1, n + 2):
+            ref = TensorOperator.identity(ctx.ncdom, ctx.dim, n)
+            for x in ctx.mbar_ops(n)[start - 1:]:
+                ref = ref @ x
+            assert ctx.chain_product(n, start) == ref
 
 
 # -- characteristic identities -------------------------------------------------------
