@@ -203,7 +203,7 @@ def block(m, corner):
 class SimilitudeSample:
     """Blocks of the explicit similitude solution."""
 
-    __slots__ = ("k", "a", "x", "y", "g")
+    __slots__ = ("k", "a", "x", "y", "g", "corner")
 
     def __init__(self, a, x, y, g):
         self.k = a.dim
@@ -217,6 +217,9 @@ class SimilitudeSample:
             raise ValueError("block X must satisfy X' = X")
         if prime(y) != y:
             raise ValueError("block Y must satisfy Y' = Y")
+        # g A'^{-1}, inverted once for both factorizations
+        self.corner = (prime(a).inverse().scale(self.g) if self.g
+                       else RationalMatrix.zero(self.k))
 
     def matrix(self):
         """M = [[A, AY], [XA, XAY + g A'^{-1}]]; the g-term is dropped
@@ -225,7 +228,7 @@ class SimilitudeSample:
         xa = x @ a
         d = xa @ y
         if self.g:
-            d = d + prime(a).inverse().scale(self.g)
+            d = d + self.corner
         return assemble_blocks(a, a @ y, xa, d)
 
     def triple_product(self):
@@ -234,9 +237,7 @@ class SimilitudeSample:
         i = RationalMatrix.identity(k)
         z = RationalMatrix.zero(k)
         lower = assemble_blocks(i, z, self.x, i)
-        mid = assemble_blocks(self.a, z, z,
-                              prime(self.a).inverse().scale(self.g)
-                              if self.g else z)
+        mid = assemble_blocks(self.a, z, z, self.corner)
         upper = assemble_blocks(i, self.y, z, i)
         return lower @ mid @ upper
 

@@ -2,7 +2,11 @@
 subalgebra.
 
 The algebra of spectral variables has commuting generators nu_0 .. nu_2k
-subject to nu_j nu_{2k+1-j} = nu_0^2 for j = 1..k.  Characteristic
+subject to nu_j nu_{2k+1-j} = nu_0^2 for j = 1..k.  The chart
+nu_{2k+1-j} -> nu_0^2 / nu_j embeds it in the Laurent polynomials in
+nu_0 .. nu_k, so one type, `SpectralFunction` (a ratio of such Laurent
+polynomials), holds the characteristic images and the rational
+coefficients alike, with the relations built in.  Characteristic
 elements map to symmetric functions of the nu's; power sums acquire
 rational coefficients d_i.  Rational identities are certified by exact
 evaluation at admissible integer points, symbolically where cheap.
@@ -28,8 +32,9 @@ def mu_of(k):
 
 
 # ---------------------------------------------------------------------------
-# Sparse polynomials {exponent tuple: QScalar}, shared by SpectralPoly and
-# the numerators and denominators of SpectralRational.
+# Sparse Laurent polynomials {exponent tuple: QScalar} in the chart
+# variables nu_0 .. nu_k: the numerators and denominators of
+# SpectralFunction.
 
 def _add_exponents(e1, e2):
     return tuple(map(operator.add, e1, e2))
@@ -61,37 +66,48 @@ def _peval(a, vals):
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in the spectral variables, kept in normal form.
+class SpectralFunction:
+    """A function of the spectral variables nu_0 .. nu_2k on the chart
+    nu_{2k+1-j} = nu_0^2 / nu_j: num / den, Laurent polynomials in
+    nu_0 .. nu_k, with den = 1 for a polynomial.  The chart map is
+    injective on the spectral algebra, so the pair relations hold by
+    construction and equal functions have equal charts."""
 
-class SpectralPoly:
-    """Polynomial in nu_0..nu_2k over exact scalars; monomials carry no
-    paired product nu_j nu_{2k+1-j} (rewritten to nu_0^2)."""
+    __slots__ = ("k", "num", "den")
 
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k, terms):
+    def __init__(self, k, num, den=None):
+        if den is None:
+            den = {(0,) * (k + 1): ONE}
+        elif not den:
+            raise ZeroDivisionError("zero denominator polynomial")
         self.k = k
-        self.terms = _normalize(k, terms)
-
-    @classmethod
-    def zero(cls, k):
-        return cls(k, {})
+        self.num = num
+        self.den = den
 
     @classmethod
     def constant(cls, k, c):
-        return cls(k, {(0,) * (2 * k + 1): c})
+        return cls(k, {(0,) * (k + 1): c} if c else {})
 
     @classmethod
     def variable(cls, k, i, power=1):
+        """nu_i^power for any 0 <= i <= 2k."""
         if not 0 <= i <= 2 * k:
             raise ValueError(f"nu_{i} outside 0..{2 * k}")
-        e = [0] * (2 * k + 1)
-        e[i] = power
+        e = [0] * (k + 1)
+        if i <= k:
+            e[i] = power
+        else:
+            e[0], e[2 * k + 1 - i] = 2 * power, -power
         return cls(k, {tuple(e): ONE})
 
     def __add__(self, other):
-        return SpectralPoly(self.k, _padd(self.terms, other.terms))
+        if self.den == other.den:
+            return SpectralFunction(self.k, _padd(self.num, other.num),
+                                    self.den)
+        return SpectralFunction(
+            self.k,
+            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
+            _pmul(self.den, other.den))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
@@ -102,65 +118,44 @@ class SpectralPoly:
     def __mul__(self, other):
         if isinstance(other, QScalar):
             return self.scale(other)
-        return SpectralPoly(self.k, _pmul(self.terms, other.terms))
+        return SpectralFunction(self.k, _pmul(self.num, other.num),
+                                _pmul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise ZeroDivisionError("division by zero function")
+        return SpectralFunction(self.k, _pmul(self.num, other.den),
+                                _pmul(self.den, other.num))
 
     def scale(self, c):
-        return SpectralPoly(self.k, _pscale(self.terms, c))
-
-    def __eq__(self, other):
-        return self.k == other.k and (self - other).is_zero()
+        return SpectralFunction(self.k, _pscale(self.num, c), self.den)
 
     def is_zero(self):
-        return not self.terms
+        # num stays expanded with exact coefficients, so the function is
+        # zero iff num is empty
+        return not self.num
 
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+    def __eq__(self, other):
+        if self.den == other.den:
+            return self.num == other.num
+        # cross-multiplied, without the product of the denominators
+        return _pmul(self.num, other.den) == _pmul(other.num, self.den)
 
-    def evaluate(self, vals):
-        """Value at vals[0..2k] (exact scalars)."""
-        return _peval(self.terms, vals)
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms):
-            gens = " ".join(f"nu{i}^{p}" if p > 1 else f"nu{i}"
-                            for i, p in enumerate(e) if p)
-            c = f"({self.terms[e]})"
-            bits.append(f"{c} * {gens}" if gens else c)
-        return " + ".join(bits)
+    def evaluate(self, chart_vals):
+        """Value at the chart values nu_0 .. nu_k (exact scalars; values
+        past nu_k are not read)."""
+        return _peval(self.num, chart_vals) / _peval(self.den, chart_vals)
 
     def __repr__(self):
-        return f"SpectralPoly(k={self.k}, {len(self.terms)} terms)"
-
-
-def _unpaired(k, e):
-    """Exponent e with each pair nu_j nu_{2k+1-j} rewritten to nu_0^2."""
-    e = list(e)
-    for j in range(1, k + 1):
-        m = min(e[j], e[2 * k + 1 - j])
-        if m:
-            e[j] -= m
-            e[2 * k + 1 - j] -= m
-            e[0] += 2 * m
-    return tuple(e)
-
-
-def _normalize(k, terms):
-    return add_into({}, ((_unpaired(k, e), c) for e, c in terms.items()), QQ)
-
-
-def reduce(p):
-    """Normal form (idempotent; construction already normalizes)."""
-    return SpectralPoly(p.k, p.terms)
+        return (f"SpectralFunction(k={self.k}, {len(self.num)}/"
+                f"{len(self.den)} terms)")
 
 
 # -- symmetric-function builders --------------------------------------------
 
 def _sym_dp(args, n, homogeneous, one):
     """e_0..e_n (or, with homogeneous=True, h_0..h_n) of the arguments:
-    spectral polynomials, or exact values with one = ONE."""
+    spectral functions, or exact values with one = ONE."""
     rows = [one] + [one * ZERO] * n
     for arg in args:
         if homogeneous:
@@ -178,31 +173,31 @@ def _extended(nus):
 
 
 def _variables(k):
-    return [SpectralPoly.variable(k, i) for i in range(2 * k + 1)]
+    return [SpectralFunction.variable(k, i) for i in range(2 * k + 1)]
 
 
 def elementary(k, i):
-    """e_i(nu_1 .. nu_2k), reduced."""
+    """e_i(nu_1 .. nu_2k)."""
     if i < 0 or i > 2 * k:
-        return SpectralPoly.zero(k)
+        return SpectralFunction.constant(k, ZERO)
     return _sym_dp(_variables(k)[1:], i, homogeneous=False,
-                   one=SpectralPoly.constant(k, ONE))[i]
+                   one=SpectralFunction.constant(k, ONE))[i]
 
 
 def elementary_extended(k, i):
-    """e_i(nu_0, -nu_0, nu_1 .. nu_2k), reduced."""
+    """e_i(nu_0, -nu_0, nu_1 .. nu_2k)."""
     if i < 0 or i > 2 * k + 2:
-        return SpectralPoly.zero(k)
+        return SpectralFunction.constant(k, ZERO)
     return _sym_dp(_extended(_variables(k)), i, homogeneous=False,
-                   one=SpectralPoly.constant(k, ONE))[i]
+                   one=SpectralFunction.constant(k, ONE))[i]
 
 
 def complete(k, n):
-    """h_n(nu_1 .. nu_2k), reduced."""
+    """h_n(nu_1 .. nu_2k)."""
     if n < 0:
-        return SpectralPoly.zero(k)
+        return SpectralFunction.constant(k, ZERO)
     return _sym_dp(_variables(k)[1:], n, homogeneous=True,
-                   one=SpectralPoly.constant(k, ONE))[n]
+                   one=SpectralFunction.constant(k, ONE))[n]
 
 
 def pi_hom(k, symbol, i=1):
@@ -212,7 +207,7 @@ def pi_hom(k, symbol, i=1):
     as a polynomial by solving the Newton recursion from the a-images.
     """
     if symbol == "g":
-        return SpectralPoly.variable(k, 0, 2)
+        return SpectralFunction.variable(k, 0, 2)
     if symbol == "a":
         return elementary_extended(k, i)
     if symbol == "s":
@@ -226,8 +221,8 @@ def pi_hom(k, symbol, i=1):
             for _ in range(i - k):
                 out = out * g
             return out
-        out = SpectralPoly.zero(k)
-        gp = SpectralPoly.constant(k, ONE)
+        out = SpectralFunction.constant(k, ZERO)
+        gp = SpectralFunction.constant(k, ONE)
         for j in range(i // 2 + 1):
             out = out + elementary_extended(k, i - 2 * j) * gp
             gp = gp * g
@@ -242,7 +237,7 @@ def _newton_a(m, a, p, g, mu):
     lhs = c a_m with c = (-1)^(m-1) [m]_q and lhs the sum of
     (-q)^i a_i p_(m-i) over i < m and of
     (-1)^(m-1) (mu q^(m-2i) - q^(1-m+2i)) a_(m-2i) g^i over 0 < i <= m/2.
-    a, p and g are spectral polynomials or their values at a point.
+    a, p and g are spectral functions or their values at a point.
     """
     sign = ONE if m % 2 else -ONE
     # (-q)^i goes in before p_(m-i): over exact values the other order
@@ -260,12 +255,12 @@ def _newton_powersums(k, n):
     """p_1..p_n images solved from the first Newton relation for the
     a-series (p_0 is a zero placeholder)."""
     a = _sym_dp(_extended(_variables(k)), n, homogeneous=False,
-                one=SpectralPoly.constant(k, ONE))
+                one=SpectralFunction.constant(k, ONE))
     g, mu = pi_hom(k, "g"), mu_of(k)
-    p = [SpectralPoly.zero(k)]
+    p = [SpectralFunction.constant(k, ZERO)]
     for m in range(1, n + 1):
         # p_m enters lhs as a_0 p_m: solve with it at zero
-        p.append(SpectralPoly.zero(k))
+        p.append(SpectralFunction.constant(k, ZERO))
         lhs, c = _newton_a(m, a, p, g, mu)
         p[m] = a[m] * c - lhs
     return p
@@ -274,12 +269,13 @@ def _newton_powersums(k, n):
 def sym_identities(k, i):
     """The two elementary-symmetric identities behind the epsilon images."""
     lhs = elementary_extended(k, i)
-    rhs = elementary(k, i) - SpectralPoly.variable(k, 0, 2) * elementary(k, i - 2)
+    rhs = (elementary(k, i)
+           - SpectralFunction.variable(k, 0, 2) * elementary(k, i - 2))
     if not (lhs - rhs).is_zero():
         return False
     if 1 <= i <= k:
         lhs2 = elementary(k, k + i)
-        rhs2 = SpectralPoly.variable(k, 0, 2 * i) * elementary(k, k - i)
+        rhs2 = SpectralFunction.variable(k, 0, 2 * i) * elementary(k, k - i)
         if not (lhs2 - rhs2).is_zero():
             return False
     return True
@@ -290,10 +286,11 @@ def expansion_coefficients(k, order=None):
     abstract commuting power symbol X; returns coefficients of X^j,
     j = 0..2k.  `order` optionally permutes the factors."""
     idx = list(order) if order is not None else list(range(1, 2 * k + 1))
-    coeffs = [SpectralPoly.constant(k, ONE)]
+    coeffs = [SpectralFunction.constant(k, ONE)]
     for i in idx:
-        root = SpectralPoly.variable(k, i).scale(Q)
-        nxt = [SpectralPoly.zero(k) for _ in range(len(coeffs) + 1)]
+        root = SpectralFunction.variable(k, i).scale(Q)
+        nxt = [SpectralFunction.constant(k, ZERO)
+               for _ in range(len(coeffs) + 1)]
         for j, c in enumerate(coeffs):
             nxt[j + 1] = nxt[j + 1] + c
             nxt[j] = nxt[j] - root * c
@@ -313,91 +310,9 @@ def factor_check(k):
     return {"ok": True, "checked": 2 * k + 1}
 
 
-# ---------------------------------------------------------------------------
-# Rational functions on the chart nu_{2k+1-j} = nu_0^2 / nu_j.
-
-class SpectralRational:
-    """Ratio of polynomials in the chart variables nu_0, nu_1 .. nu_k."""
-
-    __slots__ = ("k", "num", "den")
-
-    def __init__(self, k, num, den):
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        self.k = k
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def constant(cls, k, c):
-        one = {(0,) * (k + 1): ONE}
-        return cls(k, _pscale(one, c), dict(one))
-
-    @classmethod
-    def nu(cls, k, i):
-        """Chart image of nu_i for any 0 <= i <= 2k."""
-        one = {(0,) * (k + 1): ONE}
-        if i <= k:
-            e = [0] * (k + 1)
-            e[i] = 1
-            return cls(k, {tuple(e): ONE}, dict(one))
-        j = 2 * k + 1 - i
-        e0 = [0] * (k + 1)
-        e0[0] = 2
-        ej = [0] * (k + 1)
-        ej[j] = 1
-        return cls(k, {tuple(e0): ONE}, {tuple(ej): ONE})
-
-    def __add__(self, other):
-        return SpectralRational(
-            self.k,
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def __mul__(self, other):
-        if isinstance(other, QScalar):
-            return self.scale(other)
-        return SpectralRational(self.k, _pmul(self.num, other.num),
-                                _pmul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational")
-        return SpectralRational(self.k, _pmul(self.num, other.den),
-                                _pmul(self.den, other.num))
-
-    def scale(self, c):
-        return SpectralRational(self.k, _pscale(self.num, c), dict(self.den))
-
-    def is_zero(self):
-        # Numerators stay expanded with exact coefficients, so the
-        # function is zero iff the numerator polynomial is empty.
-        return not self.num
-
-    def __eq__(self, other):
-        diff = _padd(_pmul(self.num, other.den),
-                     _pscale(_pmul(other.num, self.den), -ONE))
-        return not diff
-
-    def evaluate(self, chart_vals):
-        return _peval(self.num, chart_vals) / _peval(self.den, chart_vals)
-
-    def __repr__(self):
-        return (f"SpectralRational(k={self.k}, {len(self.num)}/"
-                f"{len(self.den)} terms)")
-
-
-def _chart_nus(k):
-    """The chart rationals nu_0 .. nu_2k."""
-    return [SpectralRational.nu(k, j) for j in range(2 * k + 1)]
-
-
 def d_value(k, i, nus, hat=False):
     """d_i (or the unpaired variant with hat=True) at the spectral values
-    nus: exact scalars, or the chart rationals for d_i itself."""
+    nus: exact scalars, or the chart variables for d_i itself."""
     if not 1 <= i <= 2 * k:
         raise ValueError(f"d_{i} outside 1..{2 * k}")
     x, pair = nus[i], 2 * k + 1 - i
@@ -413,13 +328,13 @@ def d_value(k, i, nus, hat=False):
 
 def d_coefficient(k, i, hat=False):
     """The rational d_i (or the unpaired variant with hat=True)."""
-    return d_value(k, i, _chart_nus(k), hat=hat)
+    return d_value(k, i, _variables(k), hat=hat)
 
 
 def powersum_param(k, n):
     """Rational image of the n-th power sum: q^{n-1} sum_i d_i nu_i^n."""
-    acc = SpectralRational.constant(k, ZERO)
-    nu = _chart_nus(k)
+    acc = SpectralFunction.constant(k, ZERO)
+    nu = _variables(k)
     for i in range(1, 2 * k + 1):
         term = d_coefficient(k, i)
         for _ in range(n):
@@ -429,10 +344,10 @@ def powersum_param(k, n):
 
 
 def w_function(k, which, z):
-    """w_1, w_2, or w_3 evaluated at the chart rational z."""
-    nu = _chart_nus(k)
+    """w_1, w_2, or w_3 evaluated at the spectral function z."""
+    nu = _variables(k)
     qm2 = QScalar.q_power(-2)
-    w = SpectralRational.constant(k, ONE)
+    w = SpectralFunction.constant(k, ONE)
     for i in range(1, 2 * k + 1):
         w = w * ((z - nu[i] * qm2) / (z - nu[i]))
     if which == 1:
@@ -610,8 +525,8 @@ def polynomiality_check(k, n, data):
 
 def _init_residuals(k, nus, init1, init2):
     """Residuals of the three initial conditions at the spectral values
-    nus (exact scalars, or the chart rationals with init1 and init2 as
-    rational constants): q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2
+    nus (exact scalars, or the chart variables with init1 and init2 as
+    constant functions): q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2
     and sum nu_i (d_i - d-hat_i)."""
     idx = range(1, 2 * k + 1)
     d = [d_value(k, i, nus) for i in idx]
@@ -628,19 +543,19 @@ def parameterization_checks(k, seed=0):
     at sampled chart points above."""
     out = {"k": k}
     mu = mu_of(k)
-    one = SpectralRational.constant(k, ONE)
-    nu0 = SpectralRational.nu(k, 0)
+    one = SpectralFunction.constant(k, ONE)
+    nu0 = SpectralFunction.variable(k, 0)
     # w_1(+-q^{-1} nu_0) = q^{-2k} and w_2(0) = -q^{2-4k}, symbolically.
     for sgn, tag in ((ONE, "w1+"), (-ONE, "w1-")):
         val = w_function(k, 1, nu0.scale(sgn * QINV))
         out[tag] = val == one.scale(QScalar.q_power(-2 * k))
-    out["w2-zero"] = (w_function(k, 2, SpectralRational.constant(k, ZERO))
+    out["w2-zero"] = (w_function(k, 2, SpectralFunction.constant(k, ZERO))
                       == one.scale(-QScalar.q_power(2 - 4 * k)))
     # d_i = (nu_i^2 - q^-4 nu_0^2)/(nu_i^2 - q^-2 nu_0^2) * d-hat_i,
     # symbolically by cross-multiplication.
     ok = True
     for i in range(1, 2 * k + 1):
-        nui = SpectralRational.nu(k, i)
+        nui = SpectralFunction.variable(k, i)
         ratio = ((nui * nui - (nu0 * nu0).scale(QScalar.q_power(-4)))
                  / (nui * nui - (nu0 * nu0).scale(QScalar.q_power(-2))))
         ok = ok and d_coefficient(k, i) == ratio * d_coefficient(k, i, hat=True)
@@ -658,7 +573,7 @@ def parameterization_checks(k, seed=0):
                           ).is_zero()
     if k == 1:
         charts = None
-        residuals = [_init_residuals(k, _chart_nus(k), one * init1,
+        residuals = [_init_residuals(k, _variables(k), one * init1,
                                      one * init2)]
     else:
         charts = _charts(k, 2, seed)

@@ -241,8 +241,7 @@ def test_criterion_6_calibration(rtt2, rtt4, ideal4):
 def test_criterion_7_spectral():
     for k in (1, 2, 3):
         for i in range(2 * k + 1):
-            image = sp.reduce(sp.pi_hom(k, "eps", i))
-            assert image == sp.elementary(k, i)
+            assert sp.pi_hom(k, "eps", i) == sp.elementary(k, i)
     for k in (1, 2, 3):
         assert sp.factor_check(k) == {"ok": True, "checked": 2 * k + 1}
     for k in (1, 2, 3):

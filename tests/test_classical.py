@@ -87,6 +87,20 @@ def test_triple_product_factorization():
             assert (s.triple_product() - s.matrix()).is_zero()
 
 
+def test_battery_inverts_each_block_once(monkeypatch):
+    # 8 of the 10 samples have g != 0; each inverts A' once for both
+    # matrix() and triple_product()
+    calls = []
+    inverse = cl.RationalMatrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(cl.RationalMatrix, "inverse", counted)
+    assert cl.check_samples(4, 10, 1)["ok"]
+    assert len(calls) == 8
+
+
 # -- pi map --------------------------------------------------------------------
 
 def test_classical_pi_k1():

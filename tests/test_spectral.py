@@ -3,6 +3,7 @@ Wronski, and power-sum parameterization checks."""
 from __future__ import annotations
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -15,44 +16,83 @@ def qp(e):
 
 
 def var(k, i, power=1):
-    return sp.SpectralPoly.variable(k, i, power)
+    return sp.SpectralFunction.variable(k, i, power)
 
 
-# -- normal form -------------------------------------------------------------
+# -- the chart nu_{2k+1-j} = nu_0^2 / nu_j ------------------------------------
 
-def test_reduce_pair_rewrite():
-    # nu1 nu2 -> nu0^2 at k=1
+def test_chart_pair_relation():
+    # nu1 nu2 = nu0^2 at k=1
     assert var(1, 1) * var(1, 2) == var(1, 0, 2)
-    # nu1^2 nu2 -> nu0^2 nu1
+    # nu1^2 nu2 = nu0^2 nu1
     assert var(1, 1, 2) * var(1, 2) == var(1, 0, 2) * var(1, 1)
-    # nu0 nu1 unchanged
-    p = var(1, 0) * var(1, 1)
-    assert list(p.terms) == [(1, 1, 0)]
+    # nu0 nu1 is a chart monomial; nu2 is nu0^2 nu1^-1
+    assert list((var(1, 0) * var(1, 1)).num) == [(1, 1)]
+    assert var(1, 2).num == {(2, -1): ONE}
 
 
-def test_reduce_idempotent_and_order_independent():
+def test_products_order_independent():
     rng = random.Random(20260814)
     for k in (1, 2):
         for _ in range(10):
             gens = [var(k, rng.randrange(2 * k + 1)) for _ in range(6)]
-            prod1 = sp.SpectralPoly.constant(k, ONE)
+            prod1 = sp.SpectralFunction.constant(k, ONE)
             for g in gens:
                 prod1 = prod1 * g
             shuffled = gens[:]
             rng.shuffle(shuffled)
-            prod2 = sp.SpectralPoly.constant(k, ONE)
+            prod2 = sp.SpectralFunction.constant(k, ONE)
             for g in shuffled:
                 prod2 = prod2 * g
             assert prod1 == prod2
-            assert sp.reduce(prod1).terms == prod1.terms
 
 
-def test_normal_form_has_no_paired_overlap():
+def test_paired_monomials_on_the_chart():
+    # (nu1 + nu4)(nu2 + nu3) nu1 at k=2, with nu4 = nu0^2/nu1 and
+    # nu3 = nu0^2/nu2: a Laurent polynomial, denominator 1
     k = 2
     p = (var(k, 1) + var(k, 4)) * (var(k, 2) + var(k, 3)) * var(k, 1)
-    for e in p.terms:
-        for j in range(1, k + 1):
-            assert min(e[j], e[2 * k + 1 - j]) == 0
+    assert p.num == {(0, 2, 1): ONE, (2, 2, -1): ONE, (2, 0, 1): ONE,
+                     (4, 0, -1): ONE}
+    assert p.den == {(0, 0, 0): ONE}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chart_images_against_sympy(k):
+    # an independent expansion: sympy's, with nu_{2k+1-j} = nu_0^2 / nu_j
+    sympy = pytest.importorskip("sympy")
+    q, x = sympy.symbols("q X")
+    chart = sympy.symbols(f"nu0:{k + 1}")
+    nus = list(chart) + [chart[0] ** 2 / chart[2 * k + 1 - i]
+                         for i in range(k + 1, 2 * k + 1)]
+
+    def scalar(c):
+        return (sum(v * q ** e for e, v in c.num.items())
+                / sum(v * q ** e for e, v in c.den.items()))
+
+    def same(f, expr):
+        assert f.den == {(0,) * (k + 1): ONE}
+        ours = sum((scalar(c) * sympy.Mul(*(g ** p for g, p in zip(chart, e)))
+                    for e, c in f.num.items()), sympy.Integer(0))
+        return sympy.expand(ours - expr) == 0
+
+    def e(alphabet, i):
+        return sum((sympy.Mul(*c) for c in combinations(alphabet, i)),
+                   sympy.Integer(0))
+
+    for i in range(-1, 2 * k + 2):
+        assert same(sp.elementary(k, i), e(nus[1:], i) if i >= 0 else 0)
+    extended = [nus[0], -nus[0]] + nus[1:]
+    for i in range(2 * k + 3):
+        assert same(sp.elementary_extended(k, i), e(extended, i))
+    for n in range(5):
+        h = sum((sympy.Mul(*c)
+                 for c in combinations_with_replacement(nus[1:], n)),
+                sympy.Integer(0))
+        assert same(sp.complete(k, n), h)
+    product = sympy.expand(sympy.Mul(*(x - q * nu for nu in nus[1:])))
+    for j, c in enumerate(sp.expansion_coefficients(k)):
+        assert same(c, product.coeff(x, j))
 
 
 # -- characteristic images ---------------------------------------------------
@@ -60,7 +100,7 @@ def test_normal_form_has_no_paired_overlap():
 def test_pi_hom_g_and_a1():
     assert sp.pi_hom(1, "g") == var(1, 0, 2)
     for k in (1, 2, 3):
-        total = sp.SpectralPoly.zero(k)
+        total = sp.SpectralFunction.constant(k, ZERO)
         for i in range(1, 2 * k + 1):
             total = total + var(k, i)
         assert sp.pi_hom(k, "a", 1) == total
@@ -110,7 +150,7 @@ def test_wronski_anchor_h1_equals_e1():
 def test_factor_expansion_k1_display():
     # (X - q nu1)(X - q nu2) = X^2 - q(nu1+nu2) X + q^2 nu0^2
     coeffs = sp.expansion_coefficients(1)
-    assert coeffs[2] == sp.SpectralPoly.constant(1, ONE)
+    assert coeffs[2] == sp.SpectralFunction.constant(1, ONE)
     assert coeffs[1] == (var(1, 1) + var(1, 2)).scale(-qp(1))
     assert coeffs[0] == var(1, 0, 2).scale(qp(2))
 
@@ -141,18 +181,22 @@ def test_factor_check_names_a_wrong_coefficient(monkeypatch):
 
 def test_rational_cross_multiplication_equality():
     k = 1
-    nu0 = sp.SpectralRational.nu(k, 0)
-    nu1 = sp.SpectralRational.nu(k, 1)
+    nu0 = sp.SpectralFunction.variable(k, 0)
+    nu1 = sp.SpectralFunction.variable(k, 1)
     lhs = (nu0 * nu0 - nu1 * nu1) / (nu0 - nu1)
     assert lhs == nu0 + nu1
     assert not lhs == nu0 - nu1
+    # the equal-denominator paths of + and == agree with cross-multiplying
+    assert nu0 / nu1 + nu1 / nu1 == (nu0 + nu1) / nu1
+    assert nu0 / nu1 == (nu0 * nu0) / (nu0 * nu1)
+    assert not nu0 / nu1 == nu1 / nu1
 
 
 def test_rational_nu_pair_substitution():
     k = 2
-    nu3 = sp.SpectralRational.nu(k, 3)
-    nu2 = sp.SpectralRational.nu(k, 2)
-    nu0 = sp.SpectralRational.nu(k, 0)
+    nu3 = sp.SpectralFunction.variable(k, 3)
+    nu2 = sp.SpectralFunction.variable(k, 2)
+    nu0 = sp.SpectralFunction.variable(k, 0)
     assert nu3 * nu2 == nu0 * nu0
 
 
@@ -239,9 +283,9 @@ def test_parameterization(k):
 def test_init3_symbolic_k1():
     # sum nu_i (d_i - d-hat_i) = 0 under the pair substitution
     k = 1
-    total = sp.SpectralRational.constant(k, ZERO)
+    total = sp.SpectralFunction.constant(k, ZERO)
     for i in range(1, 2 * k + 1):
-        nui = sp.SpectralRational.nu(k, i)
+        nui = sp.SpectralFunction.variable(k, i)
         total = total + nui * (sp.d_coefficient(k, i)
                                - sp.d_coefficient(k, i, hat=True))
     assert total.is_zero()
@@ -268,7 +312,7 @@ def test_newton_powersum_polynomials_low_degree():
 
 def test_w_function_third_variant():
     k = 1
-    z = sp.SpectralRational.nu(k, 1)
-    w2 = sp.w_function(k, 2, z + sp.SpectralRational.constant(k, ONE))
-    w3 = sp.w_function(k, 3, z + sp.SpectralRational.constant(k, ONE))
-    assert w3 == (z + sp.SpectralRational.constant(k, ONE)) * w2
+    z = sp.SpectralFunction.variable(k, 1)
+    w2 = sp.w_function(k, 2, z + sp.SpectralFunction.constant(k, ONE))
+    w3 = sp.w_function(k, 3, z + sp.SpectralFunction.constant(k, ONE))
+    assert w3 == (z + sp.SpectralFunction.constant(k, ONE)) * w2
