@@ -8,7 +8,8 @@ nu_0 .. nu_k, so one type, `SpectralFunction` (a ratio of such Laurent
 polynomials), holds the characteristic images and the rational
 coefficients alike, with the relations built in.  Characteristic
 elements map to symmetric functions of the nu's; power sums acquire
-rational coefficients d_i.  Rational identities are certified by exact
+rational coefficients d_i, which share a product with their unpaired
+variants d-hat_i (`d_value`).  Rational identities are certified by exact
 evaluation at admissible integer points, symbolically where cheap.
 """
 from __future__ import annotations
@@ -310,37 +311,34 @@ def factor_check(k):
     return {"ok": True, "checked": 2 * k + 1}
 
 
-def d_value(k, i, nus, hat=False):
-    """d_i (or the unpaired variant with hat=True) at the spectral values
-    nus: exact scalars, or the chart variables for d_i itself."""
+def pair_factors(k, i, nus):
+    """The two factors in which d_i and d-hat_i differ, with
+    pair = 2k+1-i: (nu_i - q^-4 nu_pair)/(nu_i - nu_pair) and
+    r_pair = (nu_i - q^-2 nu_pair)/(nu_i - nu_pair), at the spectral values
+    nus (exact scalars, or the chart variables)."""
     if not 1 <= i <= 2 * k:
         raise ValueError(f"d_{i} outside 1..{2 * k}")
-    x, pair = nus[i], 2 * k + 1 - i
-    out = None if hat else ((x - nus[pair] * QScalar.q_power(-4))
-                            / (x - nus[pair]))
+    x, y = nus[i], nus[2 * k + 1 - i]
+    gap = x - y
+    return ((x - y * QScalar.q_power(-4)) / gap,
+            (x - y * QScalar.q_power(-2)) / gap)
+
+
+def d_value(k, i, nus):
+    """(d_i, d-hat_i) at the spectral values nus (exact scalars, or the
+    chart variables): one shared product P_i of the r_j =
+    (nu_i - q^-2 nu_j)/(nu_i - nu_j) over j not in {i, 2k+1-i}, times
+    each of the `pair_factors`."""
+    f, r = pair_factors(k, i, nus)
+    x, shared = nus[i], None
     for j in range(1, 2 * k + 1):
-        if j == i or (j == pair and not hat):
+        if j in (i, 2 * k + 1 - i):
             continue
         ratio = (x - nus[j] * QScalar.q_power(-2)) / (x - nus[j])
-        out = ratio if out is None else out * ratio
-    return out
-
-
-def d_coefficient(k, i, hat=False):
-    """The rational d_i (or the unpaired variant with hat=True)."""
-    return d_value(k, i, _variables(k), hat=hat)
-
-
-def powersum_param(k, n):
-    """Rational image of the n-th power sum: q^{n-1} sum_i d_i nu_i^n."""
-    acc = SpectralFunction.constant(k, ZERO)
-    nu = _variables(k)
-    for i in range(1, 2 * k + 1):
-        term = d_coefficient(k, i)
-        for _ in range(n):
-            term = term * nu[i]
-        acc = acc + term
-    return acc.scale(QScalar.q_power(n - 1))
+        shared = ratio if shared is None else shared * ratio
+    if shared is None:  # k = 1: the empty product
+        return f, r
+    return shared * f, shared * r
 
 
 def w_function(k, which, z):
@@ -409,7 +407,7 @@ def _point_data(k, chart, n):
     nus = spectral_values(k, chart)
     a_vals = _sym_dp(_extended(nus), n, homogeneous=False, one=ONE)
     s_vals = _sym_dp(nus[1:], n, homogeneous=True, one=ONE)
-    d_vals = [None] + [d_value(k, i, nus) for i in range(1, 2 * k + 1)]
+    d_vals = [None] + [d_value(k, i, nus)[0] for i in range(1, 2 * k + 1)]
     p_vals = [QINV * sum(d_vals[1:], ZERO)]
     for m in range(1, n + 1):
         acc = ZERO
@@ -529,8 +527,7 @@ def _init_residuals(k, nus, init1, init2):
     constant functions): q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2
     and sum nu_i (d_i - d-hat_i)."""
     idx = range(1, 2 * k + 1)
-    d = [d_value(k, i, nus) for i in idx]
-    dh = [d_value(k, i, nus, hat=True) for i in idx]
+    d, dh = zip(*(d_value(k, i, nus) for i in idx))
     w = [nus[i] * (d[i - 1] - dh[i - 1]) for i in idx]
     return (sum(dh[1:], dh[0]) * QINV - init1,
             sum(d[1:], d[0]) * QINV - init2,
@@ -540,25 +537,29 @@ def _init_residuals(k, nus, init1, init2):
 def parameterization_checks(k, seed=0):
     """The d-ratio relation, the three initial conditions, and the
     w-function evaluations; the initial conditions symbolically at k = 1,
-    at sampled chart points above."""
+    at sampled chart points above.  The d-ratio relation d_i =
+    (nu_i^2 - q^-4 nu_0^2)/(nu_i^2 - q^-2 nu_0^2) d-hat_i is checked
+    symbolically on the two `pair_factors` alone: d_i and d-hat_i are one
+    nonzero rational function, the shared product P_i, times each of them
+    (`d_value`), and cancelling P_i is an equivalence in a field."""
     out = {"k": k}
     mu = mu_of(k)
     one = SpectralFunction.constant(k, ONE)
-    nu0 = SpectralFunction.variable(k, 0)
+    nus = _variables(k)
+    nu0 = nus[0]
     # w_1(+-q^{-1} nu_0) = q^{-2k} and w_2(0) = -q^{2-4k}, symbolically.
     for sgn, tag in ((ONE, "w1+"), (-ONE, "w1-")):
         val = w_function(k, 1, nu0.scale(sgn * QINV))
         out[tag] = val == one.scale(QScalar.q_power(-2 * k))
     out["w2-zero"] = (w_function(k, 2, SpectralFunction.constant(k, ZERO))
                       == one.scale(-QScalar.q_power(2 - 4 * k)))
-    # d_i = (nu_i^2 - q^-4 nu_0^2)/(nu_i^2 - q^-2 nu_0^2) * d-hat_i,
-    # symbolically by cross-multiplication.
     ok = True
     for i in range(1, 2 * k + 1):
-        nui = SpectralFunction.variable(k, i)
+        nui = nus[i]
         ratio = ((nui * nui - (nu0 * nu0).scale(QScalar.q_power(-4)))
                  / (nui * nui - (nu0 * nu0).scale(QScalar.q_power(-2))))
-        ok = ok and d_coefficient(k, i) == ratio * d_coefficient(k, i, hat=True)
+        f, r = pair_factors(k, i, nus)
+        ok = ok and f == ratio * r
     out["d-ratio"] = ok
     # Initial-condition targets, all in the symmetric q-integer convention.
     init1 = (ONE - mu * mu * QScalar.q_power(2)) / LAMBDA
@@ -573,8 +574,7 @@ def parameterization_checks(k, seed=0):
                           ).is_zero()
     if k == 1:
         charts = None
-        residuals = [_init_residuals(k, _variables(k), one * init1,
-                                     one * init2)]
+        residuals = [_init_residuals(k, nus, one * init1, one * init2)]
     else:
         charts = _charts(k, 2, seed)
         residuals = [_init_residuals(k, spectral_values(k, chart), init1,

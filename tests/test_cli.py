@@ -384,6 +384,29 @@ PINNED_REPORTS = {
          "status": "probable-pass",
          "witness": "points:19"},
     ],
+    # the spectral suite of the exact-spectral-classical workload
+    ("spectral", "--k", "3", "--max-n", "6", "--seed", "1"): [
+        {"check": "spectral.factor",
+         "parameters": {"k": 3, "max_n": 6, "seed": 1},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.images",
+         "parameters": {"k": 3, "max_n": 6, "seed": 1},
+         "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.newton",
+         "failure_bound": 2.09506507118867e-120,
+         "parameters": {"k": 3, "max_n": 6, "seed": 1},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:27+27+21"},
+        {"check": "spectral.param",
+         "failure_bound": 1.6749952991002524e-88,
+         "parameters": {"k": 3, "max_n": 6, "seed": 1},
+         "residual": "0",
+         "status": "probable-pass",
+         "witness": "points:19"},
+    ],
     ("rmatrix", "--k", "3", "--checks", "height", "--seed", "5"): [
         {"check": "rmatrix.height",
          "failure_bound": 1.7732685050456947e-23,

@@ -210,16 +210,62 @@ def test_sample_chart_distinct_and_deterministic():
         assert len(set(strs)) == 2 * k
 
 
+# Oracles for the d_i: each of d_i and d-hat_i formed as its own product
+# of 2k - 1 factors, independent of sp.d_value and sp.pair_factors.
+
+def d_coefficient(k, i, hat=False):
+    """The rational d_i, or d-hat_i with hat=True, on the chart variables."""
+    nus = [var(k, j) for j in range(2 * k + 1)]
+    x, pair = nus[i], 2 * k + 1 - i
+    out = sp.SpectralFunction.constant(k, ONE)
+    for j in range(1, 2 * k + 1):
+        if j != i:
+            e = -4 if j == pair and not hat else -2
+            out = out * ((x - nus[j].scale(qp(e))) / (x - nus[j]))
+    return out
+
+
+def powersum_param(k, n):
+    """Rational image of the n-th power sum: q^{n-1} sum_i d_i nu_i^n."""
+    acc = sp.SpectralFunction.constant(k, ZERO)
+    for i in range(1, 2 * k + 1):
+        acc = acc + d_coefficient(k, i) * var(k, i, n)
+    return acc.scale(qp(n - 1))
+
+
+def d_ratio(k, i, e=-4):
+    """(nu_i^2 - q^e nu_0^2)/(nu_i^2 - q^-2 nu_0^2): the d-ratio at e = -4."""
+    nui2, nu02 = var(k, i, 2), var(k, 0, 2)
+    return (nui2 - nu02.scale(qp(e))) / (nui2 - nu02.scale(qp(-2)))
+
+
 def test_d_value_matches_d_coefficient():
     rng = random.Random(11)
-    for k in (1, 2):
+    for k in (1, 2, 3):
         chart = sp.sample_chart(k, rng)
         nus = sp.spectral_values(k, chart)
+        symbols = sp._variables(k)
         for i in range(1, 2 * k + 1):
-            for hat in (False, True):
-                sym = sp.d_coefficient(k, i, hat=hat).evaluate(chart)
-                val = sp.d_value(k, i, nus, hat=hat)
-                assert (sym - val).is_zero()
+            d, d_hat = sp.d_value(k, i, nus)
+            d_sym, d_hat_sym = sp.d_value(k, i, symbols)
+            for hat, val, sym in ((False, d, d_sym), (True, d_hat, d_hat_sym)):
+                oracle = d_coefficient(k, i, hat=hat)
+                assert sym == oracle
+                assert (oracle.evaluate(chart) - val).is_zero()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_d_ratio_on_pair_factors_matches_cross_multiplied(k):
+    # the one-factor check agrees with the cross-multiplied d_i and
+    # ratio * d-hat_i, for the true ratio and for a wrong one (q^-3)
+    symbols = sp._variables(k)
+    for i in range(1, 2 * k + 1):
+        f, r = sp.pair_factors(k, i, symbols)
+        for e, holds in ((-4, True), (-3, False)):
+            ratio = d_ratio(k, i, e)
+            crossed = d_coefficient(k, i) == ratio * d_coefficient(k, i, hat=True)
+            assert crossed is holds
+            assert (f == ratio * r) is holds
 
 
 def test_powersum_param_matches_point_values():
@@ -228,7 +274,7 @@ def test_powersum_param_matches_point_values():
         chart = sp.sample_chart(k, rng)
         data = sp._point_data(k, chart, 3)
         for n in (1, 2, 3):
-            pr = sp.powersum_param(k, n)
+            pr = powersum_param(k, n)
             assert (pr.evaluate(chart) - data["p"][n]).is_zero()
 
 
@@ -280,14 +326,45 @@ def test_parameterization(k):
         assert r[key], (key, r)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_parameterization_names_a_wrong_pair_factor(monkeypatch, k):
+    # q^-3 for q^-4 in the first pair factor: d_i changes, d-hat_i does not
+    pair_factors = sp.pair_factors
+
+    def wrong(k, i, nus):
+        x, y = nus[i], nus[2 * k + 1 - i]
+        return (x - y * qp(-3)) / (x - y), pair_factors(k, i, nus)[1]
+
+    monkeypatch.setattr(sp, "pair_factors", wrong)
+    r = sp.parameterization_checks(k, seed=5)
+    assert not r["d-ratio"] and not r["ok"], r
+    assert r["w1+"] and r["w1-"] and r["w2-zero"], r
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_parameterization_names_a_wrong_init_target(monkeypatch, k):
+    # init-1's target reads mu, init-2's reads [2k+1]_q
+    mu_of, q_int = sp.mu_of, sp.q_int
+    monkeypatch.setattr(sp, "mu_of", lambda k: mu_of(k) * qp(2))
+    r = sp.parameterization_checks(k, seed=5)
+    assert not r["init-1"] and r["init-2"] and r["init-3"], r
+    assert r["d-ratio"] and not r["ok"], r
+    monkeypatch.setattr(sp, "mu_of", mu_of)
+    monkeypatch.setattr(
+        sp, "q_int", lambda n: q_int(n) + ONE if n == 2 * k + 1 else q_int(n))
+    r = sp.parameterization_checks(k, seed=5)
+    assert r["init-1"] and not r["init-2"] and r["init-3"], r
+    assert r["d-ratio"] and not r["ok"], r
+
+
 def test_init3_symbolic_k1():
     # sum nu_i (d_i - d-hat_i) = 0 under the pair substitution
     k = 1
     total = sp.SpectralFunction.constant(k, ZERO)
     for i in range(1, 2 * k + 1):
         nui = sp.SpectralFunction.variable(k, i)
-        total = total + nui * (sp.d_coefficient(k, i)
-                               - sp.d_coefficient(k, i, hat=True))
+        total = total + nui * (d_coefficient(k, i)
+                               - d_coefficient(k, i, hat=True))
     assert total.is_zero()
 
 
