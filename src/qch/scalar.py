@@ -232,8 +232,10 @@ class QScalar:
             self.num = num
             self.den = den
             return
-        num = {e: c for e, c in num.items() if c}
-        den = {e: c for e, c in den.items() if c}
+        if 0 in num.values():  # else kept: callers pass new dicts
+            num = {e: c for e, c in num.items() if c}
+        if 0 in den.values():
+            den = {e: c for e, c in den.items() if c}
         if not den:
             raise ScalarError("zero denominator")
         if not num:

@@ -9,16 +9,30 @@ polynomials), holds the characteristic images and the rational
 coefficients alike, with the relations built in.  Characteristic
 elements map to symmetric functions of the nu's; power sums acquire
 rational coefficients d_i, which share a product with their unpaired
-variants d-hat_i (`d_value`).  Rational identities are certified by exact
-evaluation at admissible integer points, symbolically where cheap.
+variants d-hat_i (`pair_factors`).  Rational identities are certified
+symbolically where cheap, and otherwise at sampled integer chart points
+over Z[q, q^-1] (dicts {exponent: int}).  With lam = nu_1...nu_k, each
+nu'_j = lam nu_j is an integer, and each relation is homogeneous of degree
+m (newton-a, newton-s, mod-n, mod-w, closure, polynomiality), 0 (init-1,
+init-2) or 1 (init-3): its residual at nu' is lam^deg times that at nu.
+At nu', d_i = N_i / E_i, N_i in Z[q^-2], E_i = prod_{j != i} (nu'_i -
+nu'_j), and each relation is affine in p, d and d-hat with Laurent
+coefficients, so with E = lcm E_i, E times a residual is in Z[q, q^-1].
+lam and E are nonzero at an admissible point (`sample_chart`), so the
+verdicts are those of evaluation in Q(q) at the same points; a nonzero
+residual is divided back by E lam^deg for its report.
 """
 from __future__ import annotations
 
+import math
 import operator
 import random
+from fractions import Fraction
+from functools import reduce
 
 from .domains import QQ
-from .scalar import LAMBDA, ONE, Q, QINV, QScalar, ZERO, q_int
+from .scalar import (LAMBDA, ONE, Q, QINV, QScalar, ZERO, lp_add, lp_mul,
+                     lp_neg, q_int)
 from .sparse import add_into, product
 
 # Chart points are drawn uniformly from [2, CHART_RANGE); a nonzero rational
@@ -53,18 +67,6 @@ def _pscale(a, c):
     if c.is_zero():
         return {}
     return {e: c * v for e, v in a.items()}
-
-
-def _peval(a, vals):
-    """Value of a at vals[0..] (exact scalars)."""
-    acc = ZERO
-    for e, c in a.items():
-        t = c
-        for i, p in enumerate(e):
-            if p:
-                t = t * vals[i] ** p
-        acc = acc + t
-    return acc
 
 
 class SpectralFunction:
@@ -142,11 +144,6 @@ class SpectralFunction:
         # cross-multiplied, without the product of the denominators
         return _pmul(self.num, other.den) == _pmul(other.num, self.den)
 
-    def evaluate(self, chart_vals):
-        """Value at the chart values nu_0 .. nu_k (exact scalars; values
-        past nu_k are not read)."""
-        return _peval(self.num, chart_vals) / _peval(self.den, chart_vals)
-
     def __repr__(self):
         return (f"SpectralFunction(k={self.k}, {len(self.num)}/"
                 f"{len(self.den)} terms)")
@@ -156,8 +153,8 @@ class SpectralFunction:
 
 def _sym_dp(args, n, homogeneous, one):
     """e_0..e_n (or, with homogeneous=True, h_0..h_n) of the arguments:
-    spectral functions, or exact values with one = ONE."""
-    rows = [one] + [one * ZERO] * n
+    spectral functions, or integers with one = 1."""
+    rows = [one] + [one - one] * n
     for arg in args:
         if homogeneous:
             for i in range(1, n + 1):
@@ -233,37 +230,31 @@ def pi_hom(k, symbol, i=1):
     raise ValueError(f"unknown symbol {symbol!r}")
 
 
-def _newton_a(m, a, p, g, mu):
-    """The first Newton relation at degree m as (lhs, c); it reads
-    lhs = c a_m with c = (-1)^(m-1) [m]_q and lhs the sum of
-    (-q)^i a_i p_(m-i) over i < m and of
-    (-1)^(m-1) (mu q^(m-2i) - q^(1-m+2i)) a_(m-2i) g^i over 0 < i <= m/2.
-    a, p and g are spectral functions or their values at a point.
-    """
+def _newton_a_coefficients(m, mu):
+    """(coeffs, c) of the first Newton relation at degree m, lhs = c a_m:
+    lhs = sum_(i<m) (-q)^i a_i p_(m-i) + sum_(0<i<=m/2) coeffs[i-1]
+    a_(m-2i) g^i, coeffs[i-1] = (-1)^(m-1) (mu q^(m-2i) - q^(1-m+2i))."""
     sign = ONE if m % 2 else -ONE
-    # (-q)^i goes in before p_(m-i): over exact values the other order
-    # canonicalizes a large product twice
-    terms = [a[i] * (-Q) ** i * p[m - i] for i in range(m)]
-    gp = g
-    for i in range(1, m // 2 + 1):
-        c = mu * QScalar.q_power(m - 2 * i) - QScalar.q_power(1 - m + 2 * i)
-        terms.append(a[m - 2 * i] * (sign * c) * gp)
-        gp = gp * g
-    return sum(terms[1:], terms[0]), sign * q_int(m)
+    return ([sign * (mu * QScalar.q_power(m - 2 * i)
+                     - QScalar.q_power(1 - m + 2 * i))
+             for i in range(1, m // 2 + 1)], sign * q_int(m))
 
 
 def _newton_powersums(k, n):
-    """p_1..p_n images solved from the first Newton relation for the
-    a-series (p_0 is a zero placeholder)."""
+    """p_1..p_n images solved from the first Newton relation, whose lhs
+    holds p_m only as a_0 p_m = p_m (p_0 is a zero placeholder)."""
     a = _sym_dp(_extended(_variables(k)), n, homogeneous=False,
                 one=SpectralFunction.constant(k, ONE))
     g, mu = pi_hom(k, "g"), mu_of(k)
     p = [SpectralFunction.constant(k, ZERO)]
     for m in range(1, n + 1):
-        # p_m enters lhs as a_0 p_m: solve with it at zero
-        p.append(SpectralFunction.constant(k, ZERO))
-        lhs, c = _newton_a(m, a, p, g, mu)
-        p[m] = a[m] * c - lhs
+        coeffs, c = _newton_a_coefficients(m, mu)
+        terms = [a[i] * (-Q) ** i * p[m - i] for i in range(1, m)]
+        gp = g
+        for i, ci in enumerate(coeffs, 1):
+            terms.append(a[m - 2 * i] * ci * gp)
+            gp = gp * g
+        p.append(a[m] * c - sum(terms, p[0]))
     return p
 
 
@@ -314,31 +305,15 @@ def factor_check(k):
 def pair_factors(k, i, nus):
     """The two factors in which d_i and d-hat_i differ, with
     pair = 2k+1-i: (nu_i - q^-4 nu_pair)/(nu_i - nu_pair) and
-    r_pair = (nu_i - q^-2 nu_pair)/(nu_i - nu_pair), at the spectral values
-    nus (exact scalars, or the chart variables)."""
+    r_pair = (nu_i - q^-2 nu_pair)/(nu_i - nu_pair), at the spectral
+    variables nus; d_i and d-hat_i are each of them times one product of
+    r_j's, empty at k = 1 (`_cleared_d`)."""
     if not 1 <= i <= 2 * k:
         raise ValueError(f"d_{i} outside 1..{2 * k}")
     x, y = nus[i], nus[2 * k + 1 - i]
     gap = x - y
     return ((x - y * QScalar.q_power(-4)) / gap,
             (x - y * QScalar.q_power(-2)) / gap)
-
-
-def d_value(k, i, nus):
-    """(d_i, d-hat_i) at the spectral values nus (exact scalars, or the
-    chart variables): one shared product P_i of the r_j =
-    (nu_i - q^-2 nu_j)/(nu_i - nu_j) over j not in {i, 2k+1-i}, times
-    each of the `pair_factors`."""
-    f, r = pair_factors(k, i, nus)
-    x, shared = nus[i], None
-    for j in range(1, 2 * k + 1):
-        if j in (i, 2 * k + 1 - i):
-            continue
-        ratio = (x - nus[j] * QScalar.q_power(-2)) / (x - nus[j])
-        shared = ratio if shared is None else shared * ratio
-    if shared is None:  # k = 1: the empty product
-        return f, r
-    return shared * f, shared * r
 
 
 def w_function(k, which, z):
@@ -360,26 +335,23 @@ def w_function(k, which, z):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation points on the chart.
+# Evaluation points on the chart, in integer arithmetic (module docstring).
+
+def _scaled(k, chart):
+    """(lam, nus) at integer chart values nu_0..nu_k: lam = nu_1...nu_k
+    and the integers nus[j] = lam nu_j, j = 0..2k."""
+    lam = math.prod(chart[1:])
+    return lam, ([lam * v for v in chart] + [chart[0] ** 2 * (lam // chart[j])
+                                             for j in range(k, 0, -1)])
+
 
 def sample_chart(k, rng):
-    """Admissible chart values: nu_0..nu_k integers giving 2k pairwise
+    """Admissible chart values: integers nu_0..nu_k giving 2k pairwise
     distinct spectral values (resampled on collision)."""
     while True:
-        vals = rng.sample(range(2, CHART_RANGE), k + 1)
-        chart = [QScalar.from_int(v) for v in vals]
-        keys = [str(v) for v in spectral_values(k, chart)[1:]]
-        if len(set(keys)) == len(keys):
+        chart = rng.sample(range(2, CHART_RANGE), k + 1)
+        if len(set(_scaled(k, chart)[1][1:])) == 2 * k:
             return chart
-
-
-def spectral_values(k, chart):
-    """All values nu_0..nu_2k from chart values nu_0..nu_k."""
-    nus = list(chart) + [ZERO] * k
-    sq = chart[0] * chart[0]
-    for j in range(1, k + 1):
-        nus[2 * k + 1 - j] = sq / chart[j]
-    return nus
 
 
 def _chart_count(k, n):
@@ -402,20 +374,46 @@ def _bound(charts, degree):
     return float((degree / CHART_RANGE) ** len(charts))
 
 
+def _laurent(c):
+    """The QScalar c, a Laurent polynomial in q over Z, as a dict."""
+    (f, d), = c.den.items()
+    if d != 1:
+        raise ValueError(f"{c} is not a Laurent polynomial over Z")
+    return {e - f: v for e, v in c.num.items()}
+
+
+def _sum(terms, start):
+    return reduce(lp_add, terms, start)
+
+
+def _cleared_d(k, nus):
+    """(E, shared, pairs) at the scaled values nus: E d_i and E d-hat_i are
+    shared[i-1] times each of pairs[i-1], the `pair_factors`' numerators."""
+    shared, pairs, dens = [], [], []
+    for i in range(1, 2 * k + 1):
+        x, y = nus[i], nus[2 * k + 1 - i]
+        prod, den = {0: 1}, x - y
+        for z in nus[1:]:
+            if z != x and z != y:
+                prod, den = lp_mul(prod, {0: x, -2: -z}), den * (x - z)
+        shared.append(prod)
+        pairs.append(({0: x, -4: -y}, {0: x, -2: -y}))
+        dens.append(den)
+    e = math.lcm(*dens)
+    return e, [lp_mul(a, {0: e // den}) for a, den in zip(shared, dens)], pairs
+
+
 def _point_data(k, chart, n):
-    """Values of a_i, s_i, p_i, g (and the d_i) at one chart point."""
-    nus = spectral_values(k, chart)
-    a_vals = _sym_dp(_extended(nus), n, homogeneous=False, one=ONE)
-    s_vals = _sym_dp(nus[1:], n, homogeneous=True, one=ONE)
-    d_vals = [None] + [d_value(k, i, nus)[0] for i in range(1, 2 * k + 1)]
-    p_vals = [QINV * sum(d_vals[1:], ZERO)]
-    for m in range(1, n + 1):
-        acc = ZERO
-        for i in range(1, 2 * k + 1):
-            acc = acc + d_vals[i] * nus[i] ** m
-        p_vals.append(QScalar.q_power(m - 1) * acc)
-    return {"nus": nus, "a": a_vals, "s": s_vals, "p": p_vals,
-            "g": nus[0] * nus[0], "d": d_vals}
+    """Scaled values nus, lam, E, and at nus the integers a_i, s_i, g and
+    the cleared power sums E p_i = q^(i-1) sum E d_j nu_j^i, i = 0..n."""
+    lam, nus = _scaled(k, chart)
+    e, shared, pairs = _cleared_d(k, nus)
+    d = [lp_mul(a, f) for a, (f, _) in zip(shared, pairs)]
+    p = [_sum([lp_mul(di, {m - 1: x ** m}) for x, di in zip(nus[1:], d)], {})
+         for m in range(n + 1)]
+    return {"nus": nus, "lam": lam, "E": e, "g": nus[0] * nus[0], "p": p,
+            "a": _sym_dp(_extended(nus), n, homogeneous=False, one=1),
+            "s": _sym_dp(nus[1:], n, homogeneous=True, one=1)}
 
 
 def chart_data(k, n, seed=0):
@@ -425,84 +423,117 @@ def chart_data(k, n, seed=0):
     return [_point_data(k, chart, n) for chart in _charts(k, n, seed)]
 
 
+def _coefficients(k, n):
+    """The relations' Laurent coefficients: p'_0 and, per degree m <= n,
+    newton-a's, newton-s's g-terms' (mu q^(2i-m) + q^(m-2i-1)) and [m]_q."""
+    mu, out = mu_of(k), []
+    for m in range(n + 1):
+        coeffs, c = _newton_a_coefficients(m, mu)
+        out.append(([_laurent(ci) for ci in coeffs], _laurent(c),
+                    [_laurent(mu * QScalar.q_power(2 * i - m)
+                              + QScalar.q_power(m - 2 * i - 1))
+                     for i in range(1, m // 2 + 1)], _laurent(q_int(m))))
+    return _laurent((ONE - mu * mu * QScalar.q_power(2)) / LAMBDA), out
+
+
+def _s_sum(pt, x, m, qm):
+    """E lam^m (sum of q^-i s_i x_(m-i) over i < m, minus [m]_q s_m)."""
+    return _sum([lp_mul({-i: pt["s"][i]}, x[m - i]) for i in range(m)],
+                lp_mul(qm, {0: -pt["E"] * pt["s"][m]}))
+
+
+def _newton_a_cleared(m, pt, consts):
+    """E lam^m (lhs - c a_m) (`_newton_a_coefficients`) at pt."""
+    a, g, e = pt["a"], pt["g"], pt["E"]
+    coeffs, c = consts[1][m][:2]
+    return _sum([lp_mul({i: (-1) ** i * a[i]}, pt["p"][m - i])
+                 for i in range(m)]
+                + [lp_mul(ci, {0: a[m - 2 * i] * e * g ** i})
+                   for i, ci in enumerate(coeffs, 1)],
+                lp_mul(c, {0: -e * a[m]}))
+
+
+def _newton_residuals(pt, n, consts):
+    """(relation, m, E lam^m times its residual) of newton-a and newton-s,
+    m = 1..n, at the point pt of `chart_data`, in check order."""
+    s, g, e = pt["s"], pt["g"], pt["E"]
+    for m in range(1, n + 1):
+        yield "newton-a", m, _newton_a_cleared(m, pt, consts)
+        coeffs, qm = consts[1][m][2:]
+        yield "newton-s", m, _sum(
+            [lp_mul(ci, {0: -s[m - 2 * i] * e * g ** i})
+             for i, ci in enumerate(coeffs, 1)], _s_sum(pt, pt["p"], m, qm))
+
+
+def _wronski_residuals(pt, n, consts):
+    """As `_newton_residuals`, for mod-n (m = 1..n) and mod-w (m = 0..n):
+    p'_i = p_i + (q^-2 p'_(i-2) - p_(i-2)) g, s'_i = s_i + s'_(i-2) g."""
+    a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
+    pp, sp = [lp_mul(consts[0], {0: pt["E"]})] + p[1:2], s[:2]
+    for i in range(2, n + 1):
+        pp.append(_sum([lp_mul(pp[i - 2], {-2: g}),
+                        lp_mul(p[i - 2], {0: -g})], p[i]))
+        sp.append(s[i] + sp[i - 2] * g)
+    for m in range(1, n + 1):
+        yield "mod-n", m, _s_sum(pt, pp, m, consts[1][m][3])
+    for m in range(n + 1):
+        lhs = sum((-1) ** i * a[i] * sp[m - i] for i in range(m + 1))
+        yield "mod-w", m, {0: pt["E"] * (lhs - (m == 0))}
+
+
+def _first_failure(k, n, data, residuals, consts):
+    """The first nonzero relation of `residuals` in degree <= n at the
+    points of `chart_data` (degree >= n), or the pass with its bound."""
+    pts = data[:_chart_count(k, n)]
+    for pt in pts:
+        for relation, m, res in residuals(pt, n, consts):
+            if any(res.values()):
+                return {"ok": False, "relation": relation, "n": m, "residual":
+                        str(QScalar(res, {0: pt["E"] * pt["lam"] ** m}))}
+    return {"ok": True, "n": n, "points": len(pts),
+            "bound": _bound(pts, 8 * k + 2 * n)}
+
+
 def newton_check(k, n, data):
     """Certify the two Newton relations at degrees 1..n with rational
     power-sum images, by exact evaluation at the points of `chart_data`
     (degree >= n)."""
-    mu = mu_of(k)
-    pts = data[:_chart_count(k, n)]
-    for pt in pts:
-        a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
-        for m in range(1, n + 1):
-            lhs_a, c = _newton_a(m, a, p, g, mu)
-            lhs_s = ZERO
-            for i in range(m):
-                lhs_s = lhs_s + QScalar.q_power(-i) * s[i] * p[m - i]
-            rhs_s = q_int(m) * s[m]
-            gp = g
-            for i in range(1, m // 2 + 1):
-                rhs_s = rhs_s + (mu * QScalar.q_power(2 * i - m)
-                                 + QScalar.q_power(m - 2 * i - 1)) \
-                    * s[m - 2 * i] * gp
-                gp = gp * g
-            for relation, res in (("newton-a", lhs_a - a[m] * c),
-                                  ("newton-s", lhs_s - rhs_s)):
-                if not res.is_zero():
-                    return {"ok": False, "relation": relation, "n": m,
-                            "residual": str(res)}
-    return {"ok": True, "n": n, "points": len(pts),
-            "bound": _bound(pts, 8 * k + 2 * n)}
+    return _first_failure(k, n, data, _newton_residuals, _coefficients(k, n))
 
 
 def wronski_modified(k, n, data):
     """Certify the modified Newton and Wronski relations built from the
     auxiliary s' and p' iterations, by exact evaluation at the points of
     `chart_data` (degree >= n)."""
-    mu = mu_of(k)
-    pts = data[:_chart_count(k, n)]
-    for pt in pts:
-        a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
-        sp = [s[0]] + ([s[1]] if n >= 1 else [])
-        for i in range(2, n + 1):
-            sp.append(s[i] + sp[i - 2] * g)
-        pp = ([(ONE - mu * mu * QScalar.q_power(2)) / LAMBDA]
-              + ([p[1]] if n >= 1 else []))
-        for i in range(2, n + 1):
-            pp.append(p[i] + (QScalar.q_power(-2) * pp[i - 2] - p[i - 2]) * g)
-        for m in range(1, n + 1):
-            lhs = ZERO
-            for i in range(m):
-                lhs = lhs + QScalar.q_power(-i) * s[i] * pp[m - i]
-            if not (lhs - q_int(m) * s[m]).is_zero():
-                return {"ok": False, "relation": "mod-n", "n": m,
-                        "residual": str(lhs - q_int(m) * s[m])}
-        for m in range(n + 1):
-            lhs = ZERO
-            for i in range(m + 1):
-                sgn = ONE if i % 2 == 0 else -ONE
-                lhs = lhs + sgn * a[i] * sp[m - i]
-            target = ONE if m == 0 else ZERO
-            if not (lhs - target).is_zero():
-                return {"ok": False, "relation": "mod-w", "n": m,
-                        "residual": str(lhs - target)}
-    return {"ok": True, "n": n, "points": len(pts),
-            "bound": _bound(pts, 8 * k + 2 * n)}
+    return _first_failure(k, n, data, _wronski_residuals, _coefficients(k, n))
 
 
 def newton_closure(k, data):
     """Solve the first Newton relation for a_n at the points of
     `chart_data` (degree >= k) and match the elementary-symmetric images,
-    n <= k."""
-    mu = mu_of(k)
-    pts = data[:_chart_count(k, k)]
-    for pt in pts:
-        a, p, g = pt["a"], pt["p"], pt["g"]
-        for n in range(1, k + 1):
-            lhs, c = _newton_a(n, a, p, g, mu)
-            if not (lhs / c - a[n]).is_zero():
-                return {"ok": False, "n": n}
-    return {"ok": True, "points": len(pts),
-            "bound": _bound(pts, 8 * k + 2 * k)}
+    n <= k: lhs / c = a_n, that is lhs - c a_n = 0, as c = +-[n]_q."""
+    def closure(pt, n, consts):
+        for m in range(1, n + 1):
+            yield "closure", m, _newton_a_cleared(m, pt, consts)
+    return _first_failure(k, k, data, closure, _coefficients(k, k))
+
+
+def _monomial(nus, x):
+    """The chart monomial x at the scaled values nus, an integer in a
+    polynomial in the nu's: there nu_j^-t comes with (nu_j nu_(2k+1-j))^t."""
+    v = math.prod(Fraction(u) ** t for u, t in zip(nus, x))
+    if v.denominator != 1:
+        raise ValueError(f"{x} is not a polynomial's chart monomial")
+    return v.numerator
+
+
+def _polynomiality_residuals(pt, n, polys):
+    """As `_newton_residuals`, for polys[m] - p_m, m = 1..n, with polys[m]
+    as (chart exponents, Laurent coefficient) terms."""
+    for m in range(1, n + 1):
+        yield "polynomiality", m, _sum(
+            [lp_mul(c, {0: pt["E"] * _monomial(pt["nus"], x)})
+             for x, c in polys[m]], lp_neg(pt["p"][m]))
 
 
 def polynomiality_check(k, n, data):
@@ -510,28 +541,33 @@ def polynomiality_check(k, n, data):
     with the polynomials solved from the Newton recursion, at the points of
     `chart_data` (degree >= min(n, 4)).  The bound takes the degree of
     p_min(n,4), the largest one checked."""
-    top = min(n, 4)
-    pts = data[:_chart_count(k, top)]
-    polys = _newton_powersums(k, top)
-    for pt in pts:
-        for m in range(1, top + 1):
-            if not (polys[m].evaluate(pt["nus"]) - pt["p"][m]).is_zero():
-                return {"ok": False, "n": m}
-    return {"ok": True, "n": top, "points": len(pts),
-            "bound": _bound(pts, 8 * k + 2 * top)}
+    polys = [[(x, _laurent(c)) for x, c in f.num.items()]
+             for f in _newton_powersums(k, min(n, 4))]
+    return _first_failure(k, min(n, 4), data, _polynomiality_residuals, polys)
 
 
-def _init_residuals(k, nus, init1, init2):
-    """Residuals of the three initial conditions at the spectral values
-    nus (exact scalars, or the chart variables with init1 and init2 as
-    constant functions): q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2
-    and sum nu_i (d_i - d-hat_i)."""
-    idx = range(1, 2 * k + 1)
-    d, dh = zip(*(d_value(k, i, nus) for i in idx))
-    w = [nus[i] * (d[i - 1] - dh[i - 1]) for i in idx]
-    return (sum(dh[1:], dh[0]) * QINV - init1,
-            sum(d[1:], d[0]) * QINV - init2,
-            sum(w[1:], w[0]))
+def _init_residuals_k1(init1, init2):
+    """The initial conditions at k = 1, where (d_i, d-hat_i) are the
+    `pair_factors`: q^-1 sum d-hat_i - init1, q^-1 sum d_i - init2 and
+    sum nu_i (d_i - d-hat_i), with init1 and init2 constant functions."""
+    nus = _variables(1)
+    (d1, dh1), (d2, dh2) = (pair_factors(1, i, nus) for i in (1, 2))
+    return ((dh1 + dh2) * QINV - init1, (d1 + d2) * QINV - init2,
+            nus[1] * (d1 - dh1) + nus[2] * (d2 - dh2))
+
+
+def _init_cleared(k, chart, init1, init2):
+    """The initial conditions (`_init_residuals_k1`) at an integer chart
+    point, times E (init-1, init-2) and E lam (init-3)."""
+    nus = _scaled(k, chart)[1]
+    e, shared, pairs = _cleared_d(k, nus)
+    init1, init2 = _laurent(init1), _laurent(init2)
+    d = [lp_mul(a, f) for a, (f, _) in zip(shared, pairs)]
+    dh = [lp_mul(a, r) for a, (_, r) in zip(shared, pairs)]
+    return (_sum([lp_mul(x, {-1: 1}) for x in dh], lp_mul(init1, {0: -e})),
+            _sum([lp_mul(x, {-1: 1}) for x in d], lp_mul(init2, {0: -e})),
+            _sum([lp_mul(lp_add(x, lp_neg(y)), {0: v})
+                  for v, x, y in zip(nus[1:], d, dh)], {}))
 
 
 def parameterization_checks(k, seed=0):
@@ -540,8 +576,8 @@ def parameterization_checks(k, seed=0):
     at sampled chart points above.  The d-ratio relation d_i =
     (nu_i^2 - q^-4 nu_0^2)/(nu_i^2 - q^-2 nu_0^2) d-hat_i is checked
     symbolically on the two `pair_factors` alone: d_i and d-hat_i are one
-    nonzero rational function, the shared product P_i, times each of them
-    (`d_value`), and cancelling P_i is an equivalence in a field."""
+    nonzero rational function, the shared product P_i, times each of them,
+    and cancelling P_i is an equivalence in a field."""
     out = {"k": k}
     mu = mu_of(k)
     one = SpectralFunction.constant(k, ONE)
@@ -574,13 +610,15 @@ def parameterization_checks(k, seed=0):
                           ).is_zero()
     if k == 1:
         charts = None
-        residuals = [_init_residuals(k, nus, one * init1, one * init2)]
+        vanish = [[r.is_zero()
+                   for r in _init_residuals_k1(one * init1, one * init2)]]
     else:
         charts = _charts(k, 2, seed)
-        residuals = [_init_residuals(k, spectral_values(k, chart), init1,
-                                     init2) for chart in charts]
-    for tag, values in zip(("init-1", "init-2", "init-3"), zip(*residuals)):
-        out[tag] = all(r.is_zero() for r in values)
+        vanish = [[not any(r.values())
+                   for r in _init_cleared(k, chart, init1, init2)]
+                  for chart in charts]
+    for tag, values in zip(("init-1", "init-2", "init-3"), zip(*vanish)):
+        out[tag] = all(values)
     out["ok"] = all(v for key, v in out.items() if key != "k")
     if charts:
         out["points"] = len(charts)

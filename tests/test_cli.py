@@ -451,3 +451,30 @@ def test_reports_pinned(capsys, argv):
     for r in reports:
         del r["elapsed"]
     assert reports == PINNED_REPORTS[argv]
+
+
+def test_failing_spectral_report_pinned(capsys, monkeypatch):
+    # a flipped mu: newton-a fails at n = 2 on the first chart, and the
+    # report carries that residual; recorded before the chart relations
+    # moved to integer Laurent arithmetic, which must print it unchanged
+    from qch import spectral
+    mu_of = spectral.mu_of
+    monkeypatch.setattr(spectral, "mu_of", lambda k: -mu_of(k))
+    code, reports, _ = run_json(capsys, ["spectral", "--k", "2", "--max-n",
+                                         "2", "--seed", "0", "--json"])
+    assert code == 1
+    for r in reports:
+        del r["elapsed"]
+    params = {"k": 2, "max_n": 2, "seed": 0}
+    assert reports == [
+        {"check": "spectral.factor", "parameters": params, "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.images", "parameters": params, "residual": "0",
+         "status": "pass"},
+        {"check": "spectral.newton", "parameters": params,
+         "residual": "newton-a n=2: -1568015070728 / q^5", "status": "fail"},
+        {"check": "spectral.param", "parameters": params,
+         "residual": "failed: init-2-closed,ok", "status": "fail"},
+        {"check": "spectral.polynomiality", "parameters": params,
+         "residual": "n=2", "status": "fail"},
+    ]

@@ -32,6 +32,21 @@ def test_canonical_form_examples():
     assert c.den[0] > 0
 
 
+@pytest.mark.parametrize("num, den, want", [
+    # zero coefficients passed in are dropped, on either side and on the
+    # single-term and multi-term paths, and a numerator of zeros is zero
+    ({0: 3, 2: 0}, {0: 1}, ("3", {0: 3}, {0: 1})),
+    ({0: 3}, {1: 0, 0: 2}, ("3 / 2", {0: 3}, {0: 2})),
+    ({2: 1, 1: 0, 0: -1}, {1: 1, 3: 0, 0: -1}, ("q + 1", {1: 1, 0: 1},
+                                                {0: 1})),
+    ({4: 0}, {0: 5}, ("0", {}, {0: 1})),
+])
+def test_zero_coefficients_passed_in_are_dropped(num, den, want):
+    a = QScalar(num, den)
+    assert (str(a), a.num, a.den) == want
+    assert 0 not in a.num.values() and 0 not in a.den.values()
+
+
 def test_field_axioms_random():
     rng = random.Random(11)
     for _ in range(120):

@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from qch import spectral as sp
-from qch.scalar import LAMBDA, ONE, QScalar, ZERO, q_int
+from qch.scalar import LAMBDA, ONE, QScalar, ZERO, lp_mul, q_int
 
 
 def qp(e):
@@ -204,14 +204,15 @@ def test_sample_chart_distinct_and_deterministic():
     for k in (1, 2, 3):
         c1 = sp.sample_chart(k, random.Random(42))
         c2 = sp.sample_chart(k, random.Random(42))
-        assert [str(v) for v in c1] == [str(v) for v in c2]
-        nus = sp.spectral_values(k, c1)
+        assert c1 == c2
+        nus = spectral_values(k, c1)
         strs = [str(v) for v in nus[1:]]
         assert len(set(strs)) == 2 * k
 
 
 # Oracles for the d_i: each of d_i and d-hat_i formed as its own product
-# of 2k - 1 factors, independent of sp.d_value and sp.pair_factors.
+# of 2k - 1 factors, independent of sp.pair_factors and sp._cleared_d;
+# on the chart variables, and at exact values.
 
 def d_coefficient(k, i, hat=False):
     """The rational d_i, or d-hat_i with hat=True, on the chart variables."""
@@ -223,6 +224,37 @@ def d_coefficient(k, i, hat=False):
             e = -4 if j == pair and not hat else -2
             out = out * ((x - nus[j].scale(qp(e))) / (x - nus[j]))
     return out
+
+
+def d_at(k, i, nus, hat=False):
+    """d_i, or d-hat_i with hat=True, at the exact spectral values nus."""
+    x, pair, out = nus[i], 2 * k + 1 - i, ONE
+    for j in range(1, 2 * k + 1):
+        if j != i:
+            e = -4 if j == pair and not hat else -2
+            out = out * (x - nus[j] * qp(e)) / (x - nus[j])
+    return out
+
+
+def spectral_values(k, chart):
+    """All values nu_0..nu_2k, as QScalars, at integer chart values."""
+    nus = [QScalar.from_int(v) for v in chart] + [ZERO] * k
+    for j in range(1, k + 1):
+        nus[2 * k + 1 - j] = nus[0] * nus[0] / nus[j]
+    return nus
+
+
+def evaluate(f, chart):
+    """A spectral function at integer chart values, as a QScalar."""
+    def value(poly):
+        acc = ZERO
+        for e, c in poly.items():
+            for v, power in zip(chart, e):
+                if power:
+                    c = c * QScalar.from_int(v) ** power
+            acc = acc + c
+        return acc
+    return value(f.num) / value(f.den)
 
 
 def powersum_param(k, n):
@@ -239,19 +271,25 @@ def d_ratio(k, i, e=-4):
     return (nui2 - nu02.scale(qp(e))) / (nui2 - nu02.scale(qp(-2)))
 
 
-def test_d_value_matches_d_coefficient():
+def test_cleared_d_matches_d_coefficient():
+    # E d_i and E d-hat_i at the scaled point are E times the oracles
     rng = random.Random(11)
     for k in (1, 2, 3):
         chart = sp.sample_chart(k, rng)
-        nus = sp.spectral_values(k, chart)
-        symbols = sp._variables(k)
+        nus = spectral_values(k, chart)
+        e, shared, pairs = sp._cleared_d(k, sp._scaled(k, chart)[1])
         for i in range(1, 2 * k + 1):
-            d, d_hat = sp.d_value(k, i, nus)
-            d_sym, d_hat_sym = sp.d_value(k, i, symbols)
-            for hat, val, sym in ((False, d, d_sym), (True, d_hat, d_hat_sym)):
-                oracle = d_coefficient(k, i, hat=hat)
-                assert sym == oracle
-                assert (oracle.evaluate(chart) - val).is_zero()
+            for hat in (False, True):
+                cleared = QScalar.laurent(lp_mul(shared[i - 1],
+                                                 pairs[i - 1][hat]))
+                value = evaluate(d_coefficient(k, i, hat=hat), chart)
+                assert value == d_at(k, i, nus, hat)
+                assert cleared == value * QScalar.from_int(e)
+    # at k = 1 the shared product is empty: the pair factors are d and
+    # d-hat on the chart variables
+    for i in (1, 2):
+        assert sp.pair_factors(1, i, sp._variables(1)) == (
+            d_coefficient(1, i), d_coefficient(1, i, hat=True))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -272,10 +310,10 @@ def test_powersum_param_matches_point_values():
     rng = random.Random(13)
     for k in (1, 2):
         chart = sp.sample_chart(k, rng)
-        data = sp._point_data(k, chart, 3)
+        pt = sp._point_data(k, chart, 3)
         for n in (1, 2, 3):
             pr = powersum_param(k, n)
-            assert (pr.evaluate(chart) - data["p"][n]).is_zero()
+            assert evaluate(pr, chart) == descaled(pt["p"][n], pt, n)
 
 
 def test_p0_closed_form():
@@ -285,8 +323,8 @@ def test_p0_closed_form():
         closed = (qp(1) - mu) * (qp(-1) + mu) / LAMBDA
         assert (qp(-1 - 2 * k) * (q_int(2 * k + 1) - ONE) - closed).is_zero()
         chart = sp.sample_chart(k, random.Random(5))
-        data = sp._point_data(k, chart, 1)
-        assert (data["p"][0] - closed).is_zero()
+        pt = sp._point_data(k, chart, 1)
+        assert descaled(pt["p"][0], pt, 0) == closed
 
 
 def test_pprime0_closed_form():
@@ -295,6 +333,136 @@ def test_pprime0_closed_form():
         mu = sp.mu_of(k)
         lhs = (ONE - mu * mu * qp(2)) / LAMBDA
         assert (lhs - qp(-2 * k) * q_int(2 * k)).is_zero()
+
+
+# -- the chart relations against a Q(q) oracle -------------------------------
+# The relations as evaluated in Q(q) at the unscaled chart point, with each
+# d_i its own product (`d_at`): the cleared integer residuals of
+# sp._point_data must be E lam^deg times these.
+
+def point_data(k, chart, n):
+    """Values of a_i, s_i, p_i and g at one chart point, in Q(q)."""
+    nus = spectral_values(k, chart)
+    d = [d_at(k, i, nus) for i in range(1, 2 * k + 1)]
+    a = sp._sym_dp([nus[0], -nus[0]] + nus[1:], n, False, ONE)
+    s = sp._sym_dp(nus[1:], n, True, ONE)
+    p = [qp(-1) * sum(d[1:], d[0])]
+    for m in range(1, n + 1):
+        acc = ZERO
+        for i in range(1, 2 * k + 1):
+            acc = acc + d[i - 1] * nus[i] ** m
+        p.append(qp(m - 1) * acc)
+    return {"nus": nus, "a": a, "s": s, "p": p, "g": nus[0] * nus[0]}
+
+
+def oracle_residuals(k, n, pt, mu):
+    """(relation, m, residual) of newton-a, newton-s (m = 1..n), mod-n
+    (m = 1..n) and mod-w (m = 0..n), in the checks' order."""
+    a, s, p, g = pt["a"], pt["s"], pt["p"], pt["g"]
+    out = []
+    for m in range(1, n + 1):
+        sign = ONE if m % 2 else -ONE
+        lhs_a = sum((a[i] * (-qp(1)) ** i * p[m - i] for i in range(m)), ZERO)
+        rhs_s = q_int(m) * s[m]
+        for i in range(1, m // 2 + 1):
+            lhs_a = lhs_a + sign * (mu * qp(m - 2 * i) - qp(1 - m + 2 * i)) \
+                * a[m - 2 * i] * g ** i
+            rhs_s = rhs_s + (mu * qp(2 * i - m) + qp(m - 2 * i - 1)) \
+                * s[m - 2 * i] * g ** i
+        lhs_s = sum((qp(-i) * s[i] * p[m - i] for i in range(m)), ZERO)
+        out += [("newton-a", m, lhs_a - sign * q_int(m) * a[m]),
+                ("newton-s", m, lhs_s - rhs_s)]
+    pp = [(ONE - mu * mu * qp(2)) / LAMBDA, p[1]]
+    sp_ = [s[0], s[1]]
+    for i in range(2, n + 1):
+        pp.append(p[i] + (qp(-2) * pp[i - 2] - p[i - 2]) * g)
+        sp_.append(s[i] + sp_[i - 2] * g)
+    for m in range(1, n + 1):
+        lhs = sum((qp(-i) * s[i] * pp[m - i] for i in range(m)), ZERO)
+        out.append(("mod-n", m, lhs - q_int(m) * s[m]))
+    for m in range(n + 1):
+        lhs = sum(((-ONE) ** i * a[i] * sp_[m - i] for i in range(m + 1)),
+                  ZERO)
+        out.append(("mod-w", m, lhs - (ONE if m == 0 else ZERO)))
+    return out
+
+
+def descaled(res, pt, deg):
+    """A cleared Laurent dict of sp._point_data's point pt, divided back by
+    E lam^deg: its value at the chart point."""
+    return QScalar.laurent(res) / QScalar.from_int(pt["E"] * pt["lam"] ** deg)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("wrong", [False, True], ids=["true", "wrong"])
+def test_cleared_residuals_are_scaled_oracle_residuals(monkeypatch, k, wrong):
+    # wrong: mu flipped, s_2 moved by one (lam^2 at the scaled point) and
+    # the init targets moved, so that residuals are nonzero and their
+    # scale shows
+    mu, n = sp.mu_of(k), 5
+    if wrong:
+        mu = -mu
+        monkeypatch.setattr(sp, "mu_of", lambda k: mu)
+    chart = sp.sample_chart(k, random.Random(30 + k))
+    pt, ref = sp._point_data(k, chart, n), point_data(k, chart, n)
+    e, lam = pt["E"], pt["lam"]
+    if wrong:
+        pt["s"][2] += lam ** 2
+        ref["s"][2] += ONE
+    consts = sp._coefficients(k, n)
+    got = list(sp._newton_residuals(pt, n, consts))
+    got += sp._wronski_residuals(pt, n, consts)
+    want = oracle_residuals(k, n, ref, mu)
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    for (_, m, res), (_, _, value) in zip(got, want):
+        assert QScalar.laurent(res) == value * QScalar.from_int(e * lam ** m)
+    assert any(v for r, _, v in want if r == "mod-w") is wrong
+    # polynomiality: the solved polynomial minus the rational p_m
+    polys = sp._newton_powersums(k, 3)
+    terms = [[(x, sp._laurent(c)) for x, c in f.num.items()] for f in polys]
+    for _, m, res in sp._polynomiality_residuals(pt, 3, terms):
+        value = evaluate(polys[m], chart) - ref["p"][m]
+        assert QScalar.laurent(res) == value * QScalar.from_int(e * lam ** m)
+    # the initial conditions: degrees 0, 0 and 1
+    shift = qp(1) if wrong else ZERO
+    init1 = qp(-2 * k) * q_int(2 * k) + shift
+    init2 = qp(-1 - 2 * k) * (q_int(2 * k + 1) - ONE) - shift
+    nus = ref["nus"]
+    d = [None] + [d_at(k, i, nus) for i in range(1, 2 * k + 1)]
+    dh = [None] + [d_at(k, i, nus, hat=True) for i in range(1, 2 * k + 1)]
+    want = [qp(-1) * sum(dh[1:], ZERO) - init1,
+            qp(-1) * sum(d[1:], ZERO) - init2,
+            sum((nus[i] * (d[i] - dh[i]) for i in range(1, 2 * k + 1)), ZERO)]
+    got = sp._init_cleared(k, chart, init1, init2)
+    for deg, res, value in zip((0, 0, 1), got, want):
+        assert QScalar.laurent(res) == value * QScalar.from_int(e * lam ** deg)
+    assert any(v for v in want[:2]) is wrong and not want[2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chart_checks_name_a_wrong_pair_factor_or_mu(monkeypatch, k):
+    data = sp.chart_data(k, 4, seed=4)
+    with monkeypatch.context() as m:
+        # q^-2 for q^-4 in d_i's pair numerator: d_i becomes d-hat_i
+        cleared = sp._cleared_d
+
+        def same_pair(k, nus):
+            e, shared, pairs = cleared(k, nus)
+            return e, shared, [(r, r) for _, r in pairs]
+        m.setattr(sp, "_cleared_d", same_pair)
+        wrong = sp.chart_data(k, 4, seed=4)
+    assert sp.newton_check(k, 4, wrong)["relation"] == "newton-a"
+    assert sp.wronski_modified(k, 4, wrong)["relation"] == "mod-n"
+    mu_of = sp.mu_of
+    monkeypatch.setattr(sp, "mu_of", lambda k: -mu_of(k))
+    r = sp.newton_check(k, 4, data)
+    assert (r["ok"], r["relation"], r["n"]) == (False, "newton-a", 2)
+    # the modified relations read mu only through mu^2 (p'_0), which a
+    # flipped sign leaves; mu q moves it
+    assert sp.wronski_modified(k, 4, data)["ok"]
+    monkeypatch.setattr(sp, "mu_of", lambda k: mu_of(k) * qp(1))
+    r = sp.wronski_modified(k, 4, data)
+    assert (r["ok"], r["relation"], r["n"]) == (False, "mod-n", 2)
 
 
 # -- identity suites ----------------------------------------------------------
