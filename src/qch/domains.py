@@ -207,13 +207,12 @@ class SpanDomain:
     def from_scalar(self, a):
         if a.is_zero():
             return SPAN_ZERO
-        # x = num / den with den = q^t d0 and d0(0) != 0
-        t = min(a.den)
-        num_lo, num_hi = min(a.num) - t, max(a.num) - t
-        width = max(a.den) - t
+        # x = num / den with den(0) != 0
+        num_lo, num_hi = min(a.num), max(a.num)
+        width = max(a.den)
         if not width:
             return Span(num_lo, num_hi, {}, 0)
-        key = (width, tuple(sorted((e - t, c) for e, c in a.den.items())))
+        key = (width, tuple(sorted(a.den.items())))
         return Span(num_lo, num_hi, {key: 1}, width)
 
     def to_text(self, a):

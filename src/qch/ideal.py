@@ -582,12 +582,3 @@ class QuadraticIdeal:
         return (f"QuadraticIdeal({self.label or 'unnamed'}, dim={self.dim}, "
                 f"{len(self.relations)} relations)")
 
-
-def witness_to_json(witness):
-    """Witness items as JSON-ready lists: [coeff, w1, relation id, w2]
-    with 1-based generator labels, after a union item's entry index."""
-    out = []
-    for *entry, coeff, w1, rid, w2 in witness:
-        enc = lambda w: [[a + 1, b + 1] for a, b in w]
-        out.append([*entry, str(coeff), enc(w1), rid, enc(w2)])
-    return out

@@ -1,39 +1,46 @@
 """Exact arithmetic over Q(q) and modular evaluation points.
 
-A scalar is a fraction of Laurent polynomials in q with integer
-coefficients, kept in a canonical form so that equality is structural:
+A scalar is a fraction N / D with integer coefficients, kept in a
+canonical form so that equality is structural:
 
-  * numerator and denominator are ordinary polynomials (lowest exponent 0
-    on at least one of them, none negative),
-  * their polynomial gcd and common integer content are removed,
-  * the lowest-degree nonzero coefficient of the denominator is positive.
+  * the numerator N is a Laurent polynomial (exponents of either sign),
+  * the denominator D is an ordinary polynomial with a positive constant
+    term,
+  * N and D are coprime, and their joint integer content is 1.
 
-Four shortcuts reach that form without a full polynomial gcd:
+So a value that is a Laurent polynomial over Z has D = 1, and every such
+value holds the one shared denominator `_LDEN`, an immutable {0: 1}; the
+shortcuts test it by identity.  These reach the form without a
+polynomial gcd:
 
-  * A single-term side c*q^e needs none.  After the q-shift at least one
-    side has a nonzero constant term.  If the single term has e > 0, the
-    other side is that one: q does not divide it, so it shares no
-    nonconstant factor with c*q^e.  If e = 0, the single term is a
-    constant.  Either way the gcd is a constant, so one shift, one joint
-    integer content and the sign fix build the canonical dicts directly.
+  * Laurent values (L): L*L is `lp_mul` and L+L is `lp_add`.  L + N/D is
+    (N_L*D + N)/D: gcd(N_L*D + N, D) = gcd(N, D) = 1, and a prime dividing
+    both contents would divide every coefficient of N_L*D, hence cont N,
+    so the joint content is still 1.
+  * A single-term side c*q^e needs none: q^e is a unit of Z[q, q^-1], so
+    the gcd is a constant.  Dividing both sides by the lowest power of q
+    in D, one joint integer content and the sign fix build the dicts.
   * `inv` and `__pow__` start from a canonical form.  Swapping its sides
-    keeps it coprime and content-free, so `inv` needs only the sign fix.
-    num^n and den^n stay coprime, their joint content is 1 by Gauss's
-    lemma, the lowest coefficient of den^n is a power of a positive one and
-    one side still has a constant term, so `__pow__` needs nothing.
+    keeps it coprime and content-free, so after the q-power that gives the
+    new denominator a constant term, `inv` needs only the sign fix.  N^n
+    and D^n stay coprime, their joint content is 1 by Gauss's lemma and
+    D^n has the positive constant term D(0)^n, so `__pow__` needs nothing.
   * A product by exactly 1 or -1 is the other operand or its negation.
-    A canonical single-term m = c*q^e / (d*q^f) (gcd(c, d) = 1, d > 0,
-    min(e, f) = 0) times a canonical N/D: N and D are coprime, so c*q^e*N
-    and d*q^f*D share only a power of q, the shift
-    s = -min(min N + e, min D + f), and the joint content
-    g = gcd(c, cont D) * gcd(d, cont N), as no prime divides both c and d
-    or both cont N and cont D.  Division is multiplication by `inv`.
-  * With several terms on both sides, the gcd comes from GCDHEU (Char,
-    Geddes & Gonnet, JSC 1989): an integer gcd at a large point x,
-    interpolated in balanced base-x digits.  It is accepted only after it
-    divides both sides exactly, which proves it is the gcd, and those
-    quotients are the canonical sides.  After six rejected points the
-    primitive remainder sequence (`_pl_gcd_prs`) decides instead.
+    A canonical single-term m = c*q^e / d (gcd(c, d) = 1, d > 0) times a
+    canonical N/D: N and D are coprime, so c*q^e*N and d*D share only a
+    constant, the joint content g = gcd(c, cont D) * gcd(d, cont N), as no
+    prime divides both c and d or both cont N and cont D.  Division is
+    multiplication by `inv`.
+  * The remaining products and sums, with several terms on both sides,
+    take the gcd from GCDHEU (Char, Geddes & Gonnet, JSC 1989): an integer
+    gcd at a large point x, interpolated in balanced base-x digits.  It is
+    accepted only after it divides both sides exactly, which proves it is
+    the gcd, and those quotients are the canonical sides.  After six
+    rejected points the primitive remainder sequence (`_pl_gcd_prs`)
+    decides instead.
+
+Report text (`scalar_to_text`) multiplies both sides by the q-power that
+makes the numerator a polynomial as well.
 
 Laurent polynomials are dicts {exponent: coefficient} with no zero entries.
 No floating point is used anywhere.
@@ -44,6 +51,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class ScalarError(ArithmeticError):
@@ -93,11 +101,13 @@ def lp_bar(a):
 
 def lp_eval_mod(a, qhat, m):
     """a(qhat) mod m.  m need not be prime (`joint_point`), so exponents
-    are not reduced mod m - 1; a negative one needs qhat to be a unit."""
+    are not reduced mod m - 1; a negative one needs qhat to be a unit,
+    whose inverse is taken once."""
     v = 0
+    inv = pow(qhat, -1, m) if a and min(a) < 0 else None
     for e, c in a.items():
-        v = (v + c * pow(qhat, e, m)) % m
-    return v
+        v += c * (pow(qhat, e, m) if e >= 0 else pow(inv, -e, m))
+    return v % m
 
 
 # ---------------------------------------------------------------------------
@@ -220,47 +230,58 @@ def _lp_to_list(a, shift, g):
 
 # ---------------------------------------------------------------------------
 
+# the denominator of every Laurent value: shared, immutable, tested by `is`
+_LDEN = MappingProxyType({0: 1})
+
+
 class QScalar:
-    """Element of Q(q) in canonical form."""
+    """Element of Q(q) in canonical form (module docstring)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = {0: 1}
+    def __init__(self, num, den=_LDEN, _canonical=False):
         if _canonical:
             self.num = num
             self.den = den
             return
         if 0 in num.values():  # else kept: callers pass new dicts
             num = {e: c for e, c in num.items() if c}
+        if den is _LDEN:
+            self.num, self.den = num, _LDEN
+            return
         if 0 in den.values():
             den = {e: c for e, c in den.items() if c}
         if not den:
             raise ScalarError("zero denominator")
         if not num:
-            self.num = {}
-            self.den = {0: 1}
+            self.num, self.den = {}, _LDEN
             return
-        shift = -min(min(num), min(den))
+        t = min(den)
         g = math.gcd(*num.values(), *den.values())
         if len(num) > 1 and len(den) > 1:
-            ln, ld = _lp_to_list(num, shift, g), _lp_to_list(den, shift, g)
+            s = min(num)
+            ln, ld = _lp_to_list(num, -s, g), _lp_to_list(den, -t, g)
             r = _pl_gcd_heu(ln, ld)
             if r is None:  # the heuristic gave up: the PRS gcd decides
                 h = _pl_gcd_prs(ln, ld)
                 r = _pl_div_exact(ln, h), _pl_div_exact(ld, h)
             ln, ld = r
-            s = -1 if next(c for c in ld if c) < 0 else 1
-            self.num = {e: s * c for e, c in enumerate(ln) if c}
-            self.den = {e: s * c for e, c in enumerate(ld) if c}
+            # ld keeps a constant term: times h(0) it is den's, not 0
+            sign = -1 if ld[0] < 0 else 1
+            s -= t
+            self.num = {e + s: sign * c for e, c in enumerate(ln) if c}
+            self.den = _LDEN if ld == [sign] else {
+                e: sign * c for e, c in enumerate(ld) if c}
             return
         # a single-term side leaves a constant gcd (module docstring)
-        if den[min(den)] < 0:
+        if den[t] < 0:
             g = -g
-        if shift or g != 1:
-            num = {e + shift: c // g for e, c in num.items()}
-            den = {e + shift: c // g for e, c in den.items()}
+        if len(den) == 1 and den[t] == g:
+            den = _LDEN
+        elif t or g != 1:
+            den = {e - t: c // g for e, c in den.items()}
+        if t or g != 1:
+            num = {e - t: c // g for e, c in num.items()}
         self.num = num
         self.den = den
 
@@ -269,7 +290,7 @@ class QScalar:
     def from_int(n):
         if n == 0:
             return _ZERO
-        return QScalar({0: n}, {0: 1}, _canonical=True)
+        return QScalar({0: n}, _LDEN, _canonical=True)
 
     @staticmethod
     def from_fraction(f):
@@ -278,13 +299,11 @@ class QScalar:
 
     @staticmethod
     def q_power(e):
-        if e >= 0:
-            return QScalar({e: 1}, {0: 1}, _canonical=True)
-        return QScalar({0: 1}, {-e: 1}, _canonical=True)
+        return QScalar({e: 1}, _LDEN, _canonical=True)
 
     @staticmethod
     def laurent(d):
-        return QScalar({e: c for e, c in d.items() if c}, {0: 1})
+        return QScalar({e: c for e, c in d.items() if c})
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self):
@@ -304,22 +323,30 @@ class QScalar:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        if not self.num:
+        a, b = self.num, other.num
+        if not a:
             return other
-        if not other.num:
+        if not b:
             return self
-        if self.den == other.den:
-            return QScalar(lp_add(self.num, other.num), dict(self.den))
-        return QScalar(
-            lp_add(lp_mul(self.num, other.den), lp_mul(other.num, self.den)),
-            lp_mul(self.den, other.den))
+        # closed forms with a Laurent operand (module docstring)
+        da, db = self.den, other.den
+        if da is _LDEN:
+            if db is _LDEN:
+                s = lp_add(a, b)
+                return QScalar(s, _LDEN, _canonical=True) if s else _ZERO
+            return QScalar(lp_add(lp_mul(a, db), b), db, _canonical=True)
+        if db is _LDEN:
+            return QScalar(lp_add(a, lp_mul(b, da)), da, _canonical=True)
+        if da == db:
+            return QScalar(lp_add(a, b), da)
+        return QScalar(lp_add(lp_mul(a, db), lp_mul(b, da)), lp_mul(da, db))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         # negating the numerator preserves canonical form
-        return QScalar(lp_neg(self.num), dict(self.den), _canonical=True)
+        return QScalar(lp_neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
         a, b = self.num, other.num
@@ -330,6 +357,8 @@ class QScalar:
             return _times_term(self, other)
         if len(a) == 1 and len(self.den) == 1:
             return _times_term(other, self)
+        if self.den is _LDEN and other.den is _LDEN:
+            return QScalar(lp_mul(a, b), _LDEN, _canonical=True)
         return QScalar(lp_mul(a, b), lp_mul(self.den, other.den))
 
     def __truediv__(self, other):
@@ -340,12 +369,17 @@ class QScalar:
         return self * other.inv()
 
     def inv(self):
-        if not self.num:
+        num = self.num
+        if not num:
             raise ScalarError("inverse of zero")
-        # swapping the sides of a canonical form only needs the sign fix
-        s = -1 if self.num[min(self.num)] < 0 else 1
-        return QScalar({e: s * c for e, c in self.den.items()},
-                       {e: s * c for e, c in self.num.items()}, _canonical=True)
+        # the swapped sides, times q^-t so that the new denominator has a
+        # constant term, need only the sign fix (module docstring)
+        t = min(num)
+        s = -1 if num[t] < 0 else 1
+        den = _LDEN if len(num) == 1 and num[t] == s else {
+            e - t: s * c for e, c in num.items()}
+        return QScalar({e - t: s * c for e, c in self.den.items()}, den,
+                       _canonical=True)
 
     def __pow__(self, n):
         if n == 0:
@@ -355,7 +389,9 @@ class QScalar:
         # num^n and den^n of a canonical form are canonical (module docstring)
         num, den = self.num, self.den
         for _ in range(n - 1):
-            num, den = lp_mul(num, self.num), lp_mul(den, self.den)
+            num = lp_mul(num, self.num)
+            if den is not _LDEN:
+                den = lp_mul(den, self.den)
         return QScalar(num, den, _canonical=True)
 
     def bar(self):
@@ -380,26 +416,28 @@ class QScalar:
 
 
 def _times_term(x, m):
-    """x * m for a canonical x and a canonical single-term
-    m = c*q^e / (d*q^f), in closed form (module docstring)."""
+    """x * m for a canonical x and a canonical single-term m = c*q^e / d,
+    in closed form (module docstring)."""
     (e, c), = m.num.items()
-    (f, d), = m.den.items()
-    if e == f == 0 and d == 1 and (c == 1 or c == -1):
+    d = m.den[0]
+    if d == 1 and e == 0 and (c == 1 or c == -1):
         return x if c == 1 else -x
     num, den = x.num, x.den
-    if den == _POLY_DEN and num in _UNITS:
-        return m if num[0] == 1 else -m
-    s = -min(min(num) + e, min(den) + f)
+    if den is _LDEN:
+        if num in _UNITS:
+            return m if num[0] == 1 else -m
+        if d == 1:
+            return QScalar({k + e: v * c for k, v in num.items()}, _LDEN,
+                           _canonical=True)
     g = math.gcd(c, *den.values()) * math.gcd(d, *num.values())
-    return QScalar({k + e + s: v * c // g for k, v in num.items()},
-                   {k + f + s: v * d // g for k, v in den.items()},
-                   _canonical=True)
+    den = {k: v * d // g for k, v in den.items()}
+    return QScalar({k + e: v * c // g for k, v in num.items()},
+                   _LDEN if den == _LDEN else den, _canonical=True)
 
 
-_POLY_DEN = {0: 1}
 _UNITS = ({0: 1}, {0: -1})
-_ZERO = QScalar({}, {0: 1}, _canonical=True)
-_ONE = QScalar({0: 1}, {0: 1}, _canonical=True)
+_ZERO = QScalar({}, _LDEN, _canonical=True)
+_ONE = QScalar({0: 1}, _LDEN, _canonical=True)
 
 ZERO = _ZERO
 ONE = _ONE
@@ -443,14 +481,20 @@ def _lp_to_text(a):
 
 
 def scalar_to_text(a):
-    n = _lp_to_text(a.num)
-    if a.den == {0: 1}:
-        return n
-    d = _lp_to_text(a.den)
-    if len(a.num) > 1:
+    # both sides times q^s, the least power (s >= 0) that leaves no
+    # negative exponent in the numerator
+    num, den = a.num, a.den
+    s = -min(num, default=0)
+    if s > 0:
+        num = {e + s: c for e, c in num.items()}
+        den = {e + s: c for e, c in den.items()}
+    elif den is _LDEN:
+        return _lp_to_text(num)
+    n, d = _lp_to_text(num), _lp_to_text(den)
+    if len(num) > 1:
         n = f"({n})"
     # a sum, or a coefficient times a power of q
-    if len(a.den) > 1 or "*" in d:
+    if len(den) > 1 or "*" in d:
         d = f"({d})"
     return f"{n} / {d}"
 
@@ -533,6 +577,8 @@ class PrimePoint:
         """Reduce a QScalar at this point; a ring homomorphism into Z/p
         (F_p for a prime p).  A denominator that is not a unit mod p, at
         a prime p one that vanishes, makes the point inadmissible."""
+        if a.den is _LDEN:
+            return lp_eval_mod(a.num, self.qhat, self.p)
         d = lp_eval_mod(a.den, self.qhat, self.p)
         try:
             d = pow(d, -1, self.p)
@@ -540,8 +586,6 @@ class PrimePoint:
             raise InadmissiblePointError(
                 f"denominator of {a} is not a unit at "
                 f"(p={self.p}, qhat={self.qhat})") from None
-        if not a.num:
-            return 0
         return lp_eval_mod(a.num, self.qhat, self.p) * d % self.p
 
     def __repr__(self):

@@ -376,10 +376,9 @@ def _bound(charts, degree):
 
 def _laurent(c):
     """The QScalar c, a Laurent polynomial in q over Z, as a dict."""
-    (f, d), = c.den.items()
-    if d != 1:
+    if c.den != {0: 1}:
         raise ValueError(f"{c} is not a Laurent polynomial over Z")
-    return {e - f: v for e, v in c.num.items()}
+    return c.num
 
 
 def _sum(terms, start):

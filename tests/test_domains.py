@@ -71,6 +71,24 @@ def test_span_structural_zero():
         dom.inv(dom.zero())
 
 
+@pytest.mark.parametrize("num, den, want", [
+    # a Laurent value: no atom
+    ({-2: 1, 3: -4}, {0: 1}, (-2, 3, {}, 0)),
+    # a constant denominator is no atom either
+    ({-1: 3, 2: 1}, {0: 2}, (-1, 2, {}, 0)),
+    # (2q^-3 + 5q) / (3q^2 + 1): the denominator is an atom of degree 2
+    ({-3: 2, 1: 5}, {0: 1, 2: 3}, (-3, 1, {(2, ((0, 1), (2, 3))): 1}, 2)),
+    # given as (2 + 5q^4) / (q^5 + 3q^7): the same value and the same span
+    ({0: 2, 4: 5}, {5: 1, 7: 3}, (-5, -1, {(2, ((0, 1), (2, 3))): 1}, 2)),
+])
+def test_span_from_scalar_with_negative_numerator_exponents(num, den, want):
+    a = QScalar(num, den)
+    assert min(a.num) < 0
+    s = SpanDomain().from_scalar(a)
+    assert (s.lo, s.hi, s.atoms, s.den) == want
+    assert s.degree_span() >= a.degree_span()
+
+
 def test_fp_zero_pivot_is_inadmissible_point():
     dom = FpDomain(PrimePoint(7, 3, 1))
     assert dom.inv(3) * 3 % 7 == 1

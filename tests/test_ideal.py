@@ -10,7 +10,7 @@ from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
                        POINT_LIMIT, BudgetError, MembershipCertificate,
                        MixedVerdictError, QuadraticIdeal, default_weights,
                        generator_order, modular_bound, modular_verdict,
-                       point_bound, witness_to_json)
+                       point_bound)
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
@@ -27,6 +27,16 @@ def gen(a, b):
 
 def word_poly(w):
     return NCPoly(QQ, {tuple(w): ONE})
+
+
+def witness_to_json(witness):
+    """Witness items as JSON-ready lists: [coeff, w1, relation id, w2]
+    with 1-based generator labels, after a union item's entry index."""
+    out = []
+    for *entry, coeff, w1, rid, w2 in witness:
+        enc = lambda w: [[a + 1, b + 1] for a, b in w]
+        out.append([*entry, str(coeff), enc(w1), rid, enc(w2)])
+    return out
 
 
 def modular(ideal, p, **kw):

@@ -158,6 +158,25 @@ def test_lp_eval_mod_negative_exponents_at_composite_modulus():
         sc.lp_eval_mod(a, pt.qhat, pt.p) for pt in pts]
 
 
+def test_reduce_with_negative_exponents_against_direct_evaluation():
+    # Laurent values and fractions whose numerators have negative exponents
+    values = [QScalar.laurent({-3: 5, -1: -2, 0: 7, 2: 1}), QINV ** 4,
+              QScalar({-3: 5, -1: -2, 0: 7, 2: 1}, {0: 3, 1: 1}),
+              QScalar({-2: -4}, {0: 9}), QINV / (Q + ONE)]
+    assert all(min(a.num) < 0 for a in values)
+    pts = sample_points(6, 3, 12)
+    for pt in pts + [sc.joint_point(pts)]:
+        m, qh = pt.p, pt.qhat
+        qi = pow(qh, -1, m)
+
+        def at(lp):
+            return sum(c * (pow(qh, e, m) if e >= 0 else pow(qi, -e, m))
+                       for e, c in lp.items())
+
+        for a in values:
+            assert pt.reduce(a) == at(a.num) * pow(at(a.den), -1, m) % m
+
+
 def test_text_form():
     assert scalar_to_text(QScalar({2: 1, 0: -2, -1: 3})) == \
         "(q^3 - 2*q + 3) / q"
@@ -187,16 +206,28 @@ def test_pow_and_inverse():
 # -- the single-term shortcut in QScalar.__init__ ------------------------------
 
 def _canonical_via_prs(num, den):
-    """Canonical (num, den) with the primitive-PRS gcd always taken."""
+    """Canonical (num, den) with the primitive-PRS gcd always taken: both
+    sides as polynomials, reduced, then divided by the q-power of the
+    denominator, whose lowest coefficient is made positive."""
     low = min(min(num), min(den))
     ln = sc._lp_to_list(num, -low, 1)
     ld = sc._lp_to_list(den, -low, 1)
     g = sc._pl_gcd_prs(ln, ld)
     ln, ld = sc._pl_div_exact(ln, g), sc._pl_div_exact(ld, g)
     cg = math.gcd(*ln, *ld)
-    sign = -1 if next(c for c in ld if c) < 0 else 1
-    return ({e: sign * c // cg for e, c in enumerate(ln) if c},
-            {e: sign * c // cg for e, c in enumerate(ld) if c})
+    t = next(e for e, c in enumerate(ld) if c)
+    sign = -1 if ld[t] < 0 else 1
+    return ({e - t: sign * c // cg for e, c in enumerate(ln) if c},
+            {e - t: sign * c // cg for e, c in enumerate(ld) if c})
+
+
+def _assert_canonical(a):
+    """The canonical form's invariants that need no sympy: a polynomial
+    denominator with a positive constant term, joint content 1, and the
+    shared denominator on exactly the Laurent values."""
+    assert min(a.den) == 0 and a.den[0] > 0
+    assert math.gcd(*a.num.values(), *a.den.values()) == 1
+    assert (a.den is sc._LDEN) == (a.den == {0: 1})
 
 
 def _rand_laurent(rng, terms):
@@ -224,6 +255,7 @@ def test_single_term_shortcut_matches_prs():
     for num, den in _monomial_pairs(400, seed=19):
         a = QScalar(num, den)
         assert (a.num, a.den) == _canonical_via_prs(num, den)
+        _assert_canonical(a)
 
 
 def test_single_term_shortcut_against_sympy():
@@ -236,11 +268,10 @@ def test_single_term_shortcut_against_sympy():
     for num, den in _monomial_pairs(120, seed=23):
         a = QScalar(num, den)
         n, d = expr(a.num), expr(a.den)
-        assert sympy.gcd(n, d) == 1
+        # q^-min(N) N is a polynomial; q is no factor of d, as d(0) != 0
+        assert sympy.gcd(sympy.expand(n * q ** -min(a.num)), d) == 1
         assert sympy.cancel(expr(num) / expr(den) - n / d) == 0
-        assert min(a.num) >= 0 and min(a.den) >= 0
-        assert 0 in a.num or 0 in a.den
-        assert a.den[min(a.den)] > 0
+        _assert_canonical(a)
 
 
 # -- the multi-term gcd (GCDHEU, PRS fallback) --------------------------------
@@ -281,9 +312,9 @@ def test_multi_term_canonical_form_against_sympy():
             continue
         a = QScalar(num, den)
         n, d = expr(a.num), expr(a.den)
-        assert sympy.gcd(n, d) == 1
+        assert sympy.gcd(sympy.expand(n * q ** -min(a.num)), d) == 1
         assert sympy.cancel(expr(num) / expr(den) - n / d) == 0
-        assert a.den[min(a.den)] > 0
+        _assert_canonical(a)
 
 
 def test_text_form_parses_back_with_sympy():

@@ -7,9 +7,9 @@ tests in test_scalar.py need only pytest.
 import pytest
 
 from qch import scalar as sc
-from qch.scalar import ONE, QScalar
+from qch.scalar import ONE, ZERO, QScalar
 
-from test_scalar import _canonical_via_prs
+from test_scalar import _assert_canonical, _canonical_via_prs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -82,3 +82,75 @@ def test_inv_and_pow_match_canonicalizing_products(num, den, n):
     for _ in range(abs(n)):
         expected = expected * base
     assert a ** n == expected
+
+
+# -- closed forms with a Laurent or single-term operand -----------------------
+
+CONTENT = st.sampled_from((1, -1, 2, -6, 12, 35))
+# a Laurent value with negative exponents and an integer content
+LAURENT_VALUE = st.builds(
+    lambda n, c: QScalar({e: c * v for e, v in n.items()}), LAURENT, CONTENT)
+# a value with a denominator other than 1, its sides with a content
+RATIONAL_VALUE = st.builds(
+    lambda n, d, c, f: QScalar({e: c * v for e, v in n.items()},
+                               {e: f * v for e, v in d.items()}),
+    LAURENT, LAURENT, CONTENT, CONTENT).filter(lambda a: a.den != {0: 1})
+# c*q^e / d, one term on both sides
+TERM_VALUE = st.builds(
+    lambda e, c, d: QScalar({e: c}, {0: d}), st.integers(-5, 5),
+    st.integers(-36, 36).filter(bool), st.integers(1, 36))
+VALUE = st.one_of(LAURENT_VALUE, RATIONAL_VALUE, TERM_VALUE)
+
+
+def _assert_is_canonicalized(r, num, den):
+    """r is the general canonical form of the unreduced num / den."""
+    if num:
+        assert (r.num, r.den) == _canonical_via_prs(num, den)
+    else:
+        assert r == ZERO
+    _assert_canonical(r)
+
+
+@prop
+@given(st.one_of(LAURENT_VALUE, TERM_VALUE), VALUE)
+def test_closed_forms_match_the_general_canonicalization(a, b):
+    # L*L, L+L, L+R, R+L and a single term times anything, in both orders
+    for x, y in ((a, b), (b, a)):
+        _assert_is_canonicalized(x * y, sc.lp_mul(x.num, y.num),
+                                 sc.lp_mul(x.den, y.den))
+        _assert_is_canonicalized(
+            x + y, sc.lp_add(sc.lp_mul(x.num, y.den), sc.lp_mul(y.num, x.den)),
+            sc.lp_mul(x.den, y.den))
+
+
+@prop
+@given(VALUE, VALUE, st.integers(-3, 3))
+def test_laurent_values_hold_the_shared_denominator(a, b, n):
+    # the shortcuts find a Laurent operand by `den is _LDEN`, so every
+    # result equal to a Laurent polynomial must hold it, also after a
+    # cancellation: (a * b) / b and (a + b) - b are a again
+    results = [a + b, a - b, a * b, -a, a.bar(), (a + b) - b]
+    if b:
+        results += [a / b, b.inv(), (a * b) / b, b * b.inv()]
+    if a:
+        results.append(a ** n)
+    for r in results:
+        _assert_canonical(r)
+    assert (a + b) - b == a
+    if b:
+        assert (a * b) / b == a and b * b.inv() == ONE
+        assert (b * b.inv()).den is sc._LDEN
+
+
+def test_constructors_give_laurent_values_the_shared_denominator():
+    values = [QScalar({-2: 3, 1: 1}), QScalar({-2: 3}, {0: 1}),
+              QScalar({3: 6, -1: 4}, {5: 2}), QScalar({2: 1, 0: -1},
+                                                       {1: 1, 0: -1}),
+              QScalar.from_fraction("8/4"), QScalar.from_int(-5),
+              QScalar.laurent({-4: 1, 0: 0}), QScalar.q_power(-3),
+              QScalar({0: 2}, {0: 6}) * QScalar.from_int(3),
+              (QScalar({0: 1}, {1: 1, 0: 1}) * QScalar({1: 1, 0: 1})).bar()]
+    for a in values:
+        assert a.den is sc._LDEN
+    assert [a.num for a in values[:3]] == [{-2: 3, 1: 1}, {-2: 3},
+                                           {-2: 3, -6: 2}]

@@ -200,6 +200,17 @@ def test_rational_nu_pair_substitution():
     assert nu3 * nu2 == nu0 * nu0
 
 
+def test_laurent_reads_negative_exponents():
+    assert sp._laurent(QScalar.laurent({-3: 2, 0: -1, 2: 5})) == \
+        {-3: 2, 0: -1, 2: 5}
+    assert sp._laurent((ONE - qp(2)) / LAMBDA) == {1: -1}
+    assert sp._laurent(ZERO) == {}
+    for c in (QScalar({-1: 3}, {0: 2}), (qp(1) + ONE) / (qp(1) - ONE),
+              ONE / LAMBDA):
+        with pytest.raises(ValueError):
+            sp._laurent(c)
+
+
 def test_sample_chart_distinct_and_deterministic():
     for k in (1, 2, 3):
         c1 = sp.sample_chart(k, random.Random(42))
