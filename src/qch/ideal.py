@@ -9,8 +9,8 @@ identity of large degree at >= 3 admissible prime points shared by all
 its entries, with the failure probability of that modular route
 reported.  `modular_verdict` is the one walk over the prime points that
 every modular verdict takes (membership here, the height in
-`qch.rmatrix`); membership first tries the walk's points all at once, at
-their joint point modulo the product of their primes.  An
+`qch.rmatrix`); each first tries the walk's points all at once, at their
+joint point modulo the product of their primes.  An
 echelon-oriented rewriting system provides a sound fast path (a zero
 normal form proves membership; a nonzero one decides nothing).  Words
 are coded once, on entry, as integers (`word_key`) that order words of
@@ -25,8 +25,8 @@ from collections import Counter
 from .domains import FpDomain, SpanDomain
 from .linalg import Echelon
 from .ncpoly import NCPoly
-from .scalar import (PRIME_POOL_SIZE, InadmissiblePointError, joint_point,
-                     sample_points)
+from .scalar import (PRIME_POOL_SIZE, InadmissiblePointError, JointPoint,
+                     joint_point, sample_points)
 
 FAILURE_TARGET = 1e-12
 # fewest prime points a modular verdict may rest on, and most
@@ -81,14 +81,27 @@ def _enough(pts, d_max, min_points, target):
 def modular_verdict(decide, d_max, guard, seed, min_points, target):
     """(verdict, points, bound) of decide(pt), taken at prime points.
 
-    One pass over the prime pool, in `sample_points(seed, ..., guard)`
-    order.  A point where decide raises InadmissiblePointError is skipped.
-    Points are added until `_enough`.  Every point must give the same
-    verdict; mixed verdicts raise MixedVerdictError at once.
+    decide(pt) gives the verdict at pt or declines pt by raising
+    InadmissiblePointError.  It runs first at the joint point
+    (`scalar.joint_point`) of the batch the walk takes when it skips none.
+    Z/P -> F_p_i is a ring homomorphism for each prime p_i of P, and decide
+    takes ring steps and inverses of units only, so its run mod P reduces
+    to its run at each point: a verdict there is the walk's, with the same
+    points.  decide declines a joint verdict that need not hold at every
+    point.  Otherwise the walk: one pass over the pool in `sample_points(
+    seed, ..., guard)` order, skipping declined points, until `_enough`;
+    mixed verdicts raise MixedVerdictError at once.
     """
     _check_min_points(min_points)
+    pool = sample_points(seed, PRIME_POOL_SIZE, guard)
+    batch = next(pool[:n] for n in range(1, len(pool) + 1)
+                 if _enough(pool[:n], d_max, min_points, target))
+    try:
+        return decide(joint_point(batch)), batch, modular_bound(batch, d_max)
+    except InadmissiblePointError:
+        pass
     pts, verdicts = [], []
-    for pt in sample_points(seed, PRIME_POOL_SIZE, guard):
+    for pt in pool:
         try:
             got = decide(pt)
         except InadmissiblePointError:
@@ -424,38 +437,22 @@ class QuadraticIdeal:
         per point.  The caller vouches for the exact candidate: its
         maximal degree, a bound on the Laurent degree span of its
         coefficients (say, from a SpanDomain build) and the number of its
-        nonzero entries.  Every entry is decided at the same points and
-        gets an equal share of FAILURE_TARGET; the failure bound is the
-        union bound over the entries.
-
-        The candidate is first built and decided once, at the joint point
-        (`scalar.joint_point`) of the batch of pool points that
-        `modular_verdict` takes when it skips none.  Z/P -> F_p_i is a
-        ring homomorphism for each prime p_i of P, and every step of that
-        run is a ring operation, an inverse of a unit or the subtraction
-        of an element of the ideal, so a residual that is 0 mod P is 0 at
-        every point of the batch: the certificate is the walk's, with the
-        same points and bound.  A nonzero residual mod P proves nothing at
-        any one point, and a non-unit (a pivot or denominator vanishing at
-        some p_i) stops the run; either way `modular_verdict` walks the
-        points one by one.
+        nonzero entries.  Every entry is decided at the same points of
+        `modular_verdict` and gets an equal share of FAILURE_TARGET; the
+        failure bound is the union bound over the entries.  A residual
+        that is 0 mod P is 0 at every point of the batch, but a nonzero one
+        proves nothing at any one point: the joint point declines it.
         """
-        _check_min_points(min_points)
-        d_max = self._degree_dmax(degree, candidate_span)
-        guard, target = point_bound(self.dim), FAILURE_TARGET / entries
-        pool = sample_points(seed, PRIME_POOL_SIZE, guard)
-        batch = next(pool[:n] for n in range(1, len(pool) + 1)
-                     if _enough(pool[:n], d_max, min_points, target))
-        try:
-            joint = self._vanishes_at(joint_point(batch), candidate_at)
-        except InadmissiblePointError:
-            joint = False
-        if joint:
-            verdict, points, bound = True, batch, modular_bound(batch, d_max)
-        else:
-            verdict, points, bound = modular_verdict(
-                lambda pt: self._vanishes_at(pt, candidate_at), d_max, guard,
-                seed, min_points, target)
+        def decide(pt):
+            if self._vanishes_at(pt, candidate_at):
+                return True
+            if isinstance(pt, JointPoint):
+                raise InadmissiblePointError("nonzero residual mod P")
+            return False
+
+        verdict, points, bound = modular_verdict(
+            decide, self._degree_dmax(degree, candidate_span),
+            point_bound(self.dim), seed, min_points, FAILURE_TARGET / entries)
         bound *= entries
         if verdict:
             return MembershipCertificate("probable-member", "modular",
@@ -559,10 +556,13 @@ class QuadraticIdeal:
                     for ra, cb in letters:
                         nxt[rw + ra, cw + cb] += n
                 counts = nxt
+            rels = Counter()   # summed max(span, 1) of each relation weight
+            for span, weight in zip(self._rel_span, self._rel_weights):
+                rels[weight] += max(span, 1)
             blocks = Counter()
-            for span, (rw0, cw0) in zip(self._rel_span, self._rel_weights):
+            for (rw0, cw0), s in rels.items():
                 for (rw, cw), n in counts.items():
-                    blocks[rw + rw0, cw + cw0] += max(span, 1) * n
+                    blocks[rw + rw0, cw + cw0] += s * n
             self._block_span_max[degree] = max(degree - 1, 0) * max(
                 blocks.values(), default=0)
         return self._block_span_max[degree] + max(candidate_span, 1)

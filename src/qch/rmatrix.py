@@ -312,14 +312,12 @@ def _sigma(ctx, i, sign=-1):
             + ctx.k_op.scale(ctx.coeff(c_k)))
 
 
-def _next_level(ctx, tower, i, sign, sig=None):
+def _next_level(ctx, tower, i, sign):
     """Level i + 1 of a tower, q^(-sign i)/(i+1)_q a^(i) sigma_i a^(i),
-    from a^(i) = tower[i - 1]; sig is sigma_i = `_sigma(ctx, i, sign)`,
-    computed here unless the caller already has it."""
-    if sig is None:
-        sig = _sigma(ctx, i, sign)
+    from a^(i) = tower[i - 1]."""
     c = QScalar.q_power(-sign * i) / q_int(i + 1)
-    return height_probe(ctx, tower, i, sig).scale(ctx.coeff(c))
+    return height_probe(ctx, tower, i, _sigma(ctx, i, sign)).scale(
+        ctx.coeff(c))
 
 
 def _tower(ctx, n, sign):
@@ -351,27 +349,6 @@ def height_probe(ctx, tower, i, sig=None):
     return a_i @ sig.embed(i, i + 1) @ a_i
 
 
-def probe_vanishes(ctx, tower, i, sig=None):
-    """Whether `height_probe(ctx, tower, i)` is zero, decided without
-    building it.
-
-    With P = a^(i) (x) 1, P sigma_i P = 0 exactly when P sigma_i y = 0 for
-    every y in Im P = Im a^(i) (x) V.  So each b (x) e_j, with b from an
-    echelon basis of the columns of a^(i), gets sigma_i on factors i, i+1
-    and then a^(i) on factors 1..i; the probe vanishes iff every image is
-    zero.  The test is exact in ctx's domain.
-    """
-    if sig is None:
-        sig = _sigma(ctx, i)
-    a_i = tower[i - 1]
-    ech = Echelon(ctx.dom)
-    for col in a_i.columns().values():
-        ech.add_row(col)
-    basis = ({t + (j,): c for t, c in b.items()}
-             for b in ech.pivots.values() for j in range(ctx.dim))
-    return not any(a_i.apply_at(1, sig.apply_at(i, basis)))
-
-
 # ---------------------------------------------------------------------------
 # Delta scalars and height.
 
@@ -392,31 +369,52 @@ def big_delta(mu, i):
     return out
 
 
-def _height_scan(ctx, bound):
-    """Smallest i with the probe vanishing; None if not found below bound.
+def _apply_tower(sigmas, i, vectors):
+    """a^(i) on factors 1..i of each vector, up to a unit, through the
+    recursion a^(j+1) = c_j (a^(j) (x) 1) sigma_j (a^(j) (x) 1), with
+    sigma_j = sigmas[j - 1]: chained `TensorOperator.apply_at` generators
+    with one vector in flight."""
+    if i == 1:
+        return vectors
+    inner = _apply_tower(sigmas, i - 1, vectors)
+    return _apply_tower(sigmas, i - 1, sigmas[i - 2].apply_at(i - 1, inner))
 
-    Also checks that every lower tower level is a nonzero operator.  A
-    level's probe is tested by `probe_vanishes` and built, as the next
-    level, only when it is nonzero.
+
+def _height_scan(ctx, bound):
+    """Smallest i <= bound at which the tower step a^(i) sigma_i a^(i)
+    (`height_probe`) vanishes, or None, from image bases alone.
+
+    B_1 is the standard basis of V.  W_i = (a^(i) (x) 1) sigma_i (B_i (x) V)
+    spans Im a^(i+1), so the step vanishes exactly when W_i is all zero;
+    otherwise the pivots of its echelon are B_(i+1), and level i + 1 is
+    nonzero.  Exact in ctx's domain; at a joint point a pivot that is not
+    a unit raises InadmissiblePointError.
     """
-    tower = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
+    dom, dim = ctx.dom, ctx.dim
+    basis = [{(j,): dom.one()} for j in range(dim)]
+    sigmas = []
     for i in range(1, bound + 1):
-        sig = _sigma(ctx, i)
-        if probe_vanishes(ctx, tower, i, sig):
-            if any(a.is_zero() for a in tower):
-                return None
+        sigmas.append(_sigma(ctx, i))
+        vectors = ({t + (j,): c for t, c in b.items()}
+                   for b in basis for j in range(dim))
+        ech = Echelon(dom)
+        for w in _apply_tower(sigmas, i, sigmas[-1].apply_at(i, vectors)):
+            ech.add_row(w)
+        if not ech.rank:
             return i
-        tower.append(_next_level(ctx, tower, i, -1, sig))
+        basis = list(ech.pivots.values())
     return None
 
 
 def height(ctx, seed=0, min_points=MIN_PRIME_COUNT):
     """(height, type tag, failure bound) of the R-matrix.
 
-    For dim <= 4 the tower runs over the exact field, with bound None.
-    Above that it runs at the prime points of `modular_verdict`, which
-    skips inadmissible points, requires agreement and bounds the chance
-    that the points all misjudge a level; mixed scans raise GuardError.
+    For dim <= 4 the scan runs over the exact field, with bound None.
+    Above that it runs at the prime points of `modular_verdict`, first at
+    their joint point, whose verdict it keeps: an echelon whose pivots are
+    units mod P has the same rank mod each prime, and a level vanishing at
+    one prime only shows as a non-unit pivot.  Mixed scans on the walk
+    raise GuardError.
     """
     # two levels past k = dim / 2, the height of an Sp(2k) R-matrix
     bound = ctx.dim // 2 + 2

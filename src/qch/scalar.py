@@ -95,10 +95,6 @@ def lp_mul(a, b):
     return r
 
 
-def lp_bar(a):
-    return {-e: c for e, c in a.items()}
-
-
 def lp_eval_mod(a, qhat, m):
     """a(qhat) mod m.  m need not be prime (`joint_point`), so exponents
     are not reduced mod m - 1; a negative one needs qhat to be a unit,
@@ -394,10 +390,6 @@ class QScalar:
                 den = lp_mul(den, self.den)
         return QScalar(num, den, _canonical=True)
 
-    def bar(self):
-        """The involution q -> q^-1."""
-        return QScalar(lp_bar(self.num), lp_bar(self.den))
-
     # -- size ----------------------------------------------------------------
     def degree_span(self):
         """Max exponent spread of numerator and denominator (for SZ bounds)."""
@@ -546,9 +538,6 @@ class PrimePoint:
     The guard requires qhat^(2j) != 1 mod p for 1 <= j <= bound, which keeps
     every q-integer up to the bound and every tower/recursion denominator of
     the symplectic family invertible at the point.
-
-    A joint point (`joint_point`) has for p the product of several pool
-    primes; it evaluates at all of their points at once.
     """
 
     __slots__ = ("p", "qhat", "bound")
@@ -592,6 +581,13 @@ class PrimePoint:
         return f"PrimePoint(p={self.p}, qhat={self.qhat}, bound={self.bound})"
 
 
+class JointPoint(PrimePoint):
+    """A `joint_point`: p is the product of several pool primes, and it
+    evaluates at all of their points at once."""
+
+    __slots__ = ()
+
+
 def joint_point(points):
     """One point standing for a batch of points of distinct primes: p is
     the product P of their primes and qhat the CRT lift of their qhats,
@@ -606,7 +602,7 @@ def joint_point(points):
     for pt in points:
         x += (pt.qhat - x) * pow(m, -1, pt.p) % pt.p * m
         m *= pt.p
-    joint = PrimePoint.__new__(PrimePoint)
+    joint = JointPoint.__new__(JointPoint)
     joint.p, joint.qhat, joint.bound = m, x, points[0].bound
     return joint
 

@@ -34,6 +34,7 @@ from qch.rmatrix import (antisymmetrizer_tower, big_delta, build_standard_sp,
 from qch.scalar import ONE, Q, QINV, QScalar, sample_points
 
 import qma_blocks as qmb
+from test_scalar import bar
 
 FAILURE_TARGET = 1e-12
 
@@ -225,7 +226,7 @@ def test_criterion_6_calibration(rtt2, rtt4, ideal4):
     assert lhs == rhs
     m = rtt4.m_matrix
     assert rtt4.xi_inv(m) == rtt4.xi(m).map_entries(
-        lambda p: p.map_coefficients(QQ, lambda c: c.bar()))
+        lambda p: p.map_coefficients(QQ, bar))
     # Relation catalogue spans the same rank-130 space as the defining set.
     catalogue = QuadraticIdeal(QQ, 4, sp4_relations.all_relations(QQ),
                                label="sp4-catalogue")

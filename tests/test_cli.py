@@ -8,7 +8,7 @@ import pytest
 from qch import cli, ideal, rmatrix
 from qch.domains import SpanDomain
 from qch.ideal import FAILURE_TARGET, QuadraticIdeal
-from qch.scalar import sample_points
+from qch.scalar import InadmissiblePointError, JointPoint, sample_points
 
 
 def run_json(capsys, argv):
@@ -158,11 +158,16 @@ def test_height_guard_error_reports_fail(capsys, monkeypatch):
 
 
 def test_mixed_height_scans_report_fail(capsys, monkeypatch):
-    # scans that disagree at the prime points: GuardError, and a fail report
+    # scans that decline the joint point and disagree at the prime points:
+    # GuardError, and a fail report
     ctx = rmatrix.build_standard_sp(3)
     scans = iter([3, 3, 2])
-    monkeypatch.setattr(rmatrix, "_height_scan",
-                        lambda ctx_pt, bound: next(scans))
+
+    def scan(ctx_pt, bound):
+        if isinstance(ctx_pt.dom.point, JointPoint):
+            raise InadmissiblePointError("declined")
+        return next(scans)
+    monkeypatch.setattr(rmatrix, "_height_scan", scan)
     with pytest.raises(rmatrix.GuardError, match=r"\[3, 3, 2\]"):
         rmatrix.height(ctx)
     scans = iter([3, 2])
@@ -265,26 +270,20 @@ def test_recursions_report_modular_certificates(capsys, monkeypatch):
 def test_recursions_share_one_failure_budget(capsys, monkeypatch):
     # the joint attempt and the walk both give each nonzero entry of the
     # one candidate (every entry of the 12 recursion and 4 expansion
-    # residuals) the same share of the target
-    targets, built = [], []
+    # residuals) the same share of the target, and reach the same report
+    targets, built, seen = [], [], []
     enough = ideal._enough
 
     def record(pts, d_max, min_points, target):
         targets.append(target)
         return enough(pts, d_max, min_points, target)
 
-    def verdict(decide, d_max, guard, seed, min_points, target):
-        pt = sample_points(seed, 1, guard)[0]
-        targets.append(target)
-        return decide(pt), [pt], target
-
     def vanishes_at(self, pt, candidate_at):
         built.append((pt, candidate_at(pt)))
-        return pt.p < 2 ** 31 or not walk
+        return not (walk and isinstance(pt, JointPoint))
     monkeypatch.setattr(QuadraticIdeal, "needs_modular",
                         lambda self, degree: True)
     monkeypatch.setattr(ideal, "_enough", record)
-    monkeypatch.setattr(ideal, "modular_verdict", verdict)
     monkeypatch.setattr(QuadraticIdeal, "_vanishes_at", vanishes_at)
     shape = [p for p in cli._algebra(1, "rtt").over(SpanDomain())
              .recursion_entries() if p]
@@ -297,17 +296,16 @@ def test_recursions_share_one_failure_budget(capsys, monkeypatch):
         assert code == 0
         assert targets and all(t == pytest.approx(share, rel=1e-12)
                                for t in targets)
-        # one build of all 64 entries at the joint point, and one more at
-        # the walk's point when the joint run hands over
-        assert [len(entries) for _, entries in built] == [16 * 4] * (1 + walk)
-        assert built[0][0].p > 2 ** 31
-        if walk:
-            # the walk's bound is the target: the summed shares
-            assert reports[0]["failure_bound"] == pytest.approx(
-                FAILURE_TARGET, rel=1e-9)
-        else:
-            assert reports[0]["witness"] == "points:3"
-            assert 0 < reports[0]["failure_bound"] < FAILURE_TARGET
+        # one build of all 64 entries at the joint point and, when the
+        # joint run hands over, one at each of the walk's points
+        assert reports[0]["witness"] == "points:3"
+        assert [len(entries) for _, entries in built] == \
+            [16 * 4] * (1 + 3 * walk)
+        assert isinstance(built[0][0], JointPoint)
+        assert 0 < reports[0]["failure_bound"] < FAILURE_TARGET
+        reports[0].pop("elapsed", None)
+        seen.append(reports[0])
+    assert seen[0] == seen[1]
 
 
 def test_recursions_degree_is_largest_residual_degree(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from qch.tensor import TensorOperator, matrix_unit
 
 import qma_blocks as qmb
 from qma_blocks import star_word
+from test_scalar import bar
 
 
 def qp(e):
@@ -658,7 +659,7 @@ def test_sp4_map_inverses_are_q_bar(rtt4):
 
     def bar_matrix(qmat):
         return qmat.map_entries(
-            lambda p: p.map_coefficients(QQ, lambda c: c.bar()))
+            lambda p: p.map_coefficients(QQ, bar))
 
     assert rtt4.xi_inv(m) == bar_matrix(rtt4.xi(m))
     assert rtt4.phi_inv(m) == bar_matrix(rtt4.phi(m))

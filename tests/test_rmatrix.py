@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -8,8 +9,8 @@ from qch import rmatrix, tensor
 from qch.domains import QQ
 from qch.ideal import (FAILURE_TARGET, modular_bound, modular_verdict,
                        point_bound)
-from qch.scalar import (LAMBDA, ONE, Q, InadmissiblePointError, QScalar,
-                        sample_points)
+from qch.scalar import (LAMBDA, ONE, Q, InadmissiblePointError, JointPoint,
+                        QScalar, joint_point, sample_points)
 from qch.tensor import TensorOperator
 
 
@@ -159,8 +160,9 @@ def test_height_modular_agrees_at_k2():
 
 
 def test_height_skips_an_inadmissible_point(monkeypatch):
-    # the first pool point fails to reduce the context; the next three
-    # pool primes decide the height and carry the bound
+    # the first pool point, and with it the joint point of the batch,
+    # fails to reduce the context; the walk's next three pool primes
+    # decide the height and carry the bound
     ctx = rmatrix.build_standard_sp(3)
     pool = sample_points(0, 4, point_bound(ctx.dim))
     at_point = rmatrix.RMatrixContext.at_point
@@ -168,54 +170,161 @@ def test_height_skips_an_inadmissible_point(monkeypatch):
 
     def at_point_or_fail(self, pt):
         tried.append(pt.p)
-        if pt.p == pool[0].p:
+        if pt.p % pool[0].p == 0:
             raise InadmissiblePointError("denominator vanishes")
         return at_point(self, pt)
     monkeypatch.setattr(rmatrix.RMatrixContext, "at_point",
                         at_point_or_fail)
     got, tag, bound = rmatrix.height(ctx, seed=0)
     assert (got, tag) == (3, "Sp(6)")
-    assert tried == [pt.p for pt in pool]
+    assert tried == [joint_point(pool[:3]).p] + [pt.p for pt in pool]
     assert bound == modular_bound(pool[1:], point_bound(ctx.dim))
 
 
-def _assert_image_test_agrees(ctx, k):
-    """probe_vanishes equals the explicit probe at every level up to the
-    height k; past it both stop at the same tower guard."""
+def _walked_height(ctx, seed):
+    """The height's modular verdict with the joint point declined, so
+    that the prime points are walked one by one."""
+    def scan(pt):
+        if isinstance(pt, JointPoint):
+            raise InadmissiblePointError("walk only")
+        return rmatrix._height_scan(ctx.at_point(pt), ctx.dim // 2 + 2)
+    return modular_verdict(scan, point_bound(ctx.dim), point_bound(ctx.dim),
+                           seed, 3, FAILURE_TARGET)
+
+
+def test_joint_height_is_the_walks(monkeypatch):
+    # one scan, modulo the product of the batch's primes, gives the walk's
+    # height, points and bound
+    ctx = rmatrix.build_standard_sp(3)
+    verdicts, scanned = [], []
+    scan = rmatrix._height_scan
+
+    def recorded_verdict(*args):
+        verdicts.append(modular_verdict(*args))
+        return verdicts[-1]
+
+    def recorded_scan(c, bound):
+        scanned.append(c.dom.point)
+        return scan(c, bound)
+    monkeypatch.setattr(rmatrix, "modular_verdict", recorded_verdict)
+    monkeypatch.setattr(rmatrix, "_height_scan", recorded_scan)
+    for seed in range(10):
+        scanned.clear()
+        got, _, bound = rmatrix.height(ctx, seed=seed)
+        [joint] = scanned
+        k, points, walk_bound = _walked_height(ctx, seed)
+        assert (got, bound) == (k, walk_bound) and k == 3
+        assert isinstance(joint, JointPoint)
+        assert joint.p == math.prod(pt.p for pt in points)
+        assert [pt.p for pt in verdicts[-1][1]] == [pt.p for pt in points]
+
+
+def test_height_falls_back_to_the_walk_at_a_joint_non_unit(monkeypatch):
+    # only the joint modulus fails: the walk takes the batch's points
+    ctx = rmatrix.build_standard_sp(3)
+    pool = sample_points(0, 3, point_bound(ctx.dim))
+    at_point = rmatrix.RMatrixContext.at_point
+    tried = []
+
+    def at_point_or_fail(self, pt):
+        tried.append(pt.p)
+        if isinstance(pt, JointPoint):
+            raise InadmissiblePointError("not a unit mod P")
+        return at_point(self, pt)
+    monkeypatch.setattr(rmatrix.RMatrixContext, "at_point",
+                        at_point_or_fail)
+    assert rmatrix.height(ctx) == (3, "Sp(6)",
+                                   modular_bound(pool, point_bound(ctx.dim)))
+    assert tried == [joint_point(pool).p] + [pt.p for pt in pool]
+
+
+def test_height_vanishing_at_one_prime_fails(monkeypatch):
+    # sigma_i times the second pool prime: every level vanishes at that
+    # point only.  At the joint point the first image vector is nonzero
+    # but its pivot is not a unit mod P, so the walk runs and meets
+    # height 1 at the second point: mixed scans, GuardError
+    ctx = rmatrix.build_standard_sp(3)
+    pool = sample_points(0, 3, point_bound(ctx.dim))
+    sigma = rmatrix._sigma
+    monkeypatch.setattr(
+        rmatrix, "_sigma", lambda c, i, sign=-1: sigma(c, i, sign).scale(
+            c.coeff(QScalar.from_int(pool[1].p))))
+    scans = []
+    scan = rmatrix._height_scan
+
+    def recorded(c, bound):
+        scans.append(c.dom.p)
+        return scan(c, bound)
+    monkeypatch.setattr(rmatrix, "_height_scan", recorded)
+    with pytest.raises(rmatrix.GuardError, match=r"\[3, 1\]"):
+        rmatrix.height(ctx)
+    assert scans == [joint_point(pool).p, pool[0].p, pool[1].p]
+
+
+def _scan_levels(monkeypatch, ctx, bound):
+    """`_height_scan(ctx, bound)` and the rank of each level's echelon:
+    rank W_i, which is rank a^(i+1)."""
+    echelons = []
+
+    class Recorded(rmatrix.Echelon):
+        def __init__(self, dom):
+            super().__init__(dom)
+            echelons.append(self)
+    monkeypatch.setattr(rmatrix, "Echelon", Recorded)
+    got = rmatrix._height_scan(ctx, bound)
+    return got, [ech.rank for ech in echelons]
+
+
+def _assert_scan_agrees(monkeypatch, ctx, bound):
+    """The vector scan against the built tower: at every level it reaches,
+    its image basis has the rank of the tower level, and it stops at the
+    first level whose `height_probe` is zero (None: none up to bound).
+    Returns the scan's result."""
+    got, ranks = _scan_levels(monkeypatch, ctx, bound)
+    levels = len(ranks)
+    tower = rmatrix.antisymmetrizer_tower(ctx, levels + 1)
+    assert ranks == [a.rank_in_domain() for a in tower[1:]]
+    zero = [rmatrix.height_probe(ctx, tower, i).is_zero()
+            for i in range(1, levels + 1)]
+    assert zero == [False] * (levels - 1) + [got is not None]
+    assert got == levels or got is None and levels == bound
+    return got
+
+
+def _assert_image_test_agrees(monkeypatch, ctx, k):
+    """The scan agrees with the built tower up to the height k; past it
+    the tower stops at its guard."""
+    assert _assert_scan_agrees(monkeypatch, ctx, k + 2) == k
     tower = rmatrix.antisymmetrizer_tower(ctx, k + 1)
-    assert tower[k].is_zero() and not tower[k - 1].is_zero()
-    for i in range(1, k + 1):
-        vanishes = rmatrix.height_probe(ctx, tower, i).is_zero()
-        assert rmatrix.probe_vanishes(ctx, tower, i) == vanishes
-        assert vanishes == (i == k)
-    for probe in (rmatrix.probe_vanishes, rmatrix.height_probe):
-        with pytest.raises(rmatrix.GuardError):
-            probe(ctx, tower, k + 1)
+    with pytest.raises(rmatrix.GuardError):
+        rmatrix.height_probe(ctx, tower, k + 1)
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_image_test_agrees_with_probe_exact(k):
-    _assert_image_test_agrees(rmatrix.build_standard_sp(k), k)
+def test_image_test_agrees_with_probe_exact(monkeypatch, k):
+    _assert_image_test_agrees(monkeypatch, rmatrix.build_standard_sp(k), k)
 
 
-def test_image_test_agrees_with_probe_at_points_k3():
+def test_image_test_agrees_with_probe_at_points_k3(monkeypatch):
     ctx = rmatrix.build_standard_sp(3)
     for pt in sample_points(7, 3, 2 * ctx.dim + 4):
-        _assert_image_test_agrees(ctx.at_point(pt), 3)
+        _assert_image_test_agrees(monkeypatch, ctx.at_point(pt), 3)
 
 
-def test_image_test_agrees_on_coordinate_projectors():
-    """Towers ending in a coordinate projector, from rank 1 up: each basis
-    vector of the image can carry the only nonzero part of the probe."""
+def test_image_test_agrees_on_coordinate_projectors(monkeypatch):
+    """sigma_i replaced by a coordinate projector on two factors, from
+    rank 1 up, so that the image bases are coordinate vectors and each can
+    carry the only nonzero part of a step; two supports vanish, at levels
+    2 and 4, and three never do."""
     ctx = rmatrix.build_standard_sp(2)
-    for i in (1, 2):
-        idx = list(itertools.product(range(ctx.dim), repeat=i))
-        for support in (idx[:1], idx[-1:], idx[1::3]):
-            proj = TensorOperator(QQ, ctx.dim, i,
-                                  {(t, t): ONE for t in support})
-            tower = [None] * (i - 1) + [proj]
-            assert (rmatrix.probe_vanishes(ctx, tower, i)
-                    == rmatrix.height_probe(ctx, tower, i).is_zero())
+    pairs = list(itertools.product(range(ctx.dim), repeat=2))
+    got = []
+    for support in (pairs[:1], pairs[1:2], pairs[-1:], pairs[1::3],
+                    pairs[1::5]):
+        proj = TensorOperator(QQ, ctx.dim, 2, {(t, t): ONE for t in support})
+        monkeypatch.setattr(rmatrix, "_sigma", lambda c, i, sign=-1: proj)
+        got.append(_assert_scan_agrees(monkeypatch, ctx, 4))
+    assert got == [None, 2, None, None, 4]
 
 
 @pytest.mark.parametrize("k", [1, 2])
