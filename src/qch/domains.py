@@ -18,7 +18,6 @@ it cannot pivot: objects that need elimination are built over Q(q) first
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 from . import scalar
@@ -107,9 +106,10 @@ class Span:
 
     x = N / D, where N is a Laurent polynomial with exponents in [lo, hi]
     and D is, up to a constant, the product of the denominator atoms raised
-    to their multiplicities.  An atom is a polynomial with a nonzero
-    constant term, keyed (degree bound, identity); `den` is the degree
-    bound of D.
+    to their multiplicities.  An atom is the denominator of an exact
+    coefficient (`SpanDomain.from_scalar`), a polynomial with a nonzero
+    constant term, keyed (degree, coefficients); `den` is the degree bound
+    of D.
     """
 
     __slots__ = ("lo", "hi", "atoms", "den")
@@ -139,17 +139,15 @@ class SpanDomain:
 
     Sums take each atom's larger multiplicity, a common multiple of the two
     denominators, and widen the numerator range by the cofactors; products
-    add ranges and multiplicities; an inverse makes its numerator a fresh
-    atom.  Negation changes no bound, and only the structural zero is zero,
-    so a sum that cancels over Q(q) stays a (valid, loose) bound here.
+    add ranges and multiplicities.  Negation changes no bound, and only the
+    structural zero is zero, so a sum that cancels over Q(q) stays a
+    (valid, loose) bound here.  There is no inverse: nothing is eliminated
+    over this domain (`can_pivot`).
     """
 
     name = "span"
     exact = False
     can_pivot = False
-
-    def __init__(self):
-        self._fresh = itertools.count()
 
     def zero(self):
         return SPAN_ZERO
@@ -194,15 +192,6 @@ class SpanDomain:
             for key, m in b.atoms.items():
                 atoms[key] = atoms.get(key, 0) + m
         return Span(a.lo + b.lo, a.hi + b.hi, atoms, a.den + b.den)
-
-    def inv(self, a):
-        """1/x = D q^-e / N1 with N = q^e N1, N1(0) != 0, lo <= e and
-        e + deg N1 <= hi; N1 becomes a fresh atom of degree <= hi - lo."""
-        if a is SPAN_ZERO:
-            raise ZeroDivisionError("inverse of the structural zero")
-        width = a.hi - a.lo
-        atoms = {(width, next(self._fresh)): 1} if width else {}
-        return Span(-a.hi, a.den - a.lo, atoms, width)
 
     def from_scalar(self, a):
         if a.is_zero():

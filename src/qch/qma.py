@@ -12,6 +12,8 @@ to the ideal module for membership testing.
 
 from __future__ import annotations
 
+import functools
+
 from . import tensor
 from .domains import FpDomain
 from .ncpoly import NCDomain, NCPoly, QMatrix
@@ -21,13 +23,33 @@ from .scalar import LAMBDA, Q, QINV, QScalar, q_int
 from .sparse import axpy_into
 from .tensor import TensorOperator
 
+# lifted operators: name -> (context, attribute of that RMatrixContext)
+_NC_SOURCES = {"r": ("r_ctx", "r"), "r_inv": ("r_ctx", "r_inv"),
+               "f": ("f_ctx", "r"), "f_inv": ("f_ctx", "r_inv"),
+               "k": ("r_ctx", "k_op"), "d_r": ("r_ctx", "d_r")}
+
+
+def _cached(method):
+    """Build a method's value once per instance: it is kept in the
+    instance's `_cache`, keyed on the method name and positional arguments."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return cached
+
 
 class AlgebraContext:
     """A certified pair (R, F) with all derived algebra machinery.
 
-    Immutable after construction; every derived object is cached.  The
-    pair tag is `rtt` when F is the flip, `re` when F = R, else
-    `custom`.
+    Immutable after construction; every derived object is built once, on
+    first use, and cached.  The pair tag is `rtt` when F is the flip, `re`
+    when F = R, else `custom`.
     """
 
     def __init__(self, r_ctx, f_ctx, label="", certify=True):
@@ -44,19 +66,7 @@ class AlgebraContext:
             if not cert.ok:
                 raise GuardError(f"incompatible pair: {cert.failures()}")
         self.pair = self._pair_tag()
-        self._nc_ops = {}
-        self._mbar = {}
-        self._chain = {}
-        self._maps = {}
-        self._towers = []
-        self._wedges = {}
-        self._a_elems = {}
-        self._p_elems = {}
-        self._m_powers = None
-        self._pi_powers = None
-        self._g_elem = None
-        self._g_pair = None
-        self._d_rf = None
+        self._cache = {}
 
     def _pair_tag(self):
         if self.f_ctx.r == TensorOperator.flip(self.dom, self.dim):
@@ -71,16 +81,10 @@ class AlgebraContext:
         return op.map_coefficients(self.ncdom,
                                    lambda c: NCPoly.constant(base, c))
 
+    @_cached
     def _nc(self, name):
-        if name not in self._nc_ops:
-            src = {"r": lambda: self.r_ctx.r,
-                   "r_inv": lambda: self.r_ctx.r_inv,
-                   "f": lambda: self.f_ctx.r,
-                   "f_inv": lambda: self.f_ctx.r_inv,
-                   "k": lambda: self.r_ctx.k_op,
-                   "d_r": lambda: self.r_ctx.d_r}[name]
-            self._nc_ops[name] = self.lift(src())
-        return self._nc_ops[name]
+        ctx, attr = _NC_SOURCES[name]
+        return self.lift(getattr(getattr(self, ctx), attr))
 
     # -- generators and matrix copies ------------------------------------------
     @property
@@ -102,28 +106,25 @@ class AlgebraContext:
             m.rows[a][b] = p
         return m
 
+    @_cached
     def mbar_ops(self, n):
         """The matrix copies M_1b .. M_nb as arity-n operators."""
-        if n not in self._mbar:
-            ops = [self.matrix_to_operator(self.m_matrix).embed(1, n)]
-            for i in range(2, n + 1):
-                f = self._nc("f").embed(i - 1, n)
-                fi = self._nc("f_inv").embed(i - 1, n)
-                ops.append(f @ ops[-1] @ fi)
-            self._mbar[n] = ops
-        return self._mbar[n]
+        ops = [self.matrix_to_operator(self.m_matrix).embed(1, n)]
+        for i in range(2, n + 1):
+            f = self._nc("f").embed(i - 1, n)
+            fi = self._nc("f_inv").embed(i - 1, n)
+            ops.append(f @ ops[-1] @ fi)
+        return ops
 
+    @_cached
     def chain_product(self, n, start=1):
         """M_{start}b ... M_nb; the empty product is the identity."""
-        key = (n, start)
-        if key not in self._chain:
-            ops = (self.mbar_ops(n)[start - 1:]
-                   or [TensorOperator.identity(self.ncdom, self.dim, n)])
-            prod = ops[0]
-            for x in ops[1:]:
-                prod = prod @ x
-            self._chain[key] = prod
-        return self._chain[key]
+        ops = (self.mbar_ops(n)[start - 1:]
+               or [TensorOperator.identity(self.ncdom, self.dim, n)])
+        prod = ops[0]
+        for x in ops[1:]:
+            prod = prod @ x
+        return prod
 
     def tr_r(self, x, positions):
         return x.r_trace_many(self._nc("d_r"), positions)
@@ -147,57 +148,49 @@ class AlgebraContext:
     def char_braid(self, word, n):
         return self.char_element(self.braid_image(word, n), n)
 
+    @_cached
     def p_elem(self, i):
         """Power sums: p_0 = Tr_R I, p_i = ch(sigma_{i-1} ... sigma_1)."""
-        if i not in self._p_elems:
-            if i == 0:
-                val = self.r_ctx.d_r.partial_trace(1).scalar_value()
-                self._p_elems[i] = NCPoly.constant(self.dom, val)
-            else:
-                word = [(j, 1) for j in range(i - 1, 0, -1)]
-                self._p_elems[i] = self.char_braid(word, i)
-        return self._p_elems[i]
+        if i == 0:
+            val = self.r_ctx.d_r.partial_trace(1).scalar_value()
+            return NCPoly.constant(self.dom, val)
+        return self.char_braid([(j, 1) for j in range(i - 1, 0, -1)], i)
 
     def antisymmetrizer(self, i):
-        if len(self._towers) < i:
-            self._towers = antisymmetrizer_tower(self.r_ctx, i)
-        return self._towers[i - 1]
+        """a^(i); the cached tower a^(1)..a^(n) is rebuilt if n < i."""
+        tower = self._cache.get("tower", ())
+        if len(tower) < i:
+            tower = self._cache["tower"] = antisymmetrizer_tower(self.r_ctx, i)
+        return tower[i - 1]
 
+    @_cached
     def wedge_power(self, i):
         """M^{a^(i)} = Tr_{R(2..i)}(M_1b ... M_ib rho(a^(i)))."""
-        if i not in self._wedges:
-            if i == 0:
-                self._wedges[i] = QMatrix.identity(self.dom, self.dim)
-            else:
-                # a zero a^(i) (i above the height) needs no chain
-                a_i = self.lift(self.antisymmetrizer(i))
-                if a_i.is_zero():
-                    self._wedges[i] = QMatrix.zero(self.dom, self.dim)
-                else:
-                    prod = self.chain_product(i) @ a_i
-                    traced = self.tr_r(prod, range(2, i + 1))
-                    self._wedges[i] = self.matrix_from_operator(traced)
-        return self._wedges[i]
+        if i == 0:
+            return QMatrix.identity(self.dom, self.dim)
+        # a zero a^(i) (i above the height) needs no chain
+        a_i = self.lift(self.antisymmetrizer(i))
+        if a_i.is_zero():
+            return QMatrix.zero(self.dom, self.dim)
+        prod = self.chain_product(i) @ a_i
+        return self.matrix_from_operator(self.tr_r(prod, range(2, i + 1)))
 
+    @_cached
     def a_elem(self, i):
         """a_i = ch(a^(i)); a_0 = 1."""
-        if i not in self._a_elems:
-            if i == 0:
-                self._a_elems[i] = NCPoly.one(self.dom)
-            else:
-                op = self.matrix_to_operator(self.wedge_power(i))
-                self._a_elems[i] = self.tr_r(op, (1,)).scalar_value()
-        return self._a_elems[i]
+        if i == 0:
+            return NCPoly.one(self.dom)
+        op = self.matrix_to_operator(self.wedge_power(i))
+        return self.tr_r(op, (1,)).scalar_value()
 
     # -- the 2-contraction -------------------------------------------------------
     @property
+    @_cached
     def g(self):
-        if self._g_elem is None:
-            mu = self.r_ctx.mu_scalar
-            pref = mu * LAMBDA / ((Q - mu) * (QINV + mu))
-            val = self.tr_r(self.chain_product(2) @ self._nc("k"), (1, 2))
-            self._g_elem = val.scalar_value().scale(self.dom.from_scalar(pref))
-        return self._g_elem
+        mu = self.r_ctx.mu_scalar
+        pref = mu * LAMBDA / ((Q - mu) * (QINV + mu))
+        val = self.tr_r(self.chain_product(2) @ self._nc("k"), (1, 2))
+        return val.scalar_value().scale(self.dom.from_scalar(pref))
 
     def two_contraction_residuals(self):
         """K1 M1b M2b - mu^-2 K1 g and M1b M2b K1 - mu^-2 K1 g."""
@@ -208,26 +201,20 @@ class AlgebraContext:
         return (k @ ch2) - target, (ch2 @ k) - target
 
     # -- rotation maps -----------------------------------------------------------
-    @property
+    @functools.cached_property
     def d_rf(self):
         """R-trace operator of the twisted matrix F^-1 R F."""
-        if self._d_rf is None:
-            self._d_rf = twist(self.r_ctx, self.f_ctx).d_r
-        return self._d_rf
+        return twist(self.r_ctx, self.f_ctx).d_r
 
     def d_rf_factorized(self):
         """The product form D_{F^-1} (D_{R^-1})^-1 D_F of the twisted trace."""
         tr1_psi = self.r_ctx.psi.partial_trace(1)
         return self.f_ctx.d_rinv @ tr1_psi @ self.f_ctx.d_r
 
+    @_cached
     def map_tensor(self, kind):
         """Structure constants of a rotation map: {(c,d): {(a,b): coeff}}
         with map(E_cd) = sum coeff E_ab."""
-        if kind not in self._maps:
-            self._maps[kind] = self._build_map_tensor(kind)
-        return self._maps[kind]
-
-    def _build_map_tensor(self, kind):
         dom, dim = self.dom, self.dim
         r_ctx, f_ctx = self.r_ctx, self.f_ctx
         mu = r_ctx.mu_scalar
@@ -304,13 +291,12 @@ class AlgebraContext:
         """A * B = A phi(B); valid when A lies in the star-closed span."""
         return amat @ self.phi(bmat)
 
+    @_cached
     def star_power(self, n):
         """M^{nb}: M^{0b} = I, M^{n+1b} = M phi(M^{nb})."""
-        if self._m_powers is None:
-            self._m_powers = [QMatrix.identity(self.dom, self.dim)]
-        while len(self._m_powers) <= n:
-            self._m_powers.append(self.m_matrix @ self.phi(self._m_powers[-1]))
-        return self._m_powers[n]
+        if n == 0:
+            return QMatrix.identity(self.dom, self.dim)
+        return self.m_matrix @ self.phi(self.star_power(n - 1))
 
     def m_power(self, word, n):
         """M^{(alpha)}: R-trace over factors 2..n of M_1b..M_nb rho(alpha)."""
@@ -320,19 +306,13 @@ class AlgebraContext:
     def t_map(self, nmat):
         return self.m_matrix @ self.xi(nmat)
 
+    @_cached
     def g_conjugators(self):
         """G and G^-1 as constant matrices."""
-        if self._g_pair is None:
-            g_op, g_inv_op = compute_g_operator(self.r_ctx, self.f_ctx)
-            base = self.dom
-
-            def to_q(op):
-                rows = [[NCPoly.constant(base, c) for c in row]
-                        for row in tensor.matrix_from_operator(op)]
-                return QMatrix(base, rows)
-
-            self._g_pair = (to_q(g_op), to_q(g_inv_op))
-        return self._g_pair
+        dom = self.dom
+        return tuple(QMatrix(dom, [[NCPoly.constant(dom, c) for c in row]
+                                   for row in tensor.matrix_from_operator(op)])
+                     for op in compute_g_operator(self.r_ctx, self.f_ctx))
 
     def pi_star(self, nmat):
         """pi(M) * N = mu phi^-1(xi(M) G^-1 N G); the star action with
@@ -342,15 +322,14 @@ class AlgebraContext:
         return self.phi_inv(inner).scale(
             self.dom.from_scalar(self.r_ctx.mu_scalar))
 
+    @_cached
     def pi_star_power(self, n):
         """pi(M)^{nb} for n >= 1."""
         if n < 1:
             raise ValueError("pi star powers start at 1")
-        if self._pi_powers is None:
-            self._pi_powers = [None, self.pi(self.m_matrix)]
-        while len(self._pi_powers) <= n:
-            self._pi_powers.append(self.pi_star(self._pi_powers[-1]))
-        return self._pi_powers[n]
+        if n == 1:
+            return self.pi(self.m_matrix)
+        return self.pi_star(self.pi_star_power(n - 1))
 
     def descendant_a(self, m, i):
         """A^{(m,i)} = i_q M^{mb} * M^{a^(i)}; m = -1 is the boundary case."""
@@ -372,7 +351,7 @@ class AlgebraContext:
         a_i = self.lift(self.antisymmetrizer(i))
         if a_i.is_zero():  # i above the height: no chain needed
             return QMatrix.zero(self.dom, self.dim)
-        prod = self.chain_product(i, start=2) @ a_i
+        prod = self.chain_product(i, 2) @ a_i
         mat = self.matrix_from_operator(self.tr_r(prod, range(2, i + 1)))
         return self.phi_inv(mat).scale(self.dom.from_scalar(q_int(i)))
 
@@ -466,16 +445,13 @@ class AlgebraContext:
         res2 = self.descendant_b(m + 1, i + 1) - bracket.mul_poly_right(self.g)
         return res1, res2
 
-    def expansion_residual_a(self, m, i):
-        """descendant_a(m, i) minus its alternating-sum expansion; m >= i-2."""
-        if m < i - 2:
-            raise ValueError("expansion requires m >= i-2")
-        mu = self.r_ctx.mu_scalar
-        den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
-        inner_c = (QScalar.from_int(1) - QScalar.q_power(-2)) / den
+    def _expansion(self, m, i, lead, inner_c):
+        """The alternating sum shared by both expansions:
+        (-1)^(i-1) sum_j (-q)^j (lead(j) + inner_c S_j) a_j, where
+        S_j = sum_{r=1}^{i-j-1} M^{(m+i-j-2r)b} (q^2 g)^r."""
         acc = QMatrix.zero(self.dom, self.dim)
         for j in range(i):
-            term = self.star_power(m + i - j)
+            term = lead(j)
             inner = QMatrix.zero(self.dom, self.dim)
             q2g = self.g.scale(self.dom.from_scalar(QScalar.q_power(2)))
             gp = NCPoly.one(self.dom)
@@ -486,8 +462,17 @@ class AlgebraContext:
             term = term.mul_poly_right(self.a_elem(j))
             c = QScalar.q_power(j) if j % 2 == 0 else -QScalar.q_power(j)
             acc = acc + term.scale(self.dom.from_scalar(c))
-        if (i - 1) % 2 == 1:
-            acc = -acc
+        return -acc if (i - 1) % 2 == 1 else acc
+
+    def expansion_residual_a(self, m, i):
+        """descendant_a(m, i) minus its alternating-sum expansion; m >= i-2."""
+        if m < i - 2:
+            raise ValueError("expansion requires m >= i-2")
+        mu = self.r_ctx.mu_scalar
+        den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
+        inner_c = (QScalar.from_int(1) - QScalar.q_power(-2)) / den
+        acc = self._expansion(m, i, lambda j: self.star_power(m + i - j),
+                              inner_c)
         return self.descendant_a(m, i) - acc
 
     def expansion_residual_b(self, m, i):
@@ -497,27 +482,17 @@ class AlgebraContext:
         mu = self.r_ctx.mu_scalar
         den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
         inner_c = QScalar.q_power(-1) * (
-            QScalar.from_int(1) - QScalar.q_power(-2)) / den
+            QScalar.q_power(-2) - QScalar.from_int(1)) / den
         g_pows = [NCPoly.one(self.dom)]
         for _ in range(i):
             g_pows.append(g_pows[-1] * self.g)
-        acc = QMatrix.zero(self.dom, self.dim)
-        for j in range(i):
+
+        def lead(j):
             lead_c = mu.inv() * QScalar.q_power(-2 * j)
-            term = self.star_power(m - i + j).mul_poly_right(
+            return self.star_power(m - i + j).mul_poly_right(
                 g_pows[i - j]).scale(self.dom.from_scalar(lead_c))
-            inner = QMatrix.zero(self.dom, self.dim)
-            q2g = self.g.scale(self.dom.from_scalar(QScalar.q_power(2)))
-            gp = NCPoly.one(self.dom)
-            for r in range(1, i - j):
-                gp = gp * q2g
-                inner = inner + self.star_power(m + i - j - 2 * r).mul_poly_right(gp)
-            term = term - inner.scale(self.dom.from_scalar(inner_c))
-            term = term.mul_poly_right(self.a_elem(j))
-            c = QScalar.q_power(j) if j % 2 == 0 else -QScalar.q_power(j)
-            acc = acc + term.scale(self.dom.from_scalar(c))
-        if (i - 1) % 2 == 1:
-            acc = -acc
+
+        acc = self._expansion(m, i, lead, inner_c)
         return self.descendant_b(m, i) - acc
 
     def recursion_entries(self):
@@ -551,7 +526,7 @@ class AlgebraContext:
         twisted trace operator and G, G^-1.
         """
         if not dom.can_pivot:
-            # d_rf is a property: reading it builds and caches it
+            # reading them builds and caches them over Q(q)
             self.d_rf, self.g_conjugators()
         r_ctx = self.r_ctx.over(dom)
         f_ctx = r_ctx if self.f_ctx is self.r_ctx else self.f_ctx.over(dom)
@@ -559,10 +534,11 @@ class AlgebraContext:
                              label=label or f"{self.label} over {dom.name}",
                              certify=False)
         ctx.pair = self.pair
-        if self._d_rf is not None:
-            ctx._d_rf = self._d_rf.over(dom)
-        if self._g_pair is not None:
-            ctx._g_pair = tuple(m.over(dom) for m in self._g_pair)
+        if "d_rf" in vars(self):
+            ctx.d_rf = self.d_rf.over(dom)
+        g_key = ("g_conjugators",)
+        if g_key in self._cache:
+            ctx._cache[g_key] = tuple(m.over(dom) for m in self._cache[g_key])
         return ctx
 
     def at_point(self, pt):

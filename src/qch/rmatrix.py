@@ -9,6 +9,8 @@ antisymmetrizer tower degenerates).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import tensor
 from .domains import QQ, FpDomain
 from .ideal import (FAILURE_TARGET, MIN_PRIME_COUNT, IdealError,
@@ -66,44 +68,29 @@ class RMatrixContext:
         self.dim = r_op.dim
         self.mu_scalar = mu_scalar
         self.label = label
-        self._r_inv = None
-        self._k_op = None
-        self._psi = None
-        self._d_r = None
-        self._d_rinv = None
 
     def coeff(self, s):
         return self.dom.from_scalar(s)
 
-    @property
+    @cached_property
     def r_inv(self):
-        if self._r_inv is None:
-            self._r_inv = tensor.invert_arity2(self.r)
-        return self._r_inv
+        return tensor.invert_arity2(self.r)
 
-    @property
+    @cached_property
     def k_op(self):
-        if self._k_op is None:
-            self._k_op = contractor(self)
-        return self._k_op
+        return contractor(self)
 
-    @property
+    @cached_property
     def psi(self):
-        if self._psi is None:
-            self._psi = tensor.solve_skew_inverse(self.r)
-        return self._psi
+        return tensor.solve_skew_inverse(self.r)
 
-    @property
+    @cached_property
     def d_r(self):
-        if self._d_r is None:
-            self._d_r = self.psi.partial_trace(2)
-        return self._d_r
+        return self.psi.partial_trace(2)
 
-    @property
+    @cached_property
     def d_rinv(self):
-        if self._d_rinv is None:
-            self._d_rinv = tensor.invert_arity1(self.psi.partial_trace(1))
-        return self._d_rinv
+        return tensor.invert_arity1(self.psi.partial_trace(1))
 
     def identity(self, arity=2):
         return TensorOperator.identity(self.dom, self.dim, arity)
@@ -124,14 +111,14 @@ class RMatrixContext:
         need elimination (R^-1, Psi, D_R, D_{R^-1}) built here.
         """
         if not dom.can_pivot:
-            # properties: reading them builds and caches them over Q(q)
+            # reading them builds and caches them over Q(q)
             self.r_inv, self.d_r, self.d_rinv
         ctx = RMatrixContext(self.r.over(dom), self.mu_scalar,
                              label=label or f"{self.label} over {dom.name}")
-        for attr in ("_r_inv", "_k_op", "_psi", "_d_r", "_d_rinv"):
-            cached = getattr(self, attr)
-            if cached is not None:
-                setattr(ctx, attr, cached.over(dom))
+        built = vars(self)
+        for name, attr in vars(RMatrixContext).items():
+            if isinstance(attr, cached_property) and name in built:
+                setattr(ctx, name, built[name].over(dom))
         return ctx
 
     def at_point(self, pt):

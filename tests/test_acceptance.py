@@ -19,8 +19,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from qch import classical, qma
 from qch import spectral as sp
 from qch import sp4_relations
@@ -29,8 +27,8 @@ from qch.ideal import QuadraticIdeal, point_bound
 from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import (antisymmetrizer_tower, big_delta, build_standard_sp,
-                         check_bmw, check_cubic, check_ybe, delta,
-                         flip_context, height, height_probe)
+                         check_bmw, check_cubic, check_ybe, delta, height,
+                         height_probe)
 from qch.scalar import ONE, Q, QINV, QScalar, sample_points
 
 import qma_blocks as qmb
@@ -45,39 +43,6 @@ def qp(e):
 
 def gen(a, b):
     return NCPoly.generator(QQ, a, b)
-
-
-@pytest.fixture(scope="module")
-def rtt2():
-    return AlgebraContext(build_standard_sp(1), flip_context(QQ, 2),
-                          label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def re2():
-    r = build_standard_sp(1)
-    return AlgebraContext(r, r, label="sp2-re")
-
-
-@pytest.fixture(scope="module")
-def rtt4():
-    return AlgebraContext(build_standard_sp(2), flip_context(QQ, 4),
-                          label="sp4-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2(rtt2):
-    return QuadraticIdeal(QQ, 2, rtt2.defining_relations(), label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2_re(re2):
-    return QuadraticIdeal(QQ, 2, re2.defining_relations(), label="sp2-re")
-
-
-@pytest.fixture(scope="module")
-def ideal4(rtt4):
-    return QuadraticIdeal(QQ, 4, rtt4.defining_relations(), label="sp4-rtt")
 
 
 def entries_of(qmat):

@@ -46,35 +46,6 @@ def modular(ideal, p, **kw):
                                    ideal._poly_span(p), **kw)
 
 
-@pytest.fixture(scope="module")
-def rtt2():
-    return AlgebraContext(build_standard_sp(1), flip_context(QQ, 2),
-                          label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2(rtt2):
-    return QuadraticIdeal(QQ, 2, rtt2.defining_relations(), label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2_re():
-    r = build_standard_sp(1)
-    ctx = AlgebraContext(r, r, label="sp2-re")
-    return QuadraticIdeal(QQ, 2, ctx.defining_relations(), label="sp2-re")
-
-
-@pytest.fixture(scope="module")
-def rtt4():
-    return AlgebraContext(build_standard_sp(2), flip_context(QQ, 4),
-                          label="sp4-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal4(rtt4):
-    return QuadraticIdeal(QQ, 4, rtt4.defining_relations(), label="sp4-rtt")
-
-
 # -- orders and gradings ---------------------------------------------------------
 
 def test_generator_order_shape():

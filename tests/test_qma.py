@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from qch.domains import QQ, SpanDomain
-from qch.ideal import FAILURE_TARGET, QuadraticIdeal
+from qch import qma, rmatrix, tensor
+from qch.domains import QQ, FpDomain, SpanDomain
+from qch.ideal import FAILURE_TARGET
 from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
@@ -21,39 +22,6 @@ def qp(e):
 
 def gen(a, b):
     return NCPoly.generator(QQ, a, b)
-
-
-@pytest.fixture(scope="module")
-def rtt2():
-    return AlgebraContext(build_standard_sp(1), flip_context(QQ, 2),
-                          label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def re2():
-    r = build_standard_sp(1)
-    return AlgebraContext(r, r, label="sp2-re")
-
-
-@pytest.fixture(scope="module")
-def rtt4():
-    return AlgebraContext(build_standard_sp(2), flip_context(QQ, 4),
-                          label="sp4-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2(rtt2):
-    return QuadraticIdeal(QQ, 2, rtt2.defining_relations(), label="sp2-rtt")
-
-
-@pytest.fixture(scope="module")
-def ideal2_re(re2):
-    return QuadraticIdeal(QQ, 2, re2.defining_relations(), label="sp2-re")
-
-
-@pytest.fixture(scope="module")
-def ideal4(rtt4):
-    return QuadraticIdeal(QQ, 4, rtt4.defining_relations(), label="sp4-rtt")
 
 
 def assert_member(ideal, qmat_or_poly):
@@ -570,6 +538,49 @@ def test_mapped_contexts_keep_pair(rtt2):
     pt = sample_points(5, count=1, bound=40)[0]
     assert rtt2.over(SpanDomain()).pair == "rtt"
     assert rtt2.at_point(pt).pair == "rtt"
+
+
+PAIRS = {"rtt": lambda r: flip_context(QQ, r.dim), "re": lambda r: r}
+
+
+def forbid_elimination(monkeypatch):
+    """Make every builder of R^-1, Psi, D_R, D_R^-1, d_rf and G raise."""
+    def rebuilt(*args):
+        raise AssertionError("an eliminated object was rebuilt")
+
+    for mod, name in ((tensor, "invert_arity1"), (tensor, "invert_arity2"),
+                      (tensor, "solve_skew_inverse"),
+                      (rmatrix, "compute_g_operator"),
+                      (qma, "compute_g_operator")):
+        monkeypatch.setattr(mod, name, rebuilt)
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_mapped_context_reuses_what_is_built(monkeypatch, pair):
+    r = build_standard_sp(1)
+    ctx = AlgebraContext(r, PAIRS[pair](r))
+    for c in (ctx.r_ctx, ctx.f_ctx):
+        c.r_inv, c.psi, c.d_r, c.d_rinv
+    ctx.d_rf, ctx.g_conjugators()
+    exact = ctx.parent_identity(2)
+    forbid_elimination(monkeypatch)
+    pt = sample_points(5, count=1, bound=40)[0]
+    assert ctx.at_point(pt).parent_identity(2) == exact.over(FpDomain(pt))
+    span = ctx.over(SpanDomain()).parent_identity(2)
+    assert len(span.entries()) == len(exact.entries())
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_span_context_builds_eliminations_over_qq_first(monkeypatch, pair):
+    r = build_standard_sp(1)
+    ctx = AlgebraContext(r, PAIRS[pair](r))
+    span = ctx.over(SpanDomain())
+    forbid_elimination(monkeypatch)
+    for c in (ctx.r_ctx, ctx.f_ctx):
+        assert c.r_inv.dom is c.psi.dom is c.d_r.dom is c.d_rinv.dom is QQ
+    assert ctx.d_rf.dom is QQ
+    assert all(m.dom is QQ for m in ctx.g_conjugators())
+    assert span.parent_identity(2).entries()
 
 
 def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):

@@ -5,17 +5,9 @@ import pytest
 from qch.domains import QQ
 from qch.ideal import QuadraticIdeal
 from qch.ncpoly import NCPoly
-from qch.qma import AlgebraContext
-from qch.rmatrix import build_standard_sp, flip_context
 from qch.scalar import LAMBDA
 from qch.sp4_relations import (all_relations, g_closed_forms,
                                invariance_conditions, permutation_relations)
-
-
-@pytest.fixture(scope="module")
-def rtt4():
-    return AlgebraContext(build_standard_sp(2), flip_context(QQ, 4),
-                          label="sp4-rtt")
 
 
 @pytest.fixture(scope="module")
