@@ -17,8 +17,8 @@ import functools
 from . import tensor
 from .domains import FpDomain
 from .ncpoly import NCDomain, NCPoly, QMatrix
-from .rmatrix import (GuardError, antisymmetrizer_tower, check_compatible,
-                      compute_g_operator, twist)
+from .rmatrix import (GuardError, check_compatible, compute_g_operator,
+                      tower_level, twist)
 from .scalar import LAMBDA, Q, QINV, QScalar, q_int
 from .sparse import axpy_into
 from .tensor import TensorOperator
@@ -156,12 +156,10 @@ class AlgebraContext:
             return NCPoly.constant(self.dom, val)
         return self.char_braid([(j, 1) for j in range(i - 1, 0, -1)], i)
 
+    @_cached
     def antisymmetrizer(self, i):
-        """a^(i); the cached tower a^(1)..a^(n) is rebuilt if n < i."""
-        tower = self._cache.get("tower", ())
-        if len(tower) < i:
-            tower = self._cache["tower"] = antisymmetrizer_tower(self.r_ctx, i)
-        return tower[i - 1]
+        """a^(i), level i of the antisymmetrizer tower."""
+        return tower_level(self.r_ctx, i)
 
     @_cached
     def wedge_power(self, i):

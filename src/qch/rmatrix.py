@@ -2,13 +2,15 @@
 
 Builds the standard Sp(2k) braid-form R-matrix on (C^2k)^(⊗2), certifies
 the braid relation, the cubic characteristic identity and the tangle
-relations of the rank-1 contractor K, assembles the antisymmetrizer and
-symmetrizer towers, and locates the height (the level at which the
-antisymmetrizer tower degenerates).
+relations of the rank-1 contractor K, and runs the one tower recursion,
+`_apply_tower`, on vectors: on a basis for the levels of the
+antisymmetrizer and symmetrizer towers, on image bases for the height
+(the level at which the antisymmetrizer tower degenerates).
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from . import tensor
@@ -299,41 +301,50 @@ def _sigma(ctx, i, sign=-1):
             + ctx.k_op.scale(ctx.coeff(c_k)))
 
 
-def _next_level(ctx, tower, i, sign):
-    """Level i + 1 of a tower, q^(-sign i)/(i+1)_q a^(i) sigma_i a^(i),
-    from a^(i) = tower[i - 1]."""
-    c = QScalar.q_power(-sign * i) / q_int(i + 1)
-    return height_probe(ctx, tower, i, _sigma(ctx, i, sign)).scale(
-        ctx.coeff(c))
+def _apply_tower(sigmas, i, vectors):
+    """a^(i) on factors 1..i of each vector, up to a unit, through the
+    recursion a^(j+1) = c_j (a^(j) (x) 1) sigma_j (a^(j) (x) 1), with
+    sigma_j = sigmas[j - 1]: chained `TensorOperator.apply_at` generators
+    with one vector in flight.  `tower_level` and `_height_scan` run it."""
+    if i == 1:
+        return vectors
+    inner = _apply_tower(sigmas, i - 1, vectors)
+    return _apply_tower(sigmas, i - 1, sigmas[i - 2].apply_at(i - 1, inner))
 
 
-def _tower(ctx, n, sign):
-    """The tower of `antisymmetrizer_tower` (sign -1) or
-    `symmetrizer_tower` (sign +1)."""
-    out = [TensorOperator.identity(ctx.dom, ctx.dim, 1)]
-    for i in range(1, n):
-        out.append(_next_level(ctx, out, i, sign))
-    return out
+def tower_level(ctx, i, sign=-1):
+    """Level i of the antisymmetrizer (sign -1) or symmetrizer (+1) tower:
+    `_apply_tower` on the standard basis of V^(⊗i), each column times the
+    unit it drops, prod_{j<i} c_j^(2^(i-1-j)), c_j = q^(-sign j)/(j+1)_q,
+    built factor by factor (a `SpanDomain` keeps each c_j's atom)."""
+    dom = ctx.dom
+    unit, sigmas = dom.one(), []
+    for j in range(1, i):
+        sigmas.append(_sigma(ctx, j, sign))
+        c_j = QScalar.q_power(-sign * j) / q_int(j + 1)
+        unit = dom.mul(dom.mul(unit, unit), ctx.coeff(c_j))
+    basis = list(itertools.product(range(ctx.dim), repeat=i))
+    cols = _apply_tower(sigmas, i, ({t: dom.one()} for t in basis))
+    return TensorOperator(dom, ctx.dim, i, {
+        (t, tout): dom.mul(unit, c)
+        for t, col in zip(basis, cols) for tout, c in col.items()})
 
 
 def antisymmetrizer_tower(ctx, n):
     """[a^(1), ..., a^(n)] with a^(i+1) = q^i/(i+1)_q a^(i) sigma_i^-(q^-2i) a^(i)."""
-    return _tower(ctx, n, -1)
+    return [tower_level(ctx, i) for i in range(1, n + 1)]
 
 
 def symmetrizer_tower(ctx, n):
     """[s^(1), ..., s^(n)] with s^(i+1) = q^-i/(i+1)_q s^(i) sigma_i^+(q^2i) s^(i)."""
-    return _tower(ctx, n, +1)
+    return [tower_level(ctx, i, +1) for i in range(1, n + 1)]
 
 
-def height_probe(ctx, tower, i, sig=None):
-    """The tower step a^(i) sigma_i a^(i), with a^(i) = tower[i - 1] and
-    sig sigma_i on its two factors, by default sigma_i^-(q^-2i); with that
-    default its vanishing ends the height search."""
-    if sig is None:
-        sig = _sigma(ctx, i)
+def height_probe(ctx, tower, i):
+    """The tower step a^(i) sigma_i^-(q^-2i) a^(i), a^(i) = tower[i - 1],
+    composed as operators: level i + 1 up to its unit c_i."""
     a_i = tower[i - 1].embed(1, i + 1)
-    return a_i @ sig.embed(i, i + 1) @ a_i
+    return a_i @ _sigma(ctx, i).embed(i, i + 1) @ a_i
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +365,6 @@ def big_delta(mu, i):
     for j in range(1, i + 1):
         out = out * delta(mu, j)
     return out
-
-
-def _apply_tower(sigmas, i, vectors):
-    """a^(i) on factors 1..i of each vector, up to a unit, through the
-    recursion a^(j+1) = c_j (a^(j) (x) 1) sigma_j (a^(j) (x) 1), with
-    sigma_j = sigmas[j - 1]: chained `TensorOperator.apply_at` generators
-    with one vector in flight."""
-    if i == 1:
-        return vectors
-    inner = _apply_tower(sigmas, i - 1, vectors)
-    return _apply_tower(sigmas, i - 1, sigmas[i - 2].apply_at(i - 1, inner))
 
 
 def _height_scan(ctx, bound):

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from qch import cli, ideal, rmatrix
+from qch import cli, ideal, qma, rmatrix
 from qch.domains import SpanDomain
 from qch.ideal import FAILURE_TARGET, QuadraticIdeal
-from qch.scalar import InadmissiblePointError, JointPoint, sample_points
+from qch.scalar import Q, InadmissiblePointError, JointPoint, sample_points
 
 
 def run_json(capsys, argv):
@@ -177,6 +177,42 @@ def test_mixed_height_scans_report_fail(capsys, monkeypatch):
     assert reports[0]["status"] == "fail"
     assert reports[0]["residual"] == \
         "height undecided: mixed modular verdicts: [3, 2]"
+
+
+def test_planted_tower_normalization_fails(capsys, monkeypatch):
+    """sigma_i plus q K, a wrong tower normalization: the height scan and
+    the cutting check, which read the one tower recursion, both fail."""
+    sigma = rmatrix._sigma
+    monkeypatch.setattr(
+        rmatrix, "_sigma", lambda c, i, sign=-1: sigma(c, i, sign)
+        + c.k_op.scale(c.coeff(Q)))
+    for argv, residual in (
+            (["rmatrix", "--k", "2", "--checks", "height"],
+             "tower denominator mu - q^1 x vanishes at level 3"),
+            (["qma", "--k", "1", "--verify", "cutting"],
+             "boundary descendant nonzero")):
+        code, reports, _ = run_json(capsys, argv + ["--json"])
+        assert code == 1
+        assert [(r["status"], r["residual"]) for r in reports] == \
+            [("fail", residual)]
+
+
+def test_qma_builds_each_tower_level_once(capsys, monkeypatch):
+    """Each level of the antisymmetrizer tower is built once per domain
+    over a whole `qma` run, however the checks ask for it."""
+    builds = []
+    level = qma.tower_level
+
+    def recorded(ctx, i):
+        builds.append((ctx.dom.name, i))
+        return level(ctx, i)
+    monkeypatch.setattr(qma, "tower_level", recorded)
+    code, _, _ = run_json(capsys, ["qma", "--k", "2", "--pair", "rtt",
+                                   "--verify", "ch,parent,cutting", "--seed",
+                                   "1", "--json"])
+    assert code == 0
+    assert len(set(builds)) == len(builds)
+    assert sum(i >= 2 for _, i in builds) == 4, builds
 
 
 def test_primes_flag_sets_ch_points(capsys):

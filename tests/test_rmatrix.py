@@ -6,11 +6,11 @@ import math
 import pytest
 
 from qch import rmatrix, tensor
-from qch.domains import QQ
+from qch.domains import QQ, SpanDomain
 from qch.ideal import (FAILURE_TARGET, modular_bound, modular_verdict,
                        point_bound)
 from qch.scalar import (LAMBDA, ONE, Q, InadmissiblePointError, JointPoint,
-                        QScalar, joint_point, sample_points)
+                        QScalar, joint_point, q_int, sample_points)
 from qch.tensor import TensorOperator
 
 
@@ -135,6 +135,50 @@ def test_delta_values():
         assert d1 == (Q - mu) * (qp(-1) + mu) / LAMBDA
         assert rmatrix.delta(mu, k + 1).is_zero()
         assert rmatrix.big_delta(mu, k + 1).is_zero()
+
+
+def _composed_step(ctx, tower, i, sign):
+    """a^(i) sigma_i a^(i) as composed operators: `height_probe` for the
+    antisymmetrizer, written out for the symmetrizer."""
+    if sign == -1:
+        return rmatrix.height_probe(ctx, tower, i)
+    s_i = tower[i - 1].embed(1, i + 1)
+    return s_i @ rmatrix._sigma(ctx, i, sign).embed(i, i + 1) @ s_i
+
+
+def _entries(op):
+    """op's entries, a `Span` (which has no equality) by its fields."""
+    if op.dom.name != "span":
+        return op.data
+    return {key: (v.lo, v.hi, v.atoms, v.den) for key, v in op.data.items()}
+
+
+def _tower_domains(k):
+    ctx = rmatrix.build_standard_sp(k)
+    pool = sample_points(3, 3, point_bound(ctx.dim))
+    return [ctx, ctx.at_point(pool[0]), ctx.at_point(joint_point(pool)),
+            ctx.over(SpanDomain())]
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("k,top", [(1, 2), (2, 3), (3, 3)])
+def test_tower_level_is_the_composed_step(k, top, sign):
+    """Each level is q^(-sign i)/(i+1)_q times the composed step on the
+    level below, over Q(q), at a prime point, at a joint point and over
+    `SpanDomain`, where the unit's per-factor denominator atoms must give
+    the composed tower's bounds entry by entry."""
+    for ctx in _tower_domains(k):
+        tower = [rmatrix.tower_level(ctx, 1, sign)]
+        assert _entries(tower[0]) == _entries(
+            TensorOperator.identity(ctx.dom, ctx.dim, 1))
+        for i in range(1, top):
+            c_i = QScalar.q_power(-sign * i) / q_int(i + 1)
+            want = _composed_step(ctx, tower, i, sign).scale(ctx.coeff(c_i))
+            tower.append(rmatrix.tower_level(ctx, i + 1, sign))
+            assert _entries(tower[i]) == _entries(want), (ctx.dom.name, i)
+            # a Span is never zero; the exact levels vanish at the height
+            if ctx.dom.name != "span":
+                assert tower[i].is_zero() == (sign == -1 and i == k), i
 
 
 def test_sigma_guard_fails_past_height():
