@@ -183,7 +183,10 @@ RANK_ORACLE = {
     (1, "rtt", 2): {"rank": 6, "blocks": 5, "spanning": 12},
     (1, "rtt", 3): {"rank": 44, "blocks": 12, "spanning": 96},
     (1, "re", 2): {"rank": 6, "blocks": 1, "spanning": 12},
+    (1, "re", 3): {"rank": 44, "blocks": 1, "spanning": 96},
     (2, "rtt", 2): {"rank": 130, "blocks": 65, "spanning": 240},
+    (2, "rtt", 3): {"rank": 3424, "blocks": 165, "spanning": 7680},
+    (2, "re", 2): {"rank": 130, "blocks": 1, "spanning": 240},
 }
 
 

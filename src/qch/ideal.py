@@ -14,7 +14,7 @@ joint point modulo the product of their primes.  An
 echelon-oriented rewriting system provides a sound fast path (a zero
 normal form proves membership; a nonzero one decides nothing).  Words
 are coded once, on entry, as integers (`word_key`) that order words of
-one length as the generator order does.
+one length lexicographically, generators (a, b) row-major.
 """
 
 from __future__ import annotations
@@ -117,27 +117,11 @@ def modular_verdict(decide, d_max, guard, seed, min_points, target):
     return verdicts[0], pts, modular_bound(pts, d_max)
 
 
-def generator_order(dim):
-    """Column rank of each generator label (a, b), 0-based.
-
-    dim 4 uses the block order D < C < B < A (quadrant blocks of the
-    generator matrix, row-major inside each block); other dims are plain
-    row-major.
-    """
-    if dim == 4:
-        ranks = {}
-        for a in range(4):
-            for b in range(4):
-                block = (1 - a // 2) * 2 + (1 - b // 2)
-                ranks[(a, b)] = block * 4 + (a % 2) * 2 + (b % 2)
-        return ranks
-    return {(a, b): a * dim + b for a in range(dim) for b in range(dim)}
-
-
 def default_weights(dim):
-    """Basis weights (k..1, -1..-k) for even dim = 2k, else None."""
+    """Basis weights (k..1, -1..-k) for even dim = 2k, else all 0 (the
+    trivial grading)."""
     if dim % 2:
-        return None
+        return [0] * dim
     k = dim // 2
     return [k - i for i in range(k)] + [-(i + 1) for i in range(k)]
 
@@ -182,8 +166,7 @@ class MembershipCertificate:
 class QuadraticIdeal:
     """The graded ideal of a fixed list of quadratic relations."""
 
-    def __init__(self, dom, dim, relations, label="", order=None,
-                 weights=None):
+    def __init__(self, dom, dim, relations, label="", weights=None):
         self.dom = dom
         self.dim = dim
         self.label = label
@@ -194,24 +177,20 @@ class QuadraticIdeal:
             if any(len(w) != 2 for w in p.terms):
                 raise ValueError(f"relation {rid} is not quadratic")
             self.relations.append((rid, p))
-        self.order = order if order is not None else generator_order(dim)
-        self._rank_to_gen = {r: g for g, r in self.order.items()}
         self._base = dim * dim
         gg = self._base ** 2
         # each relation as {2-letter code: coefficient}
         self._rel_codes = [{self.word_key(w) - gg: c
                             for w, c in p.terms.items()}
                            for _, p in self.relations]
-        self.weights = (default_weights(dim) if weights is None else weights)
-        if self.weights is not None and any(
-                len({self.block_key(code + gg) for code in codes}) > 1
-                for codes in self._rel_codes):
-            self.weights = None
+        # relations not homogeneous in the weights get the trivial grading
+        self.weights = weights or default_weights(dim)
+        if any(len({self.block_key(code + gg) for code in codes}) > 1
+               for codes in self._rel_codes):
+            self.weights = [0] * dim
         # (row weight, column weight) of each relation
-        self._rel_weights = [
-            (0, 0) if self.weights is None
-            else self.block_key(next(iter(codes)) + gg)[1:]
-            for codes in self._rel_codes]
+        self._rel_weights = [self.block_key(next(iter(codes)) + gg)[1:]
+                             for codes in self._rel_codes]
         self._rel_span = [self._poly_span(p) for _, p in self.relations]
         self._ruleset = None
         self._components = {}
@@ -222,31 +201,29 @@ class QuadraticIdeal:
     # -- words, blocks, spans ------------------------------------------------
     def word_key(self, w):
         """The integer code of a word: 1, then one base-dim**2 digit per
-        letter, its rank in the generator order."""
+        letter, a * dim + b for generator (a, b)."""
         key = 1
-        for g in w:
-            key = key * self._base + self.order[g]
+        for a, b in w:
+            key = key * self._base + a * self.dim + b
         return key
 
     def word_from_key(self, key):
         letters = []
         while key > 1:
             key, r = divmod(key, self._base)
-            letters.append(self._rank_to_gen[r])
+            letters.append(divmod(r, self.dim))
         return tuple(reversed(letters))
 
     def block_key(self, key):
-        """(length, row weight, column weight) of a word code, or
-        (length,) without weights."""
+        """(length, row weight, column weight) of a word code."""
         n = rw = cw = 0
         while key > 1:
             key, r = divmod(key, self._base)
+            a, b = divmod(r, self.dim)
             n += 1
-            if self.weights is not None:
-                a, b = self._rank_to_gen[r]
-                rw += self.weights[a]
-                cw += self.weights[b]
-        return (n,) if self.weights is None else (n, rw, cw)
+            rw += self.weights[a]
+            cw += self.weights[b]
+        return (n, rw, cw)
 
     def _poly_span(self, p):
         span = 0
@@ -336,10 +313,8 @@ class QuadraticIdeal:
             return [((), 0, 0)]
         shorter = self._all_words(length - 1)
         out = []
-        for a in range(self.dim):
-            for b in range(self.dim):
-                wa = self.weights[a] if self.weights else 0
-                wb = self.weights[b] if self.weights else 0
+        for a, wa in enumerate(self.weights):
+            for b, wb in enumerate(self.weights):
                 for w, rw, cw in shorter:
                     out.append((w + ((a, b),), rw + wa, cw + wb))
         return out
@@ -353,11 +328,7 @@ class QuadraticIdeal:
                 for l1 in range(degree - 1):
                     for w1, rw1, cw1 in words[l1]:
                         for w2, rw2, cw2 in words[degree - 2 - l1]:
-                            if self.weights:
-                                block = (degree, rw1 + rw0 + rw2,
-                                         cw1 + cw0 + cw2)
-                            else:
-                                block = (degree,)
+                            block = (degree, rw1 + rw0 + rw2, cw1 + cw0 + cw2)
                             idx.setdefault(block, []).append((rel_i, w1, w2))
             self._span_index[degree] = idx
         return self._span_index[degree]
@@ -403,7 +374,7 @@ class QuadraticIdeal:
             rels = [(rid, p.over(fp)) for rid, p in self.relations]
             self._points[key] = QuadraticIdeal(
                 fp, self.dim, rels, label=f"{self.label} @ {pt!r}",
-                order=self.order, weights=self.weights)
+                weights=self.weights)
         return self._points[key]
 
     # -- membership ----------------------------------------------------------------
@@ -546,9 +517,7 @@ class QuadraticIdeal:
         - 2, that put w1 r w2 in the block: degree - 1 splits of each word
         w1 w2 of the right weight."""
         if degree not in self._block_span_max:
-            letters = [(0, 0) if self.weights is None else
-                       (self.weights[a], self.weights[b])
-                       for a, b in self.order]
+            letters = [(ra, cb) for ra in self.weights for cb in self.weights]
             counts = Counter({(0, 0): 1})   # words of length degree - 2
             for _ in range(degree - 2):
                 nxt = Counter()

@@ -77,6 +77,19 @@ def test_ideal_stats_oracle(capsys):
     assert stats == {"degree": 2, "rank": 6, "blocks": 5, "spanning": 12}
 
 
+@pytest.mark.parametrize("k,pair,degree", [(1, "re", 3), (2, "re", 2)])
+def test_ideal_rank_oracle_entries(capsys, k, pair, degree):
+    # the RE ideals are one block per degree; (2, rtt, 3), which takes
+    # seconds, runs in CI
+    code, reports, _ = run_json(capsys, [
+        "ideal", "--k", str(k), "--pair", pair, "--degree", str(degree),
+        "--json"])
+    assert code == 0 and reports[0]["status"] == "pass"
+    stats = json.loads(reports[0]["witness"])
+    assert {key: stats[key] for key in cli.RANK_ORACLE[k, pair, degree]} \
+        == cli.RANK_ORACLE[k, pair, degree]
+
+
 def test_classical_flags(capsys):
     code, reports, _ = run_json(capsys, [
         "classical", "--k", "1", "--samples", "5", "--g=-7/3",
@@ -476,6 +489,31 @@ PINNED_REPORTS = {
          "witness": "points:4"},
     ],
 }
+
+
+def test_re_ch_at_k2_normal_orders_to_zero(capsys, monkeypatch):
+    # the RE characteristic identity at k = 2: at the joint point every
+    # one of its 16 entries normal-orders to 0, so none is eliminated;
+    # the normal forms are checked before the run's own decision
+    vanishes_at = QuadraticIdeal._vanishes_at
+    joint = []
+
+    def normal_forms_first(self, pt, candidate_at):
+        entries = candidate_at(pt)
+        assert isinstance(pt, JointPoint) and len(entries) == 16
+        ideal_p = self.at_point(pt)
+        assert all(ideal_p.normal_order(p).is_zero() for p in entries)
+        joint.append(pt)
+        return vanishes_at(self, pt, candidate_at)
+
+    monkeypatch.setattr(QuadraticIdeal, "_vanishes_at", normal_forms_first)
+    code, reports, _ = run_json(capsys, [
+        "qma", "--k", "2", "--pair", "re", "--verify", "ch", "--seed", "1",
+        "--json"])
+    assert code == 0 and len(joint) == 1
+    [r] = reports
+    assert r["check"] == "qma.ch" and r["status"] == "probable-pass"
+    assert r["failure_bound"] < FAILURE_TARGET
 
 
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS))

@@ -9,7 +9,7 @@ from qch.domains import QQ, FpDomain, SpanDomain
 from qch.ideal import (FAILURE_TARGET, MAX_PRIME_COUNT, MIN_PRIME_COUNT,
                        POINT_LIMIT, BudgetError, MembershipCertificate,
                        MixedVerdictError, QuadraticIdeal, default_weights,
-                       generator_order, modular_bound, modular_verdict,
+                       modular_bound, modular_verdict,
                        point_bound)
 from qch.ncpoly import NCPoly
 from qch.qma import AlgebraContext
@@ -48,24 +48,26 @@ def modular(ideal, p, **kw):
 
 # -- orders and gradings ---------------------------------------------------------
 
-def test_generator_order_shape():
-    order2 = generator_order(2)
-    assert sorted(order2.values()) == list(range(4))
-    order4 = generator_order(4)
-    assert sorted(order4.values()) == list(range(16))
-    # the top-left block outranks the bottom-right block
-    assert order4[(0, 0)] > order4[(3, 3)]
+def test_letter_digit_is_row_major():
+    for dim in (2, 4, 6):
+        ideal = QuadraticIdeal(QQ, dim, [])
+        base = dim * dim
+        for a in range(dim):
+            for b in range(dim):
+                assert ideal.word_key(((a, b),)) == base + a * dim + b
+                assert ideal.word_from_key(base + a * dim + b) == ((a, b),)
 
 
 def test_default_weights():
     assert default_weights(2) == [1, -1]
     assert default_weights(4) == [2, 1, -1, -2]
-    assert default_weights(3) is None
+    assert default_weights(3) == [0, 0, 0]
 
 
 def test_weights_dropped_when_not_homogeneous(ideal2, ideal2_re):
     assert ideal2.weights == [1, -1]
-    assert ideal2_re.weights is None
+    assert ideal2_re.weights == [0, 0]
+    assert set(ideal2_re._span_index_for(3)) == {(3, 0, 0)}
 
 
 # -- span ranks -------------------------------------------------------------------
@@ -487,6 +489,6 @@ def test_non_member_residual_decodes_to_words(ideal2, ideal4):
     p = gen(0, 0) * gen(0, 1) * gen(1, 1) - gen(1, 1) * gen(0, 1) * gen(0, 0)
     cert = ideal2.membership(p, witness=True)
     assert cert.status == "non-member"
-    assert all(len(w) == 3 and all(g in ideal2.order for g in w)
-               for w in cert.residual.terms)
+    gens = {(a, b) for a in range(2) for b in range(2)}
+    assert all(len(w) == 3 and set(w) <= gens for w in cert.residual.terms)
     assert ideal2.membership(p - cert.residual).is_member
