@@ -8,6 +8,21 @@ construction code runs exactly over Q(q) or fast over F_p at a PrimePoint.
 Their sparse sums and products all go through the one kernel in
 `qch.sparse`, which reaches coefficients only through a domain.
 
+The protocol, with the layer that calls each member:
+
+  * every domain: `name`, `zero()`, `one()`, `is_zero`, `add`, `neg` and
+    `mul` (`qch.sparse`, `tensor`, `ncpoly`, `linalg`); operator
+    coefficients are a domain too (`ncpoly.NCDomain`);
+  * the scalar domains (`QDomain`, `FpDomain`, `SpanDomain`) also
+    `from_scalar`, which sends an exact QScalar in (the contexts' `over`
+    and the scalar constants of their constructions), and `can_pivot`
+    (the contexts' `over`);
+  * the pivoting domains (`QDomain`, `FpDomain`) also `inv` (`Echelon`),
+    `exact` (`QuadraticIdeal.membership`) and `to_text`
+    (`NCPoly.to_text`, `rmatrix.check_bmw`).
+
+A new domain implements its part of this and nothing more.
+
 SpanDomain runs the same construction code once more to bound, without
 computing them, the Laurent degree spans of the exact Q(q) coefficients.
 That bound is the candidate degree of a modular verdict whose candidate is
@@ -34,7 +49,6 @@ class QDomain:
 
     is_zero = staticmethod(QScalar.is_zero)
     add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     inv = staticmethod(QScalar.inv)
@@ -74,9 +88,6 @@ class FpDomain:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -146,7 +157,6 @@ class SpanDomain:
     """
 
     name = "span"
-    exact = False
     can_pivot = False
 
     def zero(self):
@@ -175,8 +185,6 @@ class SpanDomain:
         return Span(min(a.lo, b.lo),
                     max(a.hi + den - a.den, b.hi + den - b.den), atoms, den)
 
-    sub = add
-
     def neg(self, a):
         return a
 
@@ -203,9 +211,6 @@ class SpanDomain:
             return Span(num_lo, num_hi, {}, 0)
         key = (width, tuple(sorted(a.den.items())))
         return Span(num_lo, num_hi, {key: 1}, width)
-
-    def to_text(self, a):
-        return repr(a)
 
 
 QQ = QDomain()

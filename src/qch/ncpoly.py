@@ -44,12 +44,6 @@ class NCPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not w for w in self.terms)
-
-    def constant_part(self):
-        return self.terms.get((), self.dom.zero())
-
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -82,12 +76,6 @@ class NCPoly:
         if dom.is_zero(c):
             return NCPoly(dom)
         return NCPoly(dom, {w: dom.mul(c, v) for w, v in self.terms.items()})
-
-    def __pow__(self, n):
-        out = NCPoly.one(self.dom)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- structure ------------------------------------------------------------
     def degree(self):
@@ -131,12 +119,12 @@ class NCPoly:
 
 
 class NCDomain:
-    """NCPoly viewed as a coefficient domain for tensor operators."""
+    """NCPoly as the coefficient domain of tensor operators: only the
+    members every domain has (`qch.domains`)."""
 
     def __init__(self, base):
         self.base = base
         self.name = f"NC({base.name})"
-        self.exact = base.exact
 
     def zero(self):
         return NCPoly.zero(self.base)
@@ -150,25 +138,11 @@ class NCDomain:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
         return a * b
-
-    def inv(self, a):
-        if not a.is_constant():
-            raise ArithmeticError("only constant polynomials are invertible")
-        return NCPoly.constant(self.base, self.base.inv(a.constant_part()))
-
-    def from_scalar(self, s):
-        return NCPoly.constant(self.base, self.base.from_scalar(s))
-
-    def to_text(self, p):
-        return p.to_text()
 
 
 class QMatrix:
@@ -198,10 +172,6 @@ class QMatrix:
         """The matrix of generators: entry (a, b) is the generator M^a_b."""
         return QMatrix(dom, [[NCPoly.generator(dom, a, b) for b in range(n)]
                              for a in range(n)])
-
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.rows[a][b]
 
     def __add__(self, other):
         return QMatrix(self.dom, [[x + y for x, y in zip(r1, r2)]
@@ -256,16 +226,6 @@ class QMatrix:
 
     def entries(self):
         return [x for row in self.rows for x in row]
-
-    def trace(self):
-        acc = NCPoly.zero(self.dom)
-        for i in range(self.size):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def to_text(self, name="M"):
-        return "\n".join("[" + ", ".join(x.to_text(name) for x in row) + "]"
-                         for row in self.rows)
 
     def __repr__(self):
         return f"QMatrix({self.size}x{self.size})"

@@ -48,8 +48,7 @@ class AlgebraContext:
     """A certified pair (R, F) with all derived algebra machinery.
 
     Immutable after construction; every derived object is built once, on
-    first use, and cached.  The pair tag is `rtt` when F is the flip, `re`
-    when F = R, else `custom`.
+    first use, and cached.
     """
 
     def __init__(self, r_ctx, f_ctx, label="", certify=True):
@@ -65,15 +64,7 @@ class AlgebraContext:
             cert = check_compatible(r_ctx, f_ctx)
             if not cert.ok:
                 raise GuardError(f"incompatible pair: {cert.failures()}")
-        self.pair = self._pair_tag()
         self._cache = {}
-
-    def _pair_tag(self):
-        if self.f_ctx.r == TensorOperator.flip(self.dom, self.dim):
-            return "rtt"
-        if self.f_ctx.r == self.r_ctx.r:
-            return "re"
-        return "custom"
 
     # -- lifting scalar operators to polynomial coefficients -------------------
     def lift(self, op):
@@ -531,7 +522,6 @@ class AlgebraContext:
         ctx = AlgebraContext(r_ctx, f_ctx,
                              label=label or f"{self.label} over {dom.name}",
                              certify=False)
-        ctx.pair = self.pair
         if "d_rf" in vars(self):
             ctx.d_rf = self.d_rf.over(dom)
         g_key = ("g_conjugators",)
@@ -544,5 +534,4 @@ class AlgebraContext:
         return self.over(FpDomain(pt), label=f"{self.label} @ {pt!r}")
 
     def __repr__(self):
-        return (f"AlgebraContext({self.label}, pair={self.pair}, "
-                f"dim={self.dim})")
+        return f"AlgebraContext({self.label}, dim={self.dim})"

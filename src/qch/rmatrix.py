@@ -239,7 +239,7 @@ def check_bmw(ctx, name="bmw"):
     weight = (Q - mu) * (QScalar.q_power(-1) + mu) / LAMBDA
     tr_id = ctx.tr_r(ctx.identity(1), 1).scalar_value()
     cert.record("Tr_R I = (q-mu)(q^-1+mu)/(q-q^-1)",
-                ctx.dom.is_zero(ctx.dom.sub(tr_id, ctx.coeff(weight))),
+                tr_id == ctx.coeff(weight),
                 f"got {ctx.dom.to_text(tr_id)}")
     cert.record_zero("Tr_R(2) R1 = I",
                      ctx.tr_r(ctx.r, 2) - ctx.identity(1))

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from types import MappingProxyType
 
 
@@ -289,11 +288,6 @@ class QScalar:
         return QScalar({0: n}, _LDEN, _canonical=True)
 
     @staticmethod
-    def from_fraction(f):
-        f = Fraction(f)
-        return QScalar({0: f.numerator}, {0: f.denominator})
-
-    @staticmethod
     def q_power(e):
         return QScalar({e: 1}, _LDEN, _canonical=True)
 
@@ -494,42 +488,14 @@ def scalar_to_text(a):
 # ---------------------------------------------------------------------------
 # Modular evaluation points.
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below_2_31(count):
-    out = []
-    n = 2 ** 31 - 1
-    while len(out) < count:
-        if _is_probable_prime(n):
-            out.append(n)
-        n -= 2
-    return out
-
-
-# sample_points takes at most one point per prime of the pool
-PRIME_POOL_SIZE = 24
-_PRIME_POOL = _primes_below_2_31(PRIME_POOL_SIZE)
+# the 24 largest primes below 2^31, in decreasing order; sample_points
+# takes at most one point per prime of the pool
+_PRIME_POOL = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059)
+PRIME_POOL_SIZE = len(_PRIME_POOL)
 
 
 class PrimePoint:

@@ -273,13 +273,12 @@ def sym_identities(k, i):
     return True
 
 
-def expansion_coefficients(k, order=None):
+def expansion_coefficients(k):
     """Expand prod_i (X - q nu_i), i = 1..2k, as a polynomial in an
     abstract commuting power symbol X; returns coefficients of X^j,
-    j = 0..2k.  `order` optionally permutes the factors."""
-    idx = list(order) if order is not None else list(range(1, 2 * k + 1))
+    j = 0..2k."""
     coeffs = [SpectralFunction.constant(k, ONE)]
-    for i in idx:
+    for i in range(1, 2 * k + 1):
         root = SpectralFunction.variable(k, i).scale(Q)
         nxt = [SpectralFunction.constant(k, ZERO)
                for _ in range(len(coeffs) + 1)]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qch import cli, ideal, qma, rmatrix
+from qch import classical, cli, ideal, qma, rmatrix
 from qch.domains import SpanDomain
 from qch.ideal import FAILURE_TARGET, QuadraticIdeal
 from qch.scalar import Q, InadmissiblePointError, JointPoint, sample_points
@@ -208,6 +208,82 @@ def test_planted_tower_normalization_fails(capsys, monkeypatch):
         assert code == 1
         assert [(r["status"], r["residual"]) for r in reports] == \
             [("fail", residual)]
+
+
+def _planted_fails(capsys, argv, checks):
+    """argv reports `fail` on exactly these checks and exits 1; returns
+    the reports."""
+    code, reports, _ = run_json(capsys, argv + ["--json"])
+    assert code == 1
+    assert sorted(r["check"] for r in reports) == sorted(checks)
+    assert all(r["status"] == "fail" for r in reports), reports
+    return reports
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_planted_r_entry_fails_ybe_cubic_bmw(capsys, monkeypatch, k):
+    """One entry of R times q: the braid relation, the cubic and the BMW
+    relations all fail."""
+    build = rmatrix.build_standard_sp
+
+    def planted(k):
+        ctx = build(k)
+        data = dict(ctx.r.data)
+        key = min(data)
+        data[key] = data[key] * Q
+        r_op = rmatrix.TensorOperator(ctx.dom, ctx.dim, 2, data)
+        return rmatrix.RMatrixContext(r_op, ctx.mu_scalar, label=ctx.label)
+    monkeypatch.setattr(rmatrix, "build_standard_sp", planted)
+    monkeypatch.setattr(cli, "build_standard_sp", planted)
+    _planted_fails(capsys, ["rmatrix", "--k", str(k), "--checks",
+                            "ybe,cubic,bmw"],
+                   ["rmatrix.bmw", "rmatrix.cubic", "rmatrix.ybe"])
+
+
+@pytest.mark.parametrize("pair", ["rtt", "re"])
+def test_planted_epsilon_fails_parent_and_ch(capsys, monkeypatch, pair):
+    """eps_1 times q: both identities that read the eps_i fail."""
+    epsilon_elements = qma.AlgebraContext.epsilon_elements
+
+    def planted(self, k):
+        eps = list(epsilon_elements(self, k))
+        eps[1] = eps[1].scale(self.dom.from_scalar(Q))
+        return eps
+    monkeypatch.setattr(qma.AlgebraContext, "epsilon_elements", planted)
+    _planted_fails(capsys, ["qma", "--k", "1", "--pair", pair, "--verify",
+                            "parent,ch"], ["qma.ch", "qma.parent"])
+
+
+@pytest.mark.parametrize("pair", ["rtt", "re"])
+def test_planted_descendant_b_fails_recursions(capsys, monkeypatch, pair):
+    descendant_b = qma.AlgebraContext.descendant_b
+    monkeypatch.setattr(
+        qma.AlgebraContext, "descendant_b", lambda self, m, i:
+        descendant_b(self, m, i).scale(self.dom.from_scalar(Q)))
+    _planted_fails(capsys, ["qma", "--k", "1", "--pair", pair, "--verify",
+                            "recursions"], ["qma.recursions"])
+
+
+@pytest.mark.parametrize("dropped,rank", [(1, 6), (2, 5)])
+def test_planted_dropped_relation_fails_rank(capsys, monkeypatch, dropped,
+                                             rank):
+    """The first defining relations dropped: the ideal no longer matches
+    its RANK_ORACLE entry.  The first two are proportional, so without
+    one of them only the spanning count falls; without both, the rank."""
+    relations = qma.AlgebraContext.defining_relations
+    monkeypatch.setattr(qma.AlgebraContext, "defining_relations",
+                        lambda self: relations(self)[dropped:])
+    [report] = _planted_fails(capsys, ["ideal", "--k", "1", "--degree", "2"],
+                              ["ideal.rank"])
+    assert f'"rank": {rank}' in report["residual"]
+
+
+def test_planted_classical_pi_sign_fails_battery(capsys, monkeypatch):
+    classical_pi = classical.classical_pi
+    monkeypatch.setattr(classical, "classical_pi",
+                        lambda m: classical_pi(m).scale(-1))
+    _planted_fails(capsys, ["classical", "--k", "1", "--samples", "5"],
+                   ["classical.battery"])
 
 
 def test_qma_builds_each_tower_level_once(capsys, monkeypatch):

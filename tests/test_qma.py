@@ -34,12 +34,6 @@ def assert_member(ideal, qmat_or_poly):
         assert cert.is_member, cert
 
 
-def test_pair_tags(rtt2, re2, rtt4):
-    assert rtt2.pair == "rtt"
-    assert re2.pair == "re"
-    assert rtt4.pair == "rtt"
-
-
 # -- characteristic elements ---------------------------------------------------
 
 def test_a1_calibration_anchor(rtt2, re2):
@@ -149,10 +143,10 @@ def test_two_contraction_residuals(rtt2, ideal2, rtt4, ideal4):
 def test_phi_display_sp2(rtt2):
     m = rtt2.m_matrix
     phi = rtt2.phi(m)
-    assert phi[(0, 0)] == gen(0, 0).scale(qp(-4)) + gen(1, 1).scale(ONE - qp(-4))
-    assert phi[(0, 1)] == gen(0, 1).scale(qp(-6))
-    assert phi[(1, 0)] == gen(1, 0).scale(qp(-2))
-    assert phi[(1, 1)] == gen(1, 1)
+    assert phi.rows[0][0] == gen(0, 0).scale(qp(-4)) + gen(1, 1).scale(ONE - qp(-4))
+    assert phi.rows[0][1] == gen(0, 1).scale(qp(-6))
+    assert phi.rows[1][0] == gen(1, 0).scale(qp(-2))
+    assert phi.rows[1][1] == gen(1, 1)
 
 
 def test_pi_display_sp2_from_linear_identity(rtt2):
@@ -164,8 +158,8 @@ def test_pi_display_sp2_from_linear_identity(rtt2):
     expect = (QMatrix.identity(QQ, 2).mul_poly_right(a1).scale(qp(-1))
               - m.scale(qp(-2)))
     assert pi == expect
-    assert pi[(0, 0)] == gen(0, 0).scale(qp(-6) - qp(-2)) + gen(1, 1).scale(qp(-2))
-    assert pi[(1, 1)] == gen(0, 0).scale(qp(-6))
+    assert pi.rows[0][0] == gen(0, 0).scale(qp(-6) - qp(-2)) + gen(1, 1).scale(qp(-2))
+    assert pi.rows[1][1] == gen(0, 0).scale(qp(-6))
 
 
 def test_pi_is_f_independent(rtt2, re2, rtt4):
@@ -532,12 +526,6 @@ def test_point_build_is_reduction_of_exact_identity(rtt4, exact_k2, name):
     pt = sample_points(5, count=1, bound=40)[0]
     at_point = K2_IDENTITIES[name](rtt4.at_point(pt))
     assert at_point == [p.reduce_at(pt) for p in exact_k2[name]]
-
-
-def test_mapped_contexts_keep_pair(rtt2):
-    pt = sample_points(5, count=1, bound=40)[0]
-    assert rtt2.over(SpanDomain()).pair == "rtt"
-    assert rtt2.at_point(pt).pair == "rtt"
 
 
 PAIRS = {"rtt": lambda r: flip_context(QQ, r.dim), "re": lambda r: r}

@@ -26,7 +26,7 @@ def test_canonical_form_examples():
     assert a == Q + ONE
     # common content and q-powers are stripped
     b = QScalar({3: 2, 1: -2}, {2: 4})
-    assert b == (Q - QINV) * QScalar.from_fraction("1/2")
+    assert b == (Q - QINV) * QScalar({0: 1}, {0: 2})
     # denominator lowest coefficient positive
     c = QScalar({0: 1}, {0: -2, 1: -2})
     assert c.den[0] > 0
@@ -124,6 +124,38 @@ def test_prime_point_guards():
     assert [(a.p, a.qhat) for a in pts] == [(b.p, b.qhat) for b in pts2]
 
 
+def _is_prime(n):
+    # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        if n == a:
+            return True
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_pool_is_the_largest_primes_below_2_31():
+    pool = sc._PRIME_POOL
+    assert len(pool) == sc.PRIME_POOL_SIZE
+    assert all(a > b for a, b in zip(pool, pool[1:]))
+    assert all(_is_prime(p) for p in pool)
+    assert not any(_is_prime(n) for n in range(pool[0] + 1, 2 ** 31))
+    for hi, lo in zip(pool, pool[1:]):
+        assert not any(_is_prime(n) for n in range(lo + 1, hi))
+
+
 def test_joint_point_reduces_to_each_point():
     pts = sample_points(4, 3, 12)
     joint = sc.joint_point(pts)
@@ -192,7 +224,7 @@ def test_text_form():
         "2*q^3 / (-q^2 + 3)"
     assert scalar_to_text(LAMBDA) == "(q^2 - 1) / q"
     assert scalar_to_text(QScalar.from_int(-2) * QINV) == "-2 / q"
-    assert scalar_to_text(QScalar.from_fraction("3/4")) == "3 / 4"
+    assert scalar_to_text(QScalar({0: 3}, {0: 4})) == "3 / 4"
     # a single-term denominator with a coefficient is one factor
     assert scalar_to_text(QScalar({1: 8, 0: -7}, {3: 4})) == \
         "(8*q - 7) / (4*q^3)"

@@ -146,7 +146,7 @@ def test_constructors_give_laurent_values_the_shared_denominator():
     values = [QScalar({-2: 3, 1: 1}), QScalar({-2: 3}, {0: 1}),
               QScalar({3: 6, -1: 4}, {5: 2}), QScalar({2: 1, 0: -1},
                                                        {1: 1, 0: -1}),
-              QScalar.from_fraction("8/4"), QScalar.from_int(-5),
+              QScalar({0: 8}, {0: 4}), QScalar.from_int(-5),
               QScalar.laurent({-4: 1, 0: 0}), QScalar.q_power(-3),
               QScalar({0: 2}, {0: 6}) * QScalar.from_int(3),
               bar(QScalar({0: 1}, {1: 1, 0: 1}) * QScalar({1: 1, 0: 1}))]

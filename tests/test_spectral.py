@@ -155,16 +155,6 @@ def test_factor_expansion_k1_display():
     assert coeffs[0] == var(1, 0, 2).scale(qp(2))
 
 
-def test_factor_order_invariance():
-    rng = random.Random(3)
-    for k in (1, 2):
-        order = list(range(1, 2 * k + 1))
-        rng.shuffle(order)
-        base = sp.expansion_coefficients(k)
-        perm = sp.expansion_coefficients(k, order=order)
-        assert all(a == b for a, b in zip(base, perm))
-
-
 @pytest.mark.parametrize("k", [1, 2, 3], ids=lambda k: f"{k}-exact")
 def test_factor_check(k):
     assert sp.factor_check(k) == {"ok": True, "checked": 2 * k + 1}
