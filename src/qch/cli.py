@@ -131,7 +131,7 @@ def _algebra(k, pair):
 
 def _identity_check(ideal, ctx, build, degree, seed, primes, suffix=""):
     """The report of a matrix identity check (qma.parent, qma.ch,
-    qma.recursions): build(ctx) lists the identity's entries, of maximal
+    qma.recursions): build(ctx) yields the identity's entries, of maximal
     degree `degree`; suffix follows the witness size of an exact pass."""
     def run():
         cert = ideal.identity_membership(ctx, build, degree, seed=seed,
@@ -156,12 +156,11 @@ def run_qma(k, pair, verify, primes, seed):
     reports = []
     if "parent" in verify:
         reports.append(_timed("qma.parent", params, _identity_check(
-            ideal, ctx, lambda c: c.parent_identity(k).entries(), k, seed,
-            primes)))
+            ideal, ctx, lambda c: c.parent_entries(k), k, seed, primes)))
     if "ch" in verify:
         reports.append(_timed("qma.ch", params, _identity_check(
-            ideal, ctx, lambda c: c.ch_identity(k).entries(), 2 * k, seed,
-            primes, suffix=" terms")))
+            ideal, ctx, lambda c: c.ch_entries(k), 2 * k, seed, primes,
+            suffix=" terms")))
     if "cutting" in verify:
         def run_cutting():
             if not ctx.boundary_a(k + 1).is_zero():

@@ -403,10 +403,11 @@ class QuadraticIdeal:
                           entries=1, seed=0, min_points=MIN_PRIME_COUNT):
         """Modular membership of a candidate that is only built at points.
 
-        candidate_at(pt) is the list of entries of one fixed exact
+        candidate_at(pt) is an iterable of the entries of one fixed exact
         candidate (say, a matrix identity), each reduced at pt, built once
-        per point.  The caller vouches for the exact candidate: its
-        maximal degree, a bound on the Laurent degree span of its
+        per point; it may be a one-shot generator, and each entry is
+        decided as it arrives.  The caller vouches for the exact candidate:
+        its maximal degree, a bound on the Laurent degree span of its
         coefficients (say, from a SpanDomain build) and the number of its
         nonzero entries.  Every entry is decided at the same points of
         `modular_verdict` and gets an equal share of FAILURE_TARGET; the
@@ -434,29 +435,34 @@ class QuadraticIdeal:
 
     def identity_membership(self, ctx, build, degree, seed=0,
                             min_points=MIN_PRIME_COUNT):
-        """Membership of every entry of the identity build(ctx), a list of
-        polynomials of the given maximal degree; None when every entry is
-        0 in the free algebra.
+        """Membership of every entry of the identity build(ctx), an iterable
+        (a list, or a one-shot generator) of polynomials of the given
+        maximal degree; None when every entry is 0 in the free algebra.
 
         When the verdict will be modular (`needs_modular`) the identity is
         built evaluate-first: only at the prime points, with its degree,
         coefficient span and nonzero entries bounded by one SpanDomain
-        build.  Mixed modular verdicts send the whole identity to the
-        exact build and exact membership.
+        build.  That build is streamed, and only three running numbers are
+        kept of it: the largest degree, the largest coefficient span and
+        the count of nonzero entries.  Mixed modular verdicts send the
+        whole identity to the exact build, listed once, and exact
+        membership.
         """
         if self.needs_modular(degree):
-            shape = [p for p in build(ctx.over(SpanDomain())) if p]
-            if shape:
+            d_max = span = entries = 0
+            for p in build(ctx.over(SpanDomain())):
+                if p:
+                    entries += 1
+                    d_max = max(d_max, p.degree())
+                    span = max(span, self._poly_span(p))
+            if entries:
                 try:
                     return self.membership_family(
-                        lambda pt: build(ctx.at_point(pt)),
-                        max(p.degree() for p in shape),
-                        max(c.degree_span() for p in shape
-                            for c in p.terms.values()),
-                        entries=len(shape), seed=seed, min_points=min_points)
+                        lambda pt: build(ctx.at_point(pt)), d_max, span,
+                        entries=entries, seed=seed, min_points=min_points)
                 except MixedVerdictError:
                     pass
-        polys = build(ctx)
+        polys = list(build(ctx))
         if not any(polys):
             return None
         return self.membership_matrix(polys, witness=True)

@@ -118,6 +118,26 @@ class NCPoly:
         return f"NCPoly({len(self.terms)} terms, deg {self.degree()})"
 
 
+def sum_of_products(dom, pairs):
+    """sum x * y over the NCPoly pairs (x, y), accumulated in one dict."""
+    acc = {}
+    for x, y in pairs:
+        if x.terms and y.terms:
+            product(x.terms, y.terms, operator.add, dom, acc)
+    return NCPoly(dom, acc)
+
+
+def right_sum(dom, n, terms):
+    """The entries, row-major, of sum m e over the pairs (m, e) of terms:
+    an n x n QMatrix m and an NCPoly e that multiplies each entry of m on
+    the right.  Each entry is built by `sum_of_products` and yielded when
+    it is complete, so only one is held at a time."""
+    terms = [(m.rows, e) for m, e in terms if e]
+    for a in range(n):
+        for b in range(n):
+            yield sum_of_products(dom, [(rows[a][b], e) for rows, e in terms])
+
+
 class NCDomain:
     """NCPoly as the coefficient domain of tensor operators: only the
     members every domain has (`qch.domains`)."""
@@ -181,20 +201,17 @@ class QMatrix:
         return QMatrix(self.dom, [[x - y for x, y in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return QMatrix(self.dom, [[-x for x in row] for row in self.rows])
+    @staticmethod
+    def from_entries(dom, n, entries):
+        """The n x n matrix of entries, given row-major."""
+        it = iter(entries)
+        return QMatrix(dom, [[next(it) for _ in range(n)] for _ in range(n)])
 
     def __matmul__(self, other):
-        n = self.size
-        out = QMatrix.zero(self.dom, n)
-        for a in range(n):
-            for b in range(n):
-                acc = NCPoly.zero(self.dom)
-                for c in range(n):
-                    if self.rows[a][c] and other.rows[c][b]:
-                        acc = acc + self.rows[a][c] * other.rows[c][b]
-                out.rows[a][b] = acc
-        return out
+        n, dom = self.size, self.dom
+        return QMatrix(dom, [[sum_of_products(dom, [
+            (self.rows[a][c], other.rows[c][b]) for c in range(n)])
+            for b in range(n)] for a in range(n)])
 
     def scale(self, c):
         return QMatrix(self.dom, [[x.scale(c) for x in row]

@@ -16,7 +16,7 @@ import functools
 
 from . import tensor
 from .domains import FpDomain
-from .ncpoly import NCDomain, NCPoly, QMatrix
+from .ncpoly import NCDomain, NCPoly, QMatrix, right_sum, sum_of_products
 from .rmatrix import (GuardError, check_compatible, compute_g_operator,
                       tower_level, twist)
 from .scalar import LAMBDA, Q, QINV, QScalar, q_int
@@ -42,6 +42,13 @@ def _cached(method):
         return self._cache[key]
 
     return cached
+
+
+def _alt_q(i, e):
+    """(-1)^i q^e: the sign and power of a term of the identities and
+    expansions."""
+    c = QScalar.q_power(e)
+    return -c if i % 2 else c
 
 
 class AlgebraContext:
@@ -236,14 +243,14 @@ class AlgebraContext:
         return out
 
     def apply_map(self, kind, nmat):
-        out = QMatrix.zero(self.dom, self.dim)
+        dom, dim = self.dom, self.dim
+        out = [[{} for _ in range(dim)] for _ in range(dim)]
         for (c, d), cell in self.map_tensor(kind).items():
-            x = nmat.rows[c][d]
-            if x.is_zero():
-                continue
-            for (a, b), t in cell.items():
-                out.rows[a][b] = out.rows[a][b] + x.scale(t)
-        return out
+            x = nmat.rows[c][d].terms
+            if x:
+                for (a, b), t in cell.items():
+                    axpy_into(out[a][b], x.items(), t, dom)
+        return QMatrix(dom, [[NCPoly(dom, t) for t in row] for row in out])
 
     def phi(self, nmat):
         return self.apply_map("phi", nmat)
@@ -359,46 +366,53 @@ class AlgebraContext:
         return out.scale(self.dom.from_scalar(q_int(i)))
 
     # -- matrix identities ----------------------------------------------------------
+    def _sum(self, terms):
+        """The QMatrix sum m e over the pairs (m, e) of terms (`right_sum`)."""
+        return QMatrix.from_entries(self.dom, self.dim,
+                                    right_sum(self.dom, self.dim, terms))
+
+    def _scaled(self, p, c):
+        """p times the exact scalar c, sent into the domain."""
+        return p.scale(self.dom.from_scalar(c))
+
     def epsilon_elements(self, k):
         """eps_0..eps_2k: eps_i = sum_j a_{i-2j} g^j, eps_{k+i} = eps_{k-i} g^i."""
         g_pows = [NCPoly.one(self.dom)]
         for _ in range(k):
             g_pows.append(g_pows[-1] * self.g)
-        eps = []
-        for i in range(k + 1):
-            acc = NCPoly.zero(self.dom)
-            for j in range(i // 2 + 1):
-                acc = acc + self.a_elem(i - 2 * j) * g_pows[j]
-            eps.append(acc)
+        eps = [sum_of_products(self.dom, [(self.a_elem(i - 2 * j), g_pows[j])
+                                          for j in range(i // 2 + 1)])
+               for i in range(k + 1)]
         for i in range(1, k + 1):
             eps.append(eps[k - i] * g_pows[i])
         return eps
 
+    def ch_entries(self, k):
+        """Entries of the LHS of the degree-2k Cayley-Hamilton identity,
+        row-major, each yielded when it is complete."""
+        eps = self.epsilon_elements(k)
+        return right_sum(self.dom, self.dim, [
+            (self.star_power(2 * k - i), self._scaled(eps[i], _alt_q(i, i)))
+            for i in range(2 * k + 1)])
+
     def ch_identity(self, k):
         """LHS of the degree-2k Cayley-Hamilton identity."""
+        return QMatrix.from_entries(self.dom, self.dim, self.ch_entries(k))
+
+    def parent_entries(self, k):
+        """Entries of the LHS of the degree-k parent identity, mixing M and
+        pi(M) powers, row-major, each yielded when it is complete."""
         eps = self.epsilon_elements(k)
-        out = QMatrix.zero(self.dom, self.dim)
-        for i in range(2 * k + 1):
-            c = QScalar.q_power(i) if i % 2 == 0 else -QScalar.q_power(i)
-            term = self.star_power(2 * k - i).mul_poly_right(eps[i])
-            out = out + term.scale(self.dom.from_scalar(c))
-        return out
+        terms = [(self.star_power(k - i), self._scaled(eps[i], _alt_q(i, i)))
+                 for i in range(k + 1)]
+        terms += [(self.pi_star_power(k - i),
+                   self._scaled(eps[i], _alt_q(i, 2 * k - i)))
+                  for i in range(k)]
+        return right_sum(self.dom, self.dim, terms)
 
     def parent_identity(self, k):
         """LHS of the degree-k parent identity mixing M and pi(M) powers."""
-        eps = self.epsilon_elements(k)
-        out = QMatrix.zero(self.dom, self.dim)
-        for i in range(k + 1):
-            c = QScalar.q_power(i) if i % 2 == 0 else -QScalar.q_power(i)
-            term = self.star_power(k - i).mul_poly_right(eps[i])
-            out = out + term.scale(self.dom.from_scalar(c))
-        for i in range(k):
-            c = QScalar.q_power(2 * k - i)
-            if i % 2 == 1:
-                c = -c
-            term = self.pi_star_power(k - i).mul_poly_right(eps[i])
-            out = out + term.scale(self.dom.from_scalar(c))
-        return out
+        return QMatrix.from_entries(self.dom, self.dim, self.parent_entries(k))
 
     # -- defining relations ------------------------------------------------------------
     def defining_relations(self):
@@ -419,39 +433,42 @@ class AlgebraContext:
         den = (QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 1))
         if den.is_zero():
             raise GuardError(f"recursion denominator vanishes at i={i}")
-        m_pow_ai = self.star_power(m).mul_poly_right(self.a_elem(i))
+        one, g, a_i = NCPoly.one(self.dom), self.g, self.a_elem(i)
+        m_pow = self.star_power(m)
         a_mi = self.descendant_a(m, i)
         b_mi = self.descendant_b(m, i)
         c1 = mu * QScalar.q_power(2 * i - 1) * LAMBDA / den
-        res1 = (self.descendant_a(m - 1, i + 1)
-                - m_pow_ai.scale(self.dom.from_scalar(QScalar.q_power(i)))
-                + a_mi
-                + b_mi.scale(self.dom.from_scalar(c1)))
-        bracket = (m_pow_ai.scale(
-            self.dom.from_scalar(mu.inv() * QScalar.q_power(-i)))
-            + a_mi.scale(self.dom.from_scalar(LAMBDA / den))
-            - b_mi)
-        res2 = self.descendant_b(m + 1, i + 1) - bracket.mul_poly_right(self.g)
+        res1 = self._sum([(self.descendant_a(m - 1, i + 1), one),
+                          (m_pow, -self._scaled(a_i, QScalar.q_power(i))),
+                          (a_mi, one),
+                          (b_mi, self._scaled(one, c1))])
+        # minus (M^{mb} a_i mu^-1 q^-i + A^{(m,i)} lambda/den - B^{(m,i)}) g
+        res2 = self._sum([
+            (self.descendant_b(m + 1, i + 1), one),
+            (m_pow, -self._scaled(a_i * g, mu.inv() * QScalar.q_power(-i))),
+            (a_mi, -self._scaled(g, LAMBDA / den)),
+            (b_mi, g)])
         return res1, res2
 
     def _expansion(self, m, i, lead, inner_c):
-        """The alternating sum shared by both expansions:
+        """The terms (matrix, right factor) of minus the alternating sum
+        shared by both expansions,
         (-1)^(i-1) sum_j (-q)^j (lead(j) + inner_c S_j) a_j, where
-        S_j = sum_{r=1}^{i-j-1} M^{(m+i-j-2r)b} (q^2 g)^r."""
-        acc = QMatrix.zero(self.dom, self.dim)
+        S_j = sum_{r=1}^{i-j-1} M^{(m+i-j-2r)b} (q^2 g)^r and lead(j) is
+        one such term."""
+        q2g = self._scaled(self.g, QScalar.q_power(2))
+        terms = []
         for j in range(i):
-            term = lead(j)
-            inner = QMatrix.zero(self.dom, self.dim)
-            q2g = self.g.scale(self.dom.from_scalar(QScalar.q_power(2)))
+            # (-1)^(i-1) (-q)^j a_j, negated
+            a_j = self._scaled(self.a_elem(j), _alt_q(i + j, j))
+            lead_m, lead_e = lead(j)
+            terms.append((lead_m, lead_e * a_j))
             gp = NCPoly.one(self.dom)
             for r in range(1, i - j):
                 gp = gp * q2g
-                inner = inner + self.star_power(m + i - j - 2 * r).mul_poly_right(gp)
-            term = term + inner.scale(self.dom.from_scalar(inner_c))
-            term = term.mul_poly_right(self.a_elem(j))
-            c = QScalar.q_power(j) if j % 2 == 0 else -QScalar.q_power(j)
-            acc = acc + term.scale(self.dom.from_scalar(c))
-        return -acc if (i - 1) % 2 == 1 else acc
+                terms.append((self.star_power(m + i - j - 2 * r),
+                              self._scaled(gp * a_j, inner_c)))
+        return terms
 
     def expansion_residual_a(self, m, i):
         """descendant_a(m, i) minus its alternating-sum expansion; m >= i-2."""
@@ -460,9 +477,10 @@ class AlgebraContext:
         mu = self.r_ctx.mu_scalar
         den = QScalar.from_int(1) + mu * QScalar.q_power(2 * i - 3)
         inner_c = (QScalar.from_int(1) - QScalar.q_power(-2)) / den
-        acc = self._expansion(m, i, lambda j: self.star_power(m + i - j),
-                              inner_c)
-        return self.descendant_a(m, i) - acc
+        one = NCPoly.one(self.dom)
+        terms = self._expansion(
+            m, i, lambda j: (self.star_power(m + i - j), one), inner_c)
+        return self._sum([(self.descendant_a(m, i), one)] + terms)
 
     def expansion_residual_b(self, m, i):
         """descendant_b(m, i) minus its alternating-sum expansion; m >= i."""
@@ -478,28 +496,32 @@ class AlgebraContext:
 
         def lead(j):
             lead_c = mu.inv() * QScalar.q_power(-2 * j)
-            return self.star_power(m - i + j).mul_poly_right(
-                g_pows[i - j]).scale(self.dom.from_scalar(lead_c))
+            return (self.star_power(m - i + j),
+                    self._scaled(g_pows[i - j], lead_c))
 
-        acc = self._expansion(m, i, lead, inner_c)
-        return self.descendant_b(m, i) - acc
+        terms = self._expansion(m, i, lead, inner_c)
+        return self._sum([(self.descendant_b(m, i), NCPoly.one(self.dom))]
+                         + terms)
 
     def recursion_entries(self):
         """Entries of every descendant recursion and expansion residual
-        that qma.recursions checks, as one list: each is an ideal member.
-        The largest degree, 5, is that of the second recursion at m = 2,
-        i = 1."""
-        mats = [res for m in (0, 1, 2) for i in (0, 1)
-                for res in self.recursion_residuals(m, i)]
-        mats += [self.expansion_residual_a(m, i) for m, i in ((-1, 1), (0, 2))]
-        mats += [self.expansion_residual_b(m, i) for m, i in ((1, 1), (2, 2))]
-        return [p for mat in mats for p in mat.entries()]
+        that qma.recursions checks, yielded one residual matrix at a time:
+        each is an ideal member.  The largest degree, 5, is that of the
+        second recursion at m = 2, i = 1."""
+        for m in (0, 1, 2):
+            for i in (0, 1):
+                for res in self.recursion_residuals(m, i):
+                    yield from res.entries()
+        for m, i in ((-1, 1), (0, 2)):
+            yield from self.expansion_residual_a(m, i).entries()
+        for m, i in ((1, 1), (2, 2)):
+            yield from self.expansion_residual_b(m, i).entries()
 
     def cutting_dependency(self, m, k):
         """B^{(m+1,k+1)} + q A^{(m-1,k+1)} g, which vanishes at Sp(2k)."""
-        a_part = self.descendant_a(m - 1, k + 1).mul_poly_right(self.g)
-        return (self.descendant_b(m + 1, k + 1)
-                + a_part.scale(self.dom.from_scalar(Q)))
+        return self._sum([
+            (self.descendant_b(m + 1, k + 1), NCPoly.one(self.dom)),
+            (self.descendant_a(m - 1, k + 1), self._scaled(self.g, Q))])
 
     def g_permutation_residual(self, nmat):
         """N g - g (G^-1 N G); entries are ideal members."""

@@ -207,8 +207,9 @@ def check_ybe(r_op, name="ybe"):
     cert = Certificate(name)
     r1 = r_op.embed(1, 3)
     r2 = r_op.embed(2, 3)
+    r12 = r1 @ r2
     cert.record_zero("braid relation R1 R2 R1 = R2 R1 R2",
-                     (r1 @ r2 @ r1) - (r2 @ r1 @ r2))
+                     (r12 @ r1) - (r2 @ r12))
     return cert
 
 
@@ -228,8 +229,9 @@ def check_bmw(ctx, name="bmw"):
     k2 = ctx.k_op.embed(2, 3)
     r1, r1i = ctx.r.embed(1, 3), ctx.r_inv.embed(1, 3)
     r2, r2i = ctx.r.embed(2, 3), ctx.r_inv.embed(2, 3)
-    cert.record_zero("K2 K1 = K2 R1 R2", (k2 @ k1) - (k2 @ r1 @ r2))
-    cert.record_zero("K2 K1 = K2 R1^-1 R2^-1", (k2 @ k1) - (k2 @ r1i @ r2i))
+    k21 = k2 @ k1
+    cert.record_zero("K2 K1 = K2 R1 R2", k21 - (k2 @ r1 @ r2))
+    cert.record_zero("K2 K1 = K2 R1^-1 R2^-1", k21 - (k2 @ r1i @ r2i))
     cert.record_zero("K1 K2 K1 = K1", (k1 @ k2 @ k1) - k1)
     rank = tensor.exact_rank(ctx.k_op)
     cert.record("rank(K) = 1", rank == 1, f"rank={rank}")

@@ -4,7 +4,10 @@ A sparse map is a dict {key: coefficient} that stores no zero
 coefficient.  Tensor operators, noncommutative and spectral polynomials
 and echelon rows are all such maps, and every sum or product of them goes
 through the three functions below, generic over the protocol of
-`domains.py`.
+`domains.py`.  `product` also accumulates into a given destination: a sum
+of products, such as one entry of a matrix product or of a matrix
+identity, is then built in a single dict, with no intermediate map per
+product and no copy per sum.
 
 A key that is new to the destination is appended to it, and a key whose
 sum cancels is removed; callers rely on the resulting insertion order,
@@ -43,11 +46,13 @@ def axpy_into(dst, src, c, dom):
     return dst
 
 
-def product(a, b, combine, dom):
+def product(a, b, combine, dom, dst=None):
     """The product of sparse maps a and b: key combine(ka, kb) collects
-    a[ka] * b[kb], with a's coefficient on the left."""
+    a[ka] * b[kb], with a's coefficient on the left.  Given dst, the
+    product is added into it (dst += a * b, as in `add_into`) and dst is
+    returned."""
     add, mul, is_zero = dom.add, dom.mul, dom.is_zero
-    out = {}
+    out = {} if dst is None else dst
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = combine(ka, kb)

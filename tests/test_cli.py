@@ -404,7 +404,7 @@ def test_recursions_share_one_failure_budget(capsys, monkeypatch):
         return enough(pts, d_max, min_points, target)
 
     def vanishes_at(self, pt, candidate_at):
-        built.append((pt, candidate_at(pt)))
+        built.append((pt, list(candidate_at(pt))))
         return not (walk and isinstance(pt, JointPoint))
     monkeypatch.setattr(QuadraticIdeal, "needs_modular",
                         lambda self, degree: True)
@@ -575,7 +575,7 @@ def test_re_ch_at_k2_normal_orders_to_zero(capsys, monkeypatch):
     joint = []
 
     def normal_forms_first(self, pt, candidate_at):
-        entries = candidate_at(pt)
+        entries = list(candidate_at(pt))
         assert isinstance(pt, JointPoint) and len(entries) == 16
         ideal_p = self.at_point(pt)
         assert all(ideal_p.normal_order(p).is_zero() for p in entries)

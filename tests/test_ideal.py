@@ -350,10 +350,17 @@ def _relation_times_generator(ctx):
     return [rel * NCPoly.generator(ctx.dom, 0, 0)]
 
 
-def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
+def one_shot(build):
+    """build as a generator function: each of its builds can be read once."""
+    def gen(ctx):
+        yield from build(ctx)
+    return gen
+
+
+def _mixed_verdict_fallback(rtt4, ideal4, wrap):
     # a non-member that vanishes at the second point only, so the joint
     # point and the first point reject it, the verdicts are mixed and the
-    # identity goes to the exact build and exact membership
+    # identity goes to the exact build, listed once, and exact membership
     second = sample_points(5, 2, point_bound(4))[1]
     doms = []
 
@@ -364,12 +371,52 @@ def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
         return [_relation_times_generator(ctx)[0] + (x * x * x).scale(c)]
 
     assert ideal4.needs_modular(3)
-    cert = ideal4.identity_membership(rtt4, build, 3, seed=5, min_points=3)
+    cert = ideal4.identity_membership(rtt4, wrap(build), 3, seed=5,
+                                      min_points=3)
     assert [type(d) for d in doms[:4]] == [SpanDomain, FpDomain, FpDomain,
                                            FpDomain]
     assert doms[1].p > doms[3].p == second.p
     assert doms[4:] == [rtt4.dom]
     assert (cert.status, cert.kind) == ("non-member", "exact")
+    assert cert.residual is not None and not cert.residual.is_zero()
+
+
+def test_identity_membership_falls_back_on_mixed_verdicts(rtt4, ideal4):
+    _mixed_verdict_fallback(rtt4, ideal4, lambda build: build)
+
+
+def test_streamed_build_falls_back_on_mixed_verdicts(rtt4, ideal4):
+    # a one-shot build read twice would leave the exact route nothing
+    _mixed_verdict_fallback(rtt4, ideal4, one_shot)
+
+
+def cert_fields(cert):
+    return (cert.status, cert.kind, pairs(cert.points or []), cert.bound,
+            cert.detail, len(cert.witness or []))
+
+
+def test_streamed_build_gives_the_list_builds_certificate(rtt4, ideal4):
+    # the k = 2 characteristic identity, on the modular route
+    listed = lambda c: c.ch_identity(2).entries()
+    cert = ideal4.identity_membership(rtt4, listed, 4, seed=1)
+    assert cert.kind == "modular"
+    for build in (one_shot(listed), lambda c: c.ch_entries(2)):
+        assert cert_fields(ideal4.identity_membership(
+            rtt4, build, 4, seed=1)) == cert_fields(cert)
+
+
+def test_zero_entry_of_a_streamed_build_is_not_counted(rtt4, ideal4):
+    def build(ctx):
+        yield NCPoly.zero(ctx.dom)
+        yield from _relation_times_generator(ctx)
+        yield NCPoly.zero(ctx.dom)
+
+    cert = ideal4.identity_membership(rtt4, build, 3, seed=2)
+    alone = ideal4.identity_membership(rtt4, _relation_times_generator, 3,
+                                       seed=2)
+    assert cert.kind == "modular"
+    # the bound is the union over one entry, not three
+    assert cert_fields(cert) == cert_fields(alone)
 
 
 def test_matrix_bound_is_union_over_entries(rtt2, ideal2):

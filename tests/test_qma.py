@@ -3,12 +3,13 @@ from __future__ import annotations
 import pytest
 
 from qch import qma, rmatrix, tensor
-from qch.domains import QQ, FpDomain, SpanDomain
-from qch.ideal import FAILURE_TARGET
+from qch.domains import QQ, FpDomain, Span, SpanDomain
+from qch.ideal import FAILURE_TARGET, point_bound
 from qch.ncpoly import NCPoly, QMatrix
 from qch.qma import AlgebraContext
 from qch.rmatrix import build_standard_sp, flip_context
-from qch.scalar import LAMBDA, ONE, Q, QINV, QScalar, sample_points
+from qch.scalar import (LAMBDA, ONE, Q, QINV, QScalar, joint_point,
+                         sample_points)
 from qch.tensor import TensorOperator, matrix_unit
 
 import qma_blocks as qmb
@@ -497,10 +498,10 @@ def test_at_point_reduction(rtt2):
 
 # -- evaluate first: k = 2 identities at points and as span bounds -----------------
 
-# each identity as the list of its entries, as the CLI builds it
-K2_IDENTITIES = {"ch": lambda ctx: ctx.ch_identity(2).entries(),
-                 "parent": lambda ctx: ctx.parent_identity(2).entries(),
-                 "recursions": lambda ctx: ctx.recursion_entries()}
+# each identity as the list of the entries the CLI's build yields
+K2_IDENTITIES = {"ch": lambda ctx: list(ctx.ch_entries(2)),
+                 "parent": lambda ctx: list(ctx.parent_entries(2)),
+                 "recursions": lambda ctx: list(ctx.recursion_entries())}
 
 
 @pytest.fixture(scope="module")
@@ -584,6 +585,154 @@ def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):
     assert len(cert.points) == len(exact.points) == 3
     # the union over 16 entries of a bound that uses the span-build span
     assert exact.bound <= cert.bound < FAILURE_TARGET
+
+
+# -- in-place builds against the chained formula -------------------------------------
+#
+# The formulas below are the ones the builds replaced: one QMatrix per term,
+# chained with mul_poly_right, scale and +.  Over SpanDomain they must give
+# the same Span in every field, as Span sums and products are associative
+# and commutative and products distribute over sums, so no bound can move.
+
+def chained_matmul(x, y):
+    n = x.size
+    out = QMatrix.zero(x.dom, n)
+    for a in range(n):
+        for b in range(n):
+            acc = NCPoly.zero(x.dom)
+            for c in range(n):
+                acc = acc + x.rows[a][c] * y.rows[c][b]
+            out.rows[a][b] = acc
+    return out
+
+
+def chained_apply_map(ctx, kind, nmat):
+    out = QMatrix.zero(ctx.dom, ctx.dim)
+    for (c, d), cell in ctx.map_tensor(kind).items():
+        for (a, b), t in cell.items():
+            out.rows[a][b] = out.rows[a][b] + nmat.rows[c][d].scale(t)
+    return out
+
+
+def chained_eps(ctx, k):
+    g_pows = [NCPoly.one(ctx.dom)]
+    for _ in range(k):
+        g_pows.append(g_pows[-1] * ctx.g)
+    eps = []
+    for i in range(k + 1):
+        acc = NCPoly.zero(ctx.dom)
+        for j in range(i // 2 + 1):
+            acc = acc + ctx.a_elem(i - 2 * j) * g_pows[j]
+        eps.append(acc)
+    return eps + [eps[k - i] * g_pows[i] for i in range(1, k + 1)]
+
+
+def alt(i, e=None):
+    c = qp(i if e is None else e)
+    return -c if i % 2 else c
+
+
+def chained_ch(ctx, k):
+    eps = chained_eps(ctx, k)
+    out = QMatrix.zero(ctx.dom, ctx.dim)
+    for i in range(2 * k + 1):
+        term = ctx.star_power(2 * k - i).mul_poly_right(eps[i])
+        out = out + term.scale(ctx.dom.from_scalar(alt(i)))
+    return out
+
+
+def chained_parent(ctx, k):
+    eps = chained_eps(ctx, k)
+    out = QMatrix.zero(ctx.dom, ctx.dim)
+    for i in range(k + 1):
+        term = ctx.star_power(k - i).mul_poly_right(eps[i])
+        out = out + term.scale(ctx.dom.from_scalar(alt(i)))
+    for i in range(k):
+        term = ctx.pi_star_power(k - i).mul_poly_right(eps[i])
+        out = out + term.scale(ctx.dom.from_scalar(alt(i, 2 * k - i)))
+    return out
+
+
+def chained_expansion_residual_b(ctx, m, i):
+    dom = ctx.dom
+    mu = ctx.r_ctx.mu_scalar
+    den = ONE + mu * qp(2 * i - 3)
+    inner_c = qp(-1) * (qp(-2) - ONE) / den
+    g_pows = [NCPoly.one(dom)]
+    for _ in range(i):
+        g_pows.append(g_pows[-1] * ctx.g)
+    acc = QMatrix.zero(dom, ctx.dim)
+    for j in range(i):
+        term = ctx.star_power(m - i + j).mul_poly_right(g_pows[i - j]).scale(
+            dom.from_scalar(mu.inv() * qp(-2 * j)))
+        inner = QMatrix.zero(dom, ctx.dim)
+        q2g = ctx.g.scale(dom.from_scalar(qp(2)))
+        gp = NCPoly.one(dom)
+        for r in range(1, i - j):
+            gp = gp * q2g
+            inner = inner + ctx.star_power(
+                m + i - j - 2 * r).mul_poly_right(gp)
+        term = term + inner.scale(dom.from_scalar(inner_c))
+        term = term.mul_poly_right(ctx.a_elem(j))
+        acc = acc + term.scale(dom.from_scalar(alt(j)))
+    if (i - 1) % 2 == 1:
+        acc = QMatrix.zero(dom, ctx.dim) - acc
+    return ctx.descendant_b(m, i) - acc
+
+
+def poly_fields(p):
+    """The terms of p, each Span coefficient as its four fields."""
+    return {w: (c.lo, c.hi, c.atoms, c.den) if isinstance(c, Span) else c
+            for w, c in p.terms.items()}
+
+
+def fields(qmat):
+    return [[poly_fields(p) for p in row] for row in qmat.rows]
+
+
+def domain_views(ctx):
+    """ctx over Q(q), at a prime point, at a joint point and over spans."""
+    pts = sample_points(5, 3, point_bound(ctx.dim))
+    return {"qq": ctx, "prime": ctx.at_point(pts[0]),
+            "joint": ctx.at_point(joint_point(pts)),
+            "span": ctx.over(SpanDomain())}
+
+
+@pytest.fixture(scope="module", params=[(1, "rtt"), (1, "re"), (2, "rtt"),
+                                        (2, "re")],
+                ids=lambda kp: f"k{kp[0]}-{kp[1]}")
+def views(request, rtt2, re2, rtt4):
+    k, pair = request.param
+    if k == 2 and pair == "re":
+        r = build_standard_sp(2)
+        ctx = AlgebraContext(r, r, label="sp4-re")
+    else:
+        ctx = {(1, "rtt"): rtt2, (1, "re"): re2, (2, "rtt"): rtt4}[k, pair]
+    return k, domain_views(ctx)
+
+
+@pytest.mark.parametrize("dom", ["qq", "prime", "joint", "span"])
+def test_in_place_builds_equal_chained_formula(views, dom):
+    k, by_dom = views
+    ctx = by_dom[dom]
+    assert fields(ctx.ch_identity(k)) == fields(chained_ch(ctx, k))
+    assert fields(ctx.parent_identity(k)) == fields(chained_parent(ctx, k))
+    for m, i in ((1, 1), (2, 2)):
+        assert fields(ctx.expansion_residual_b(m, i)) == fields(
+            chained_expansion_residual_b(ctx, m, i))
+    assert list(map(poly_fields, ctx.epsilon_elements(k))) == list(
+        map(poly_fields, chained_eps(ctx, k)))
+
+
+@pytest.mark.parametrize("dom", ["qq", "prime", "joint", "span"])
+def test_in_place_matmul_and_maps_equal_chained_formula(views, dom):
+    _, by_dom = views
+    ctx = by_dom[dom]
+    m, m2 = ctx.m_matrix, ctx.star_power(2)
+    assert fields(m2 @ m) == fields(chained_matmul(m2, m))
+    for kind in ("phi", "xi", "pi", "phi_inv"):
+        assert fields(ctx.apply_map(kind, m2)) == fields(
+            chained_apply_map(ctx, kind, m2))
 
 
 # -- block calibration maps -----------------------------------------------------------

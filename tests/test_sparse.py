@@ -106,6 +106,29 @@ def test_product_matches_reference(dom, coeffs, data):
     assert_sparse(out, dom)
 
 
+@over_domains
+@prop
+@given(data=st.data())
+def test_product_into_dst_adds_the_product(dom, coeffs, data):
+    dst = data.draw(sparse_maps(coeffs, dom))
+    a = data.draw(sparse_maps(coeffs, dom))
+    b = data.draw(sparse_maps(coeffs, dom))
+    combine = lambda x, y: (x + y) % 4
+    expected = sparse.add_into(dict(dst),
+                               sparse.product(a, b, combine, dom).items(), dom)
+    out = dict(dst)
+    assert sparse.product(a, b, combine, dom, out) is out
+    assert out == expected
+    assert_sparse(out, dom)
+
+
+def test_product_into_dst_removes_cancelled_keys():
+    # dst[0] + 2 * 3 = 0 mod 7, and key 1 is new
+    dst = {0: 1, 2: 5}
+    sparse.product({0: 2}, {0: 3, 1: 4}, lambda x, y: x + y, FP, dst)
+    assert list(dst.items()) == [(2, 5), (1, 1)]
+
+
 @pytest.mark.parametrize("dom,coeffs", [(QQ, qq_coeffs()), (FP, fp_coeffs())],
                          ids=["QQ", "Fp"])
 @prop
