@@ -163,12 +163,10 @@ def run_qma(k, pair, verify, primes, seed):
             suffix=" terms")))
     if "cutting" in verify:
         def run_cutting():
-            if not ctx.boundary_a(k + 1).is_zero():
-                return "fail", "boundary descendant nonzero", None, None
-            if k == 1:
-                for m in (0, 1):
-                    if not ctx.cutting_dependency(m, 1).is_zero():
-                        return "fail", f"dependency m={m} nonzero", None, None
+            # the cutting identities hold because a^(k+1) = 0; the exact
+            # scan returns the first i <= k with a^(i+1) = 0, or None
+            if rmatrix._height_scan(ctx.r_ctx, k) is None:
+                return "fail", "a^(k+1) nonzero", None, None
             return "pass", "0", None, None
         reports.append(_timed("qma.cutting", params, run_cutting))
     if "recursions" in verify:

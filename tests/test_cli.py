@@ -202,8 +202,11 @@ def test_planted_tower_normalization_fails(capsys, monkeypatch):
     for argv, residual in (
             (["rmatrix", "--k", "2", "--checks", "height"],
              "tower denominator mu - q^1 x vanishes at level 3"),
-            (["qma", "--k", "1", "--verify", "cutting"],
-             "boundary descendant nonzero")):
+            (["qma", "--k", "1", "--verify", "cutting"], "a^(k+1) nonzero"),
+            (["qma", "--k", "2", "--pair", "rtt", "--verify", "cutting"],
+             "a^(k+1) nonzero"),
+            (["qma", "--k", "2", "--pair", "re", "--verify", "cutting"],
+             "a^(k+1) nonzero")):
         code, reports, _ = run_json(capsys, argv + ["--json"])
         assert code == 1
         assert [(r["status"], r["residual"]) for r in reports] == \
@@ -288,20 +291,32 @@ def test_planted_classical_pi_sign_fails_battery(capsys, monkeypatch):
 
 def test_qma_builds_each_tower_level_once(capsys, monkeypatch):
     """Each level of the antisymmetrizer tower is built once per domain
-    over a whole `qma` run, however the checks ask for it."""
-    builds = []
+    over a whole `qma` run, however the checks ask for it, and no level
+    above the height k: cutting reads the height scan, not a zero a^(k+1)."""
     level = qma.tower_level
+    for pair in ("rtt", "re"):
+        builds = []
 
-    def recorded(ctx, i):
-        builds.append((ctx.dom.name, i))
-        return level(ctx, i)
-    monkeypatch.setattr(qma, "tower_level", recorded)
-    code, _, _ = run_json(capsys, ["qma", "--k", "2", "--pair", "rtt",
-                                   "--verify", "ch,parent,cutting", "--seed",
-                                   "1", "--json"])
+        def recorded(ctx, i):
+            builds.append((ctx.dom.name, i))
+            return level(ctx, i)
+        monkeypatch.setattr(qma, "tower_level", recorded)
+        code, _, _ = run_json(capsys, ["qma", "--k", "2", "--pair", pair,
+                                       "--verify", "ch,parent,cutting",
+                                       "--seed", "1", "--json"])
+        assert code == 0
+        assert builds and all(i <= 2 for _, i in builds), (pair, builds)
+        assert len(set(builds)) == len(builds), (pair, builds)
+
+
+@pytest.mark.parametrize("pair", ["rtt", "re"])
+def test_cutting_at_k3_is_an_exact_pass(capsys, pair):
+    """a^(4) = 0 at Sp(6), from the exact height scan over Q(q)."""
+    code, reports, _ = run_json(capsys, ["qma", "--k", "3", "--pair", pair,
+                                         "--verify", "cutting", "--json"])
     assert code == 0
-    assert len(set(builds)) == len(builds)
-    assert sum(i >= 2 for _, i in builds) == 4, builds
+    assert [(r["check"], r["status"], r["residual"]) for r in reports] == \
+        [("qma.cutting", "pass", "0")]
 
 
 def test_primes_flag_sets_ch_points(capsys):
