@@ -107,8 +107,7 @@ def run_rmatrix(k, checks, seed=0):
     if "height" in checks:
         def run():
             try:
-                got, tag, bound = rmatrix.height(ctx, seed=seed,
-                                                 min_points=MIN_PRIME_COUNT)
+                got, tag, bound = rmatrix.height(ctx, seed=seed)
             except rmatrix.GuardError as exc:
                 return "fail", str(exc), None, None
             detail = f"height={got} ({tag})"
@@ -294,13 +293,6 @@ def run_classical(k, samples, g, seed):
     return [_timed("classical.battery", params, run)]
 
 
-def appendix_lines():
-    lines = []
-    for label, poly in sp4_relations.all_relations(QQ):
-        lines.append(f"{label}: {poly.to_text(name='M')}")
-    return lines
-
-
 def run_all(k, seed):
     reports = []
     reports += run_rmatrix(k, RMATRIX_CHECKS, seed=seed)
@@ -405,14 +397,10 @@ def main(argv=None):
     _validate(args, parser)
 
     if args.command == "appendix":
-        if args.json:
-            for label, poly in sp4_relations.all_relations(QQ):
-                print(json.dumps({"label": label,
-                                  "poly": poly.to_text(name="M")},
-                                 sort_keys=True))
-        else:
-            for line in appendix_lines():
-                print(line)
+        for label, poly in sp4_relations.all_relations(QQ):
+            text = poly.to_text(name="M")
+            print(json.dumps({"label": label, "poly": text}, sort_keys=True)
+                  if args.json else f"{label}: {text}")
         return 0
 
     if args.command == "rmatrix":

@@ -15,20 +15,21 @@ The protocol, with the layer that calls each member:
     coefficients are a domain too (`ncpoly.NCDomain`);
   * the scalar domains (`QDomain`, `FpDomain`, `SpanDomain`) also
     `from_scalar`, which sends an exact QScalar in (the contexts' `over`
-    and the scalar constants of their constructions), and `can_pivot`
-    (the contexts' `over`);
+    and the scalar constants of their constructions);
   * the pivoting domains (`QDomain`, `FpDomain`) also `inv` (`Echelon`),
     `exact` (`QuadraticIdeal.membership`) and `to_text`
     (`NCPoly.to_text`, `rmatrix.check_bmw`).
 
-A new domain implements its part of this and nothing more.
+A new domain implements its part of this and nothing more.  It never
+builds the operators derived from R and F (R^-1, K, Psi, D_R, D_{R^-1},
+the twisted trace and G^{+-1}): the contexts' `over` builds them over
+Q(q) and maps each one in with `from_scalar`.
 
 SpanDomain runs the same construction code once more to bound, without
 computing them, the Laurent degree spans of the exact Q(q) coefficients.
 That bound is the candidate degree of a modular verdict whose candidate is
 only ever built at prime points.  Its elements cannot decide equality, so
-it cannot pivot: objects that need elimination are built over Q(q) first
-(`can_pivot` below).
+it cannot pivot, and nothing is eliminated over it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class QDomain:
 
     name = "Q(q)"
     exact = True
-    can_pivot = True
 
     is_zero = staticmethod(QScalar.is_zero)
     add = staticmethod(operator.add)
@@ -70,7 +70,6 @@ class FpDomain:
     are plain ints in [0, m).  Only units have inverses."""
 
     exact = False
-    can_pivot = True
 
     def __init__(self, point):
         self.point = point
@@ -153,11 +152,10 @@ class SpanDomain:
     add ranges and multiplicities.  Negation changes no bound, and only the
     structural zero is zero, so a sum that cancels over Q(q) stays a
     (valid, loose) bound here.  There is no inverse: nothing is eliminated
-    over this domain (`can_pivot`).
+    over this domain.
     """
 
     name = "span"
-    can_pivot = False
 
     def zero(self):
         return SPAN_ZERO

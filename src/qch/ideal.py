@@ -166,7 +166,7 @@ class MembershipCertificate:
 class QuadraticIdeal:
     """The graded ideal of a fixed list of quadratic relations."""
 
-    def __init__(self, dom, dim, relations, label="", weights=None):
+    def __init__(self, dom, dim, relations, label=""):
         self.dom = dom
         self.dim = dim
         self.label = label
@@ -184,7 +184,7 @@ class QuadraticIdeal:
                             for w, c in p.terms.items()}
                            for _, p in self.relations]
         # relations not homogeneous in the weights get the trivial grading
-        self.weights = weights or default_weights(dim)
+        self.weights = default_weights(dim)
         if any(len({self.block_key(code + gg) for code in codes}) > 1
                for codes in self._rel_codes):
             self.weights = [0] * dim
@@ -373,8 +373,7 @@ class QuadraticIdeal:
             fp = FpDomain(pt)
             rels = [(rid, p.over(fp)) for rid, p in self.relations]
             self._points[key] = QuadraticIdeal(
-                fp, self.dim, rels, label=f"{self.label} @ {pt!r}",
-                weights=self.weights)
+                fp, self.dim, rels, label=f"{self.label} @ {pt!r}")
         return self._points[key]
 
     # -- membership ----------------------------------------------------------------

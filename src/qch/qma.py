@@ -530,25 +530,17 @@ class AlgebraContext:
         return nmat.mul_poly_right(self.g) - conj.mul_poly_left(self.g)
 
     def over(self, dom, label=None):
-        """The same algebra with every scalar mapped into dom.
-
-        A domain that cannot pivot first gets the objects that need
-        elimination built over Q(q): those of both R-matrix contexts, the
-        twisted trace operator and G, G^-1.
-        """
-        if not dom.can_pivot:
-            # reading them builds and caches them over Q(q)
-            self.d_rf, self.g_conjugators()
+        """The same algebra with every scalar mapped into dom.  Both
+        R-matrix contexts, the twisted trace operator and G, G^-1 are
+        mapped from their Q(q) builds, so none is ever built over dom."""
         r_ctx = self.r_ctx.over(dom)
         f_ctx = r_ctx if self.f_ctx is self.r_ctx else self.f_ctx.over(dom)
         ctx = AlgebraContext(r_ctx, f_ctx,
                              label=label or f"{self.label} over {dom.name}",
                              certify=False)
-        if "d_rf" in vars(self):
-            ctx.d_rf = self.d_rf.over(dom)
-        g_key = ("g_conjugators",)
-        if g_key in self._cache:
-            ctx._cache[g_key] = tuple(m.over(dom) for m in self._cache[g_key])
+        ctx.d_rf = self.d_rf.over(dom)
+        ctx._cache[("g_conjugators",)] = tuple(
+            m.over(dom) for m in self.g_conjugators())
         return ctx
 
     def at_point(self, pt):

@@ -106,21 +106,14 @@ class RMatrixContext:
         return x.r_trace_many(self.d_r, positions)
 
     def over(self, dom, label=None):
-        """The same context with every operator mapped into dom.
-
-        Operators already built are mapped, the rest are built over dom
-        when used.  A domain that cannot pivot first gets the ones that
-        need elimination (R^-1, Psi, D_R, D_{R^-1}) built here.
-        """
-        if not dom.can_pivot:
-            # reading them builds and caches them over Q(q)
-            self.r_inv, self.d_r, self.d_rinv
+        """The same context with R and every operator derived from it
+        (R^-1, K, Psi, D_R, D_{R^-1}) mapped into dom.  Each is built here
+        over Q(q) first, so none is ever built over dom."""
         ctx = RMatrixContext(self.r.over(dom), self.mu_scalar,
                              label=label or f"{self.label} over {dom.name}")
-        built = vars(self)
         for name, attr in vars(RMatrixContext).items():
-            if isinstance(attr, cached_property) and name in built:
-                setattr(ctx, name, built[name].over(dom))
+            if isinstance(attr, cached_property):
+                setattr(ctx, name, getattr(self, name).over(dom))
         return ctx
 
     def at_point(self, pt):
@@ -395,7 +388,7 @@ def _height_scan(ctx, bound):
     return None
 
 
-def height(ctx, seed=0, min_points=MIN_PRIME_COUNT):
+def height(ctx, seed=0):
     """(height, type tag, failure bound) of the R-matrix.
 
     For dim <= 4 the scan runs over the exact field, with bound None.
@@ -413,8 +406,8 @@ def height(ctx, seed=0, min_points=MIN_PRIME_COUNT):
         try:
             k, _, failure = modular_verdict(
                 lambda pt: _height_scan(ctx.at_point(pt), bound),
-                point_bound(ctx.dim), point_bound(ctx.dim), seed, min_points,
-                FAILURE_TARGET)
+                point_bound(ctx.dim), point_bound(ctx.dim), seed,
+                MIN_PRIME_COUNT, FAILURE_TARGET)
         except IdealError as exc:
             raise GuardError(f"height undecided: {exc}") from None
     if k is None:

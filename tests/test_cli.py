@@ -157,7 +157,7 @@ def test_failing_certificate_reports_fail(capsys, monkeypatch):
 
 
 def test_height_guard_error_reports_fail(capsys, monkeypatch):
-    def disagree(ctx, seed=0, min_points=3):
+    def disagree(ctx, seed=0):
         raise rmatrix.GuardError("modular height scans disagree: [1, 2, 1]")
     monkeypatch.setattr(rmatrix, "height", disagree)
     code, reports, err = run_json(capsys, ["rmatrix", "--k", "1", "--checks",

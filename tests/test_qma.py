@@ -532,13 +532,18 @@ def test_point_build_is_reduction_of_exact_identity(rtt4, exact_k2, name):
 PAIRS = {"rtt": lambda r: flip_context(QQ, r.dim), "re": lambda r: r}
 
 
+# the operators each RMatrixContext derives from its R
+DERIVED = ("r_inv", "k_op", "psi", "d_r", "d_rinv")
+
+
 def forbid_elimination(monkeypatch):
-    """Make every builder of R^-1, Psi, D_R, D_R^-1, d_rf and G raise."""
+    """Make every builder of R^-1, K, Psi, D_R, D_R^-1, d_rf and G raise."""
     def rebuilt(*args):
-        raise AssertionError("an eliminated object was rebuilt")
+        raise AssertionError("a derived operator was rebuilt")
 
     for mod, name in ((tensor, "invert_arity1"), (tensor, "invert_arity2"),
                       (tensor, "solve_skew_inverse"),
+                      (rmatrix, "contractor"),
                       (rmatrix, "compute_g_operator"),
                       (qma, "compute_g_operator")):
         monkeypatch.setattr(mod, name, rebuilt)
@@ -546,17 +551,22 @@ def forbid_elimination(monkeypatch):
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_mapped_context_reuses_what_is_built(monkeypatch, pair):
+    """The point and span copies of a fresh context get every derived
+    operator, each in their own domain, and build none of them."""
     r = build_standard_sp(1)
     ctx = AlgebraContext(r, PAIRS[pair](r))
-    for c in (ctx.r_ctx, ctx.f_ctx):
-        c.r_inv, c.psi, c.d_r, c.d_rinv
-    ctx.d_rf, ctx.g_conjugators()
-    exact = ctx.parent_identity(2)
-    forbid_elimination(monkeypatch)
     pt = sample_points(5, count=1, bound=40)[0]
-    assert ctx.at_point(pt).parent_identity(2) == exact.over(FpDomain(pt))
-    span = ctx.over(SpanDomain()).parent_identity(2)
-    assert len(span.entries()) == len(exact.entries())
+    point, span = ctx.at_point(pt), ctx.over(SpanDomain())
+    forbid_elimination(monkeypatch)
+    exact = ctx.parent_identity(2)
+    assert point.parent_identity(2) == exact.over(FpDomain(pt))
+    assert len(span.parent_identity(2).entries()) == len(exact.entries())
+    for copy, dom in ((point, FpDomain), (span, SpanDomain)):
+        for c in (copy.r_ctx, copy.f_ctx):
+            assert all(isinstance(getattr(c, name).dom, dom)
+                       for name in DERIVED)
+        assert isinstance(copy.d_rf.dom, dom)
+        assert all(isinstance(m.dom, dom) for m in copy.g_conjugators())
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -566,10 +576,25 @@ def test_span_context_builds_eliminations_over_qq_first(monkeypatch, pair):
     span = ctx.over(SpanDomain())
     forbid_elimination(monkeypatch)
     for c in (ctx.r_ctx, ctx.f_ctx):
-        assert c.r_inv.dom is c.psi.dom is c.d_r.dom is c.d_rinv.dom is QQ
+        assert all(getattr(c, name).dom is QQ for name in DERIVED)
     assert ctx.d_rf.dom is QQ
     assert all(m.dom is QQ for m in ctx.g_conjugators())
     assert span.parent_identity(2).entries()
+
+
+def test_span_operators_do_not_depend_on_build_history():
+    """Each derived operator over spans has the same bounds whether or not
+    the exact context had built it before `over` ran."""
+    def span_fields(op):
+        return {key: (v.lo, v.hi, v.atoms, v.den)
+                for key, v in op.data.items()}
+
+    fresh = build_standard_sp(2).over(SpanDomain())
+    for name in DERIVED:
+        built = build_standard_sp(2)
+        getattr(built, name)
+        assert (span_fields(getattr(built.over(SpanDomain()), name))
+                == span_fields(getattr(fresh, name))), name
 
 
 def test_evaluate_first_ch_matches_exact_build(rtt4, ideal4, exact_k2):

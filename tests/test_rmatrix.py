@@ -392,5 +392,5 @@ def test_context_at_point_is_homomorphic():
     r2 = pctx.r.embed(2, 3)
     assert ((r1 @ r2 @ r1) - (r2 @ r1 @ r2)).is_zero()
     assert pctx.r == ctx.r.reduce_at(pt)
-    # reduced contractor agrees with contractor of the reduced context
-    assert ctx.k_op.reduce_at(pt) == pctx.k_op
+    # the mapped contractor agrees with the contractor of the reduced R
+    assert ctx.k_op.reduce_at(pt) == pctx.k_op == rmatrix.contractor(pctx)
